@@ -8,8 +8,9 @@
 // BENCH_micro_erasure.json (override the path with LRS_BENCH_JSON, skip with
 // LRS_BENCH_JSON=none) so successive PRs have a perf trajectory to track.
 // The sweep also covers the LRC and XOR-schedule backends: encode/decode per
-// geometry, the local-repair fast path, Monte Carlo local-repair hit rates
-// at the Fig. 6 loss points, and the xorsched-vs-table-RS speedup row.
+// geometry, the local-repair fast path, RS/LRC decode against the number of
+// erased data blocks, Monte Carlo local-repair hit rates at the Fig. 6 loss
+// points, and the xorsched-vs-table-RS speedup row.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -351,6 +352,55 @@ void append_codec_sweep(std::vector<SweepResult>& results) {
   }
 }
 
+/// Decode cost against the number of erased data blocks E at the paper
+/// geometry. The lost columns are the first E of one fixed random column
+/// permutation (so each pattern contains the smaller ones); RS holds the
+/// other data blocks plus the last E parity blocks (exactly k shares), LRC
+/// the other data blocks plus every parity block. Decode work grows with E
+/// (erased-column solve; LRC first repairs lone group erasures locally).
+/// E = 16 is past LRC's guaranteed threshold k' = 39: permutation seed 1 is
+/// one whose 16 columns LRC can still solve (not every 16-column set is).
+void append_erased_sweep(std::vector<SweepResult>& results) {
+  const std::size_t k = 32, n = 48, len = 64;
+  std::vector<std::size_t> perm(k);
+  std::iota(perm.begin(), perm.end(), 0);
+  Rng rng(1);
+  for (std::size_t i = 0; i < k; ++i)
+    std::swap(perm[i], perm[i + rng.uniform(k - i)]);
+  const struct {
+    CodecKind kind;
+    const char* name;
+  } codecs[] = {
+      {CodecKind::kReedSolomon, "rs"},
+      {CodecKind::kLrc, "lrc"},
+  };
+  for (const auto& c : codecs) {
+    auto code = make_code(c.kind, k, n, 0, 0);
+    const auto blocks = random_blocks(k, len, 7);
+    const auto encoded = code->encode(blocks);
+    for (std::size_t erased : {1u, 3u, 8u, 16u}) {
+      std::vector<bool> lost(k, false);
+      for (std::size_t i = 0; i < erased; ++i) lost[perm[i]] = true;
+      std::vector<Share> shares;
+      for (std::size_t j = 0; j < k; ++j)
+        if (!lost[j]) shares.push_back({j, encoded[j]});
+      const std::size_t parity =
+          c.kind == CodecKind::kReedSolomon ? erased : n - k;
+      for (std::size_t i = 0; i < parity; ++i)
+        shares.push_back({n - 1 - i, encoded[n - 1 - i]});
+      if (code->decode(shares) != blocks) {
+        std::cerr << c.name << " decode failed at erased=" << erased << "\n";
+        std::exit(1);
+      }
+      const std::string name = std::string(c.name) + "_decode/erased=" +
+                               std::to_string(erased) + "/k=32/n=48/len=64";
+      results.push_back(time_op(name, k * len, [&] {
+        benchmark::DoNotOptimize(code->decode(shares));
+      }));
+    }
+  }
+}
+
 /// Monte Carlo local-repair hit rate: i.i.d. packet loss at the Fig. 6
 /// points, decode from the survivors, count how often the page completed
 /// without a k-wide solve. The counters live in the process-wide metrics
@@ -492,6 +542,7 @@ int main(int argc, char** argv) {
   if (path == "none") return 0;
   auto results = run_sweep();
   append_codec_sweep(results);
+  append_erased_sweep(results);
   append_local_repair_rates(results);
   append_speedups(results);
   write_json(results, path);

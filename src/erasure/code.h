@@ -7,7 +7,8 @@
 //
 // Four families are provided:
 //  * ReedSolomonCode — systematic Cauchy-matrix RS over GF(256). MDS:
-//    deterministically decodable from ANY k blocks (k' == k).
+//    deterministically decodable from ANY k blocks (k' == k). Decode
+//    costs ~e*k block addmuls for e erased data blocks (erased_solve.h).
 //  * RlcCode — systematic random linear code over GF(2) or GF(256) with
 //    pseudorandom parity rows derived from a public seed. Decoding succeeds
 //    once the received coefficient rows reach rank k; the nominal k'
@@ -16,7 +17,9 @@
 //    split into g local groups, each protected by one local parity, plus
 //    global Cauchy parities. A single erasure inside a group repairs from
 //    the group alone (no k-wide solve); any k + g - 1 blocks decode
-//    deterministically (weaker than MDS — see lrc_code.cc).
+//    deterministically (weaker than MDS — see lrc_code.cc). Decode costs
+//    one group per local repair, then ~e*k block addmuls for the e data
+//    blocks still erased (erased_solve.h).
 //  * XorScheduleCode — the same Cauchy-RS construction compiled into a
 //    precomputed word-wise XOR program (jerasure matrix_to_bitmatrix /
 //    bitmatrix_to_schedule style); MDS like RS but with no GF(256)

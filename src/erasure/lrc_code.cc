@@ -36,12 +36,14 @@
 //
 // decode() first repairs single-erasure groups from the group alone (group
 // size + 1 byte-rows touched instead of a k-wide solve) and only falls back
-// to Gaussian elimination when local repair cannot complete the page. The
-// counters behind lrc_stats() record how often each path fires; since the
-// metrics subsystem landed they are process-wide registry counters
-// ("erasure.lrc.*", gated on stats::enabled()) and lrc_stats() is a thin
-// snapshot shim kept for bench_micro_erasure and the conformance tests.
+// to the erased-column solve (erased_solve.h) when local repair cannot
+// complete the page. The counters behind lrc_stats() record how often each
+// path fires; since the metrics subsystem landed they are process-wide
+// registry counters ("erasure.lrc.*", gated on stats::enabled()) and
+// lrc_stats() is a thin snapshot shim kept for bench_micro_erasure and the
+// conformance tests.
 #include "erasure/code.h"
+#include "erasure/erased_solve.h"
 #include "erasure/gf256.h"
 #include "erasure/matrix.h"
 #include "sim/stats/stats.h"
@@ -218,19 +220,20 @@ class LrcCode final : public ErasureCode {
       return out;
     }
 
-    // Pass 2: full solve over everything we hold (repaired blocks are in the
-    // received span, so feeding them cannot raise the achievable rank — they
-    // just land the eliminator on its trivial unit-row path).
-    Gf256Eliminator elim(k_, len);
-    for (std::size_t i = 0; i < n_; ++i) {
-      if (have[i] == nullptr) continue;
-      elim.add(generator_.row(i), view(*have[i]));
-      if (elim.complete()) break;
+    // Pass 2: erased-column solve. Parity shares are offered in index order
+    // and the first e innovative ones kept: the rows an elimination fed data
+    // rows first, then parity rows in index order, would settle on.
+    std::vector<ParityShare> parity;
+    for (std::size_t i = k_; i < n_; ++i) {
+      if (have[i] != nullptr) parity.push_back({i, have[i]});
     }
-    if (!elim.complete()) return std::nullopt;
+    auto out = solve_erased_columns(
+        generator_, std::span<const Bytes* const>(have.data(), k_), parity,
+        len);
+    if (!out.has_value()) return std::nullopt;
     LrcRegistry::get().decodes.add();
     LrcRegistry::get().full_solves.add();
-    return elim.solve();
+    return out;
   }
 
  private:

@@ -1,8 +1,9 @@
 // Dense matrices over GF(256) and GF(2) with Gaussian elimination.
 //
-// The erasure decoders build the k x k sub-generator implied by the received
-// packet indices and invert it (GF(256) codes) or eliminate incrementally
-// (GF(2) random linear code).
+// RS and LRC invert only the e x e minor over their erased columns
+// (erased_solve.h); the XOR-schedule decoder inverts the full k x k
+// sub-generator; the random linear codes eliminate over every received row,
+// and rateless dissemination eliminates incrementally as packets arrive.
 #pragma once
 
 #include <cstdint>

@@ -6,9 +6,8 @@
 // hence invertible, which makes every k x k submatrix of G invertible:
 // expanding any selected identity rows reduces the determinant to a Cauchy
 // minor. This is the classic Cauchy-RS construction (as used in Jerasure).
-#include <algorithm>
-
 #include "erasure/code.h"
+#include "erasure/erased_solve.h"
 #include "erasure/gf256.h"
 #include "erasure/matrix.h"
 #include "sim/stats/stats.h"
@@ -75,49 +74,32 @@ class ReedSolomonCode final : public ErasureCode {
   std::optional<std::vector<Bytes>> decode(
       const std::vector<Share>& shares) const override {
     stats::TimerScope scope(rs_decode_timer());
-    // Deduplicate by index, keep the first k distinct shares.
-    std::vector<const Share*> picked;
+    // Deduplicate by index, keep the first k distinct shares. The picked
+    // systematic shares fill their columns; the picked parity shares are
+    // exactly as many as the erased columns, and every such minor of a
+    // Cauchy generator is invertible.
+    std::vector<const Bytes*> data(k_, nullptr);
+    std::vector<ParityShare> parity;
     std::vector<bool> seen(n_, false);
+    std::size_t picked = 0;
     for (const auto& s : shares) {
       LRS_CHECK(s.index < n_);
       if (seen[s.index]) continue;
       seen[s.index] = true;
-      picked.push_back(&s);
-      if (picked.size() == k_) break;
-    }
-    if (picked.size() < k_) return std::nullopt;
-
-    const std::size_t len = picked.front()->data.size();
-    for (const auto* s : picked) LRS_CHECK(s->data.size() == len);
-
-    // Fast path: all k systematic shares present.
-    const bool all_systematic = std::all_of(
-        picked.begin(), picked.end(),
-        [&](const Share* s) { return s->index < k_; });
-    if (all_systematic) {
-      std::vector<Bytes> out(k_);
-      for (const auto* s : picked) out[s->index] = s->data;
-      return out;
-    }
-
-    MatrixGf256 sub(k_, k_);
-    for (std::size_t r = 0; r < k_; ++r) {
-      for (std::size_t c = 0; c < k_; ++c)
-        sub.set(r, c, generator_.at(picked[r]->index, c));
-    }
-    auto inv = sub.inverted();
-    LRS_CHECK_MSG(inv.has_value(), "MDS property violated (bug)");
-
-    std::vector<Bytes> out;
-    out.reserve(k_);
-    for (std::size_t j = 0; j < k_; ++j) {
-      Bytes m(len, 0);
-      for (std::size_t r = 0; r < k_; ++r) {
-        Gf256::addmul(MutByteView(m.data(), m.size()), view(picked[r]->data),
-                      inv->at(j, r));
+      if (s.index < k_) {
+        data[s.index] = &s.data;
+      } else {
+        parity.push_back({s.index, &s.data});
       }
-      out.push_back(std::move(m));
+      if (++picked == k_) break;
     }
+    if (picked < k_) return std::nullopt;
+    const std::size_t len = shares.front().data.size();
+    for (const Bytes* d : data) LRS_CHECK(d == nullptr || d->size() == len);
+    for (const auto& p : parity) LRS_CHECK(p.data->size() == len);
+
+    auto out = solve_erased_columns(generator_, data, parity, len);
+    LRS_CHECK_MSG(out.has_value(), "MDS property violated (bug)");
     return out;
   }
 

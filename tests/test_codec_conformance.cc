@@ -342,6 +342,145 @@ TEST(ExhaustivePatterns, LrcLocalityContractOnEveryGeometry) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Paper geometry: erased-column decode vs reference elimination
+// ---------------------------------------------------------------------------
+
+void shuffle(std::vector<std::size_t>& v, Rng& rng) {
+  for (std::size_t i = v.size(); i > 1; --i)
+    std::swap(v[i - 1], v[rng.uniform(i)]);
+}
+
+/// Receive order with every parity share ahead of every systematic one:
+/// `parity` then `data`, each shuffled, plus `dups` repeated indices
+/// inserted at random positions.
+std::vector<std::size_t> parity_first_order(std::vector<std::size_t> parity,
+                                            std::vector<std::size_t> data,
+                                            std::size_t dups, Rng& rng) {
+  shuffle(parity, rng);
+  shuffle(data, rng);
+  std::vector<std::size_t> order = parity;
+  order.insert(order.end(), data.begin(), data.end());
+  for (std::size_t d = 0; d < dups && !order.empty(); ++d) {
+    const std::size_t dup = order[rng.uniform(order.size())];
+    order.insert(order.begin() + static_cast<std::ptrdiff_t>(
+                                     rng.uniform(order.size() + 1)),
+                 dup);
+  }
+  return order;
+}
+
+/// The rows each decoder settles on, as a reference_solve feed order: RS
+/// uses the first k distinct shares in receive order; LRC eliminates its
+/// distinct shares in index order.
+std::vector<std::size_t> rule_order(CodecKind kind,
+                                    const std::vector<std::size_t>& order) {
+  if (kind == CodecKind::kReedSolomon) return order;
+  std::vector<std::size_t> sorted = order;
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  return sorted;
+}
+
+struct PaperGeometry {
+  std::size_t k, n;
+};
+constexpr PaperGeometry kPaperGeometries[] = {{32, 48}, {8, 16}};
+constexpr CodecKind kSystematicGf256[] = {CodecKind::kReedSolomon,
+                                          CodecKind::kLrc};
+
+TEST(ErasedColumnSolve, MatchesReferenceOnPaperGeometries) {
+  for (const auto kind : kSystematicGf256) {
+    for (const auto& geo : kPaperGeometries) {
+      const std::size_t k = geo.k, n = geo.n, m = n - k;
+      auto code = make_code(kind, k, n, 0, 0);
+      const MatrixGf256 g = probe_generator(*code);
+      const auto blocks = random_blocks(k, 64, k * 100 + n);
+      const auto encoded = code->encode(blocks);
+      Rng rng(k * 31 + static_cast<std::uint64_t>(kind));
+      for (std::size_t e : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                            std::size_t{8}, std::size_t{16}, k}) {
+        if (e > k) continue;
+        for (int t = 0; t < 12; ++t) {
+          auto erased = random_subset(k, e, rng);
+          std::vector<bool> gone(k, false);
+          for (auto j : erased) gone[j] = true;
+          std::vector<std::size_t> data;
+          for (std::size_t j = 0; j < k; ++j)
+            if (!gone[j]) data.push_back(j);
+          // Mostly enough parity to cover the erasures; every fourth trial
+          // one short, so the failure path is exercised too.
+          std::size_t take = e <= m ? e + rng.uniform(m - e + 1) : m;
+          if (t % 4 == 3 && take > 0) take = std::min(take, e) - (e > 0);
+          auto parity = random_subset(m, take, rng);
+          for (auto& p : parity) p += k;
+          const auto order = parity_first_order(parity, data, 3, rng);
+
+          const auto decoded = code->decode(pick_shares(encoded, order));
+          const auto reference =
+              reference_solve(g, encoded, rule_order(kind, order));
+          ASSERT_EQ(decoded.has_value(), reference.has_value())
+              << code->name() << " k=" << k << " e=" << e << " t=" << t;
+          if (decoded.has_value()) {
+            ASSERT_EQ(*decoded, *reference)
+                << code->name() << " k=" << k << " e=" << e << " t=" << t;
+            ASSERT_EQ(*decoded, blocks);
+          }
+          if (kind == CodecKind::kReedSolomon) {
+            EXPECT_EQ(decoded.has_value(), data.size() + take >= k);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ErasedColumnSolve, CorruptedParityPinsRowSelection) {
+  // With one parity block corrupted the shares are inconsistent, so which
+  // rows a decoder solves from decides its (wrong) output. Data columns 0
+  // and 1 share LRC group 0 and column k-1 sits alone in the last group.
+  // RS must solve from its first k distinct shares in receive order, where
+  // the corrupted last parity row comes first; LRC must take parity rows in
+  // index order, where the corrupted local parity of group 0 comes first
+  // although it is received last.
+  for (const auto kind : kSystematicGf256) {
+    for (const auto& geo : kPaperGeometries) {
+      const std::size_t k = geo.k, n = geo.n;
+      auto code = make_code(kind, k, n, 0, 0);
+      const MatrixGf256 g = probe_generator(*code);
+      const auto blocks = random_blocks(k, 64, 77 + k);
+      auto encoded = code->encode(blocks);
+      const bool rs = kind == CodecKind::kReedSolomon;
+      const std::size_t bad = rs ? n - 1 : k;
+      encoded[bad][5] ^= 0x5a;
+
+      Rng rng(k + 5);
+      std::vector<std::size_t> parity, data;
+      for (std::size_t i = k; i < n; ++i)
+        if (i != bad) parity.push_back(i);
+      for (std::size_t j = 2; j + 1 < k; ++j) data.push_back(j);
+      auto order = parity_first_order(parity, data, 2, rng);
+      // RS receives the corrupted share first (and again later: a duplicate
+      // never outranks the first copy); LRC receives it last.
+      if (rs) order.insert(order.begin(), bad);
+      order.push_back(bad);
+
+      const auto decoded = code->decode(pick_shares(encoded, order));
+      ASSERT_TRUE(decoded.has_value()) << code->name() << " k=" << k;
+      const auto expect = reference_solve(g, encoded, rule_order(kind, order));
+      ASSERT_TRUE(expect.has_value());
+      EXPECT_EQ(*decoded, *expect) << code->name() << " k=" << k;
+      EXPECT_NE(*decoded, blocks) << "the corrupted row must be used";
+      // The other code's rule solves from rows without the corrupted one.
+      const auto other = reference_solve(
+          g, encoded,
+          rule_order(rs ? CodecKind::kLrc : CodecKind::kReedSolomon, order));
+      ASSERT_TRUE(other.has_value());
+      EXPECT_EQ(*other, blocks) << code->name() << " k=" << k;
+    }
+  }
+}
+
 TEST(ExhaustivePatterns, RlcSeedSweptOnSmallGeometries) {
   const std::pair<std::size_t, std::size_t> geos[] = {{4, 8}, {5, 10}};
   for (const auto kind : {CodecKind::kRlcGf2, CodecKind::kRlcGf256}) {
