@@ -1,7 +1,8 @@
 // Microbenchmarks for the cryptographic substrate (google-benchmark):
 // SHA-256 throughput across every dispatched kernel (scalar reference,
 // unrolled, SHA-NI, multi-buffer SIMD), packet hashes, HMAC, Merkle
-// build/path/verify, WOTS keygen/sign/verify, puzzle solve/verify. These
+// build/path/verify, WOTS keygen/sign/verify, multi-key signer set-up with
+// the public-key memo cold and warm, puzzle solve/verify. These
 // are the per-packet and per-image costs a sensor node pays (paper §III
 // cites 1.12 s for one ECDSA verification on a Tmote Sky — our WOTS
 // substitute is measured here).
@@ -29,6 +30,7 @@
 #include "crypto/sha256_kernels.h"
 #include "crypto/wots.h"
 #include "core/provenance.h"
+#include "util/buffer.h"
 #include "util/rng.h"
 
 namespace {
@@ -331,6 +333,25 @@ std::vector<SweepResult> run_sweep() {
     }
     sha256_set_kernel("auto");
   }
+
+  // Signer construction, the per-trial set-up cost of every experiment:
+  // a fresh seed each iteration walks all 4 x 18 x 255 WOTS chain steps;
+  // a repeated seed finds the public keys in the memo and pays only the
+  // secret-chain HMACs and the Merkle tree. Latency rows (no throughput).
+  {
+    std::uint64_t fresh = 0;
+    results.push_back(time_op("multikey_signer/h=2/memo=miss", 0, [&] {
+      Writer seed;
+      seed.u64(fresh++);
+      MultiKeySigner signer(view(seed.data()), 2);
+      benchmark::DoNotOptimize(signer.root_public_key());
+    }));
+    const Bytes seed = random_bytes(32, 81);
+    results.push_back(time_op("multikey_signer/h=2/memo=hit", 0, [&] {
+      MultiKeySigner signer(view(seed), 2);
+      benchmark::DoNotOptimize(signer.root_public_key());
+    }));
+  }
   return results;
 }
 
@@ -404,6 +425,16 @@ void append_speedups(std::vector<SweepResult>& results) {
     results.push_back({std::string(op) + "/speedup/batch_vs_scalar",
                        batch->mb_per_s / scalar->mb_per_s, 0.0});
   }
+
+  // Signer set-up, memo hit vs miss (latency ratio).
+  {
+    const SweepResult* miss = find("multikey_signer/h=2/memo=miss");
+    const SweepResult* hit = find("multikey_signer/h=2/memo=hit");
+    if (miss != nullptr && hit != nullptr && hit->ns_per_op > 0) {
+      results.push_back({"multikey_signer/h=2/speedup/hit_vs_miss",
+                         miss->ns_per_op / hit->ns_per_op, 0.0});
+    }
+  }
 }
 
 void write_json(const std::vector<SweepResult>& results,
@@ -433,6 +464,8 @@ void write_json(const std::vector<SweepResult>& results,
     out << "    {\"name\": \"" << r.name << "\", ";
     if (r.name.find("/speedup/") != std::string::npos) {
       out << "\"speedup\": " << r.mb_per_s;
+    } else if (r.mb_per_s == 0) {
+      out << "\"ns_per_op\": " << r.ns_per_op;
     } else {
       out << "\"mb_per_s\": " << r.mb_per_s
           << ", \"ns_per_op\": " << r.ns_per_op;

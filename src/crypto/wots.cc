@@ -52,6 +52,42 @@ WotsPublicKey compress_tops(
   return h.finalize();
 }
 
+/// A process-wide, thread-safe memo of a pure function's results, keyed by
+/// a collision-resistant digest of the function's inputs. The value is
+/// computed outside the lock; two threads missing on one key at once both
+/// compute it and store the same value.
+template <typename V>
+class DigestMemo {
+ public:
+  template <typename Compute>
+  V get_or_compute(const Sha256Digest& key, Compute&& compute) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = map_.find(key);
+      if (it != map_.end()) return it->second;
+    }
+    const V value = compute();
+    std::lock_guard<std::mutex> lock(mu_);
+    // A run only ever sees a handful of distinct keys; the cap is a leak
+    // guard for adversarial floods (e.g. of forged signatures).
+    if (map_.size() >= 4096) map_.clear();
+    map_.emplace(key, value);
+    return value;
+  }
+
+ private:
+  struct DigestHash {
+    std::size_t operator()(const Sha256Digest& d) const {
+      std::size_t v;
+      std::memcpy(&v, d.data(), sizeof(v));
+      return v;
+    }
+  };
+
+  std::mutex mu_;
+  std::unordered_map<Sha256Digest, V, DigestHash> map_;
+};
+
 }  // namespace
 
 Bytes WotsSignature::serialize() const {
@@ -74,7 +110,7 @@ std::optional<WotsSignature> WotsSignature::deserialize(ByteView data) {
 
 WotsKeyPair WotsKeyPair::generate(ByteView seed, std::uint64_t index) {
   WotsKeyPair kp;
-  std::array<Chain, kWotsLen> tops;
+  Sha256 fingerprint;
   for (std::size_t i = 0; i < kWotsLen; ++i) {
     // sk_i = HMAC(seed, index || i): deterministic, independent per chain.
     Writer w;
@@ -82,9 +118,18 @@ WotsKeyPair WotsKeyPair::generate(ByteView seed, std::uint64_t index) {
     w.u64(i);
     const Sha256Digest d = hmac_sha256(seed, view(w.data()));
     std::copy_n(d.begin(), kWotsChainBytes, kp.sk_[i].begin());
-    tops[i] = chain(kp.sk_[i], 255);
+    fingerprint.update(ByteView(kp.sk_[i].data(), kp.sk_[i].size()));
   }
-  kp.pk_ = compress_tops(tops);
+  // The public key is a pure function of the secret chains, and every trial
+  // and tenant re-derives the same few keys from the same seed, so the
+  // 18 x 255-step chain walk runs once per distinct key. The memo holds
+  // only public keys under one-way fingerprints of the secret chains.
+  static DigestMemo<WotsPublicKey> memo;
+  kp.pk_ = memo.get_or_compute(fingerprint.finalize(), [&] {
+    std::array<Chain, kWotsLen> tops;
+    for (std::size_t i = 0; i < kWotsLen; ++i) tops[i] = chain(kp.sk_[i], 255);
+    return compress_tops(tops);
+  });
   return kp;
 }
 
@@ -201,29 +246,10 @@ bool verify_certified_cached(const PacketHash& root_public_key,
   for (const auto& c : sig.sig.chains) h.update(ByteView(c.data(), c.size()));
   const Sha256Digest key = h.finalize();
 
-  struct DigestHash {
-    std::size_t operator()(const Sha256Digest& d) const {
-      std::size_t v;
-      std::memcpy(&v, d.data(), sizeof(v));
-      return v;
-    }
-  };
-  static std::mutex mu;
-  static std::unordered_map<Sha256Digest, bool, DigestHash> cache;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = cache.find(key);
-    if (it != cache.end()) return it->second;
-  }
-  const bool ok = MultiKeySigner::verify(root_public_key, message, sig);
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    // A run only ever sees a handful of distinct signature packets; the cap
-    // is a leak guard for adversarial floods of forged signatures.
-    if (cache.size() >= 4096) cache.clear();
-    cache.emplace(key, ok);
-  }
-  return ok;
+  static DigestMemo<bool> memo;
+  return memo.get_or_compute(key, [&] {
+    return MultiKeySigner::verify(root_public_key, message, sig);
+  });
 }
 
 }  // namespace lrs::crypto

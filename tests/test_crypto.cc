@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "crypto/hash.h"
 #include "crypto/hmac.h"
@@ -212,6 +214,22 @@ TEST(Wots, SignatureSerializationRoundTrip) {
   EXPECT_TRUE(WotsKeyPair::verify(kp.public_key(), view(msg), *back));
 }
 
+TEST(Wots, PublicKeyMemoIsTransparent) {
+  // A seed no other test uses, so the first generate() misses the memo.
+  const Bytes seed{0xa5, 0x5a, 0x01};
+  auto miss = WotsKeyPair::generate(view(seed), 3);
+  auto hit = WotsKeyPair::generate(view(seed), 3);
+  EXPECT_TRUE(equal(miss.public_key(), hit.public_key()));
+  const Bytes msg = str_bytes("image root");
+  EXPECT_TRUE(WotsKeyPair::verify(miss.public_key(), view(msg),
+                                  miss.sign(view(msg))));
+  EXPECT_TRUE(WotsKeyPair::verify(hit.public_key(), view(msg),
+                                  hit.sign(view(msg))));
+  const Bytes other{0xa5, 0x5a, 0x02};
+  EXPECT_FALSE(equal(WotsKeyPair::generate(view(other), 3).public_key(),
+                     miss.public_key()));
+}
+
 // ---------------------------------------------------------------------------
 // MultiKeySigner
 // ---------------------------------------------------------------------------
@@ -228,6 +246,27 @@ TEST(MultiKeySigner, SignsUpToCapacityThenThrows) {
   }
   const Bytes msg{99};
   EXPECT_THROW(signer.sign(view(msg)), std::runtime_error);
+}
+
+TEST(MultiKeySigner, SameSeedSignersAreIndependent) {
+  // The second signer's keys come from the public-key memo; each signer
+  // still owns its one-time-use state.
+  const Bytes seed{0x11, 0x22, 0x33, 0x44};
+  MultiKeySigner a(view(seed), 2);
+  MultiKeySigner b(view(seed), 2);
+  EXPECT_EQ(to_hex(ByteView(a.root_public_key().data(),
+                            a.root_public_key().size())),
+            "396060122c158ce9");
+  EXPECT_TRUE(equal(a.root_public_key(), b.root_public_key()));
+  for (MultiKeySigner* signer : {&a, &b}) {
+    for (std::size_t i = 0; i < signer->capacity(); ++i) {
+      const Bytes msg{static_cast<std::uint8_t>(i), 0x77};
+      const auto sig = signer->sign(view(msg));
+      EXPECT_TRUE(
+          MultiKeySigner::verify(signer->root_public_key(), view(msg), sig));
+    }
+    EXPECT_THROW(signer->sign(view(Bytes{1})), std::runtime_error);
+  }
 }
 
 TEST(MultiKeySigner, CrossMessageForgeryFails) {
@@ -268,6 +307,53 @@ TEST(MultiKeySigner, TruncatedSerializationRejected) {
   Bytes raw = signer.sign(view(Bytes{1})).serialize();
   raw.resize(raw.size() - 1);
   EXPECT_FALSE(CertifiedSignature::deserialize(view(raw)).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// WOTS public-key memo under contention: the thread hammer the TSan CI job
+// runs.
+// ---------------------------------------------------------------------------
+
+TEST(WotsMemo, ThreadHammer) {
+  constexpr std::size_t kSeeds = 3, kIndices = 4, kThreads = 8;
+  // Seeds unique to this test, so the threads race on cold memo entries.
+  std::vector<Bytes> seeds;
+  for (std::size_t s = 0; s < kSeeds; ++s)
+    seeds.push_back(Bytes{0xc3, static_cast<std::uint8_t>(s)});
+  // got[t][s * kIndices + i]: thread t's public key for (seed s, index i).
+  std::vector<std::vector<WotsPublicKey>> got(
+      kThreads, std::vector<WotsPublicKey>(kSeeds * kIndices));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &seeds, &got] {
+      for (int round = 0; round < 3; ++round) {
+        for (std::size_t s = 0; s < kSeeds; ++s) {
+          for (std::size_t k = 0; k < kIndices; ++k) {
+            // Threads start at different indices so misses and hits on one
+            // key interleave.
+            const std::size_t i = (k + t) % kIndices;
+            got[t][s * kIndices + i] =
+                WotsKeyPair::generate(view(seeds[s]), i).public_key();
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  const Bytes msg = str_bytes("hammer");
+  for (std::size_t s = 0; s < kSeeds; ++s) {
+    for (std::size_t i = 0; i < kIndices; ++i) {
+      auto serial = WotsKeyPair::generate(view(seeds[s]), i);
+      // The uncached verify walks the chains itself, so this pins the
+      // memoized key to the secret chains, not just to the memo.
+      const auto sig = serial.sign(view(msg));
+      ASSERT_TRUE(WotsKeyPair::verify(serial.public_key(), view(msg), sig));
+      for (std::size_t t = 0; t < kThreads; ++t) {
+        EXPECT_TRUE(equal(got[t][s * kIndices + i], serial.public_key()))
+            << "thread " << t << " seed " << s << " index " << i;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 // Unit tests for the util substrate: bit vectors, serialization, RNG,
-// hex, statistics and table formatting.
+// hex and table formatting.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -11,7 +11,6 @@
 #include "util/csv.h"
 #include "util/hex.h"
 #include "util/rng.h"
-#include "util/stats.h"
 
 namespace lrs {
 namespace {
@@ -246,37 +245,6 @@ TEST(Hex, RoundTrip) {
   Bytes data;
   for (int i = 0; i < 256; ++i) data.push_back(static_cast<std::uint8_t>(i));
   EXPECT_EQ(from_hex(to_hex(view(data))).value(), data);
-}
-
-// ---------------------------------------------------------------------------
-// Stats
-// ---------------------------------------------------------------------------
-
-TEST(Summary, BasicMoments) {
-  Summary s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 0.001);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(Summary, EmptyIsSafe) {
-  Summary s;
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.stddev(), 0.0);
-}
-
-TEST(CounterSet, AddsAndMerges) {
-  CounterSet a, b;
-  a.add("x");
-  a.add("x", 2);
-  b.add("y", 5);
-  a.merge(b);
-  EXPECT_EQ(a.get("x"), 3u);
-  EXPECT_EQ(a.get("y"), 5u);
-  EXPECT_EQ(a.get("missing"), 0u);
 }
 
 // ---------------------------------------------------------------------------
