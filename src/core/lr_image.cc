@@ -1,6 +1,8 @@
 #include "core/lr_image.h"
 
+#include <array>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -147,10 +149,7 @@ class LrSelugeState final : public proto::SchemeState {
         return DataStatus::kRejected;
       }
       // Keep only the encoded block; auth paths are regenerated on demand.
-      shares_.push_back(
-          {index, Bytes(payload.begin(),
-                        payload.begin() +
-                            static_cast<std::ptrdiff_t>(page0_block_size()))});
+      store_share(index, payload.subspan(0, page0_block_size()));
     } else {
       m.hash_verifications += 1;
       if (payload.size() != params_.payload_size ||
@@ -160,7 +159,7 @@ class LrSelugeState final : public proto::SchemeState {
         m.auth_failures += 1;
         return DataStatus::kRejected;
       }
-      shares_.push_back({index, Bytes(payload.begin(), payload.end())});
+      store_share(index, payload);
     }
     have_.set(index);
 
@@ -191,22 +190,7 @@ class LrSelugeState final : public proto::SchemeState {
                             proto::RxDigestMemo* dig) const override {
     if (!meta_ || page >= complete_pages_ || index >= packets_in_page(page))
       return false;
-    if (page == 0) {
-      // Non-const verify helper not usable here; redo the Merkle check.
-      const std::size_t depth = merkle_depth();
-      const std::size_t block = page0_block_size();
-      if (payload.size() != block + depth * crypto::kPacketHashSize)
-        return false;
-      std::vector<crypto::PacketHash> path;
-      for (std::size_t lvl = 0; lvl < depth; ++lvl) {
-        path.push_back(crypto::read_packet_hash(
-            payload, block + lvl * crypto::kPacketHashSize));
-      }
-      m.hash_verifications += depth + 1;
-      return crypto::equal(crypto::MerkleTree::compute_root(
-                               payload.subspan(0, block), index, path),
-                           root_);
-    }
+    if (page == 0) return verify_page0_packet(index, payload, m);
     if (payload.size() != params_.payload_size ||
         page_hashes_[page].size() != params_.n) {
       return false;
@@ -328,28 +312,43 @@ class LrSelugeState final : public proto::SchemeState {
   }
 
   void reset_collection(std::uint32_t page) {
+    for (auto& share : shares_) spare_.push_back(std::move(share.data));
     shares_.clear();
     have_ = BitVec(packets_in_page(page));
+  }
+
+  /// Copies an authenticated share into a buffer recycled from an earlier
+  /// page, so a steady-state page costs no share allocations.
+  void store_share(std::uint32_t index, ByteView data) {
+    Bytes buf;
+    if (!spare_.empty()) {
+      buf = std::move(spare_.back());
+      spare_.pop_back();
+    }
+    buf.assign(data.begin(), data.end());
+    shares_.push_back({index, std::move(buf)});
   }
 
   // --- verification helpers ----------------------------------------------------
 
   bool verify_page0_packet(std::uint32_t index, ByteView payload,
-                           sim::NodeMetrics& m) {
+                           sim::NodeMetrics& m) const {
     const std::size_t depth = merkle_depth();
     const std::size_t block = page0_block_size();
     if (payload.size() != block + depth * crypto::kPacketHashSize)
       return false;
-    std::vector<crypto::PacketHash> path;
-    path.reserve(depth);
+    // n0 is a power of two that fits a packet index, so depth < 32.
+    std::array<crypto::PacketHash, 32> path{};
+    LRS_CHECK(depth < path.size());
     for (std::size_t lvl = 0; lvl < depth; ++lvl) {
-      path.push_back(crypto::read_packet_hash(
-          payload, block + lvl * crypto::kPacketHashSize));
+      path[lvl] = crypto::read_packet_hash(
+          payload, block + lvl * crypto::kPacketHashSize);
     }
     m.hash_verifications += depth + 1;
-    return crypto::equal(crypto::MerkleTree::compute_root(
-                             payload.subspan(0, block), index, path),
-                         root_);
+    return crypto::equal(
+        crypto::MerkleTree::compute_root(payload.subspan(0, block), index,
+                                         std::span(path.data(), depth)),
+        root_);
   }
 
   // --- page completion -----------------------------------------------------------
@@ -381,6 +380,7 @@ class LrSelugeState final : public proto::SchemeState {
       reset_collection(complete_pages_);
     } else {
       shares_.clear();
+      spare_ = {};
       have_ = BitVec();
     }
   }
@@ -407,8 +407,7 @@ class LrSelugeState final : public proto::SchemeState {
     if (page == 0) {
       LRS_CHECK(!m0_blocks_.empty());
       auto encoded = code0_->encode(m0_blocks_);
-      std::vector<Bytes> leaves = encoded;
-      const auto tree = crypto::MerkleTree::build(leaves);
+      const auto tree = crypto::MerkleTree::build(encoded);
       payloads.reserve(params_.n0);
       for (std::size_t j = 0; j < params_.n0; ++j) {
         Bytes payload = std::move(encoded[j]);
@@ -513,8 +512,10 @@ class LrSelugeState final : public proto::SchemeState {
   // entry 0 unused); lets verify_stored_packet() check straggler traffic.
   std::vector<std::vector<crypto::PacketHash>> page_hashes_;
 
-  // Collection state for the page currently being received.
+  // Collection state for the page currently being received; spare_ holds
+  // share buffers of earlier pages for store_share() to reuse.
   std::vector<erasure::Share> shares_;
+  std::vector<Bytes> spare_;
   BitVec have_;
   std::vector<crypto::PacketHash> current_hashes_;  // for current page >= 1
 

@@ -1,5 +1,7 @@
 #include "crypto/merkle.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 
 #include "util/check.h"
@@ -12,21 +14,19 @@ constexpr std::uint8_t kNodeTag = 0x01;
 }  // namespace
 
 PacketHash MerkleTree::leaf_hash(ByteView leaf_data) {
-  Bytes buf;
-  buf.reserve(leaf_data.size() + 1);
-  buf.push_back(kLeafTag);
-  buf.insert(buf.end(), leaf_data.begin(), leaf_data.end());
-  return packet_hash(view(buf));
+  const Sha256Digest full = Sha256::hash(ByteView(&kLeafTag, 1), leaf_data);
+  PacketHash out;
+  std::copy_n(full.begin(), kPacketHashSize, out.begin());
+  return out;
 }
 
 PacketHash MerkleTree::node_hash(const PacketHash& left,
                                  const PacketHash& right) {
-  Bytes buf;
-  buf.reserve(1 + 2 * kPacketHashSize);
-  buf.push_back(kNodeTag);
-  buf.insert(buf.end(), left.begin(), left.end());
-  buf.insert(buf.end(), right.begin(), right.end());
-  return packet_hash(view(buf));
+  std::array<std::uint8_t, 1 + 2 * kPacketHashSize> buf{};
+  buf[0] = kNodeTag;
+  std::copy(left.begin(), left.end(), buf.begin() + 1);
+  std::copy(right.begin(), right.end(), buf.begin() + 1 + kPacketHashSize);
+  return packet_hash(ByteView(buf));
 }
 
 MerkleTree MerkleTree::build(const std::vector<Bytes>& leaves) {
@@ -39,17 +39,22 @@ MerkleTree MerkleTree::build(const std::vector<Bytes>& leaves) {
   t.depth_ = static_cast<std::size_t>(std::countr_zero(leaves.size()));
   t.nodes_.resize(2 * t.leaf_count_);
 
-  // Leaf level: tag every leaf, then hash the whole level in one batch
-  // call so the multi-buffer kernels see same-length runs.
+  // Leaf level: tag every leaf into one arena, then hash the whole level
+  // in one batch call so the multi-buffer kernels see same-length runs.
   {
-    std::vector<Bytes> tagged(t.leaf_count_);
+    std::size_t total = 0;
+    for (const Bytes& leaf : leaves) total += 1 + leaf.size();
+    Bytes tagged;
+    tagged.reserve(total);
+    for (const Bytes& leaf : leaves) {
+      tagged.push_back(kLeafTag);
+      tagged.insert(tagged.end(), leaf.begin(), leaf.end());
+    }
     std::vector<ByteView> views(t.leaf_count_);
+    std::size_t off = 0;
     for (std::size_t i = 0; i < t.leaf_count_; ++i) {
-      Bytes& buf = tagged[i];
-      buf.reserve(leaves[i].size() + 1);
-      buf.push_back(kLeafTag);
-      buf.insert(buf.end(), leaves[i].begin(), leaves[i].end());
-      views[i] = view(buf);
+      views[i] = ByteView(tagged).subspan(off, 1 + leaves[i].size());
+      off += views[i].size();
     }
     packet_hash_batch(views.data(), t.leaf_count_,
                       t.nodes_.data() + t.leaf_count_);
@@ -57,20 +62,19 @@ MerkleTree MerkleTree::build(const std::vector<Bytes>& leaves) {
 
   // Internal levels, bottom-up one level at a time: nodes [w, 2w) feed
   // nodes [w/2, w), and every preimage at a level has the same 17-byte
-  // shape, so each level is one uniform batch.
-  std::vector<Bytes> pre;
-  std::vector<ByteView> pre_views;
+  // shape, so each level is one uniform batch out of one arena.
+  constexpr std::size_t kPre = 1 + 2 * kPacketHashSize;
+  Bytes pre(t.leaf_count_ / 2 * kPre);
+  std::vector<ByteView> pre_views(t.leaf_count_ / 2);
   for (std::size_t width = t.leaf_count_ / 2; width >= 1; width /= 2) {
-    pre.assign(width, Bytes());
-    pre_views.resize(width);
     for (std::size_t i = 0; i < width; ++i) {
-      Bytes& buf = pre[i];
-      buf.reserve(1 + 2 * kPacketHashSize);
-      buf.push_back(kNodeTag);
+      std::uint8_t* buf = pre.data() + i * kPre;
       const std::size_t node = width + i;
-      append(buf, t.nodes_[2 * node]);
-      append(buf, t.nodes_[2 * node + 1]);
-      pre_views[i] = view(buf);
+      buf[0] = kNodeTag;
+      std::copy_n(t.nodes_[2 * node].begin(), kPacketHashSize, buf + 1);
+      std::copy_n(t.nodes_[2 * node + 1].begin(), kPacketHashSize,
+                  buf + 1 + kPacketHashSize);
+      pre_views[i] = ByteView(buf, kPre);
     }
     packet_hash_batch(pre_views.data(), width, t.nodes_.data() + width);
   }

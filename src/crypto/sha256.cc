@@ -84,7 +84,9 @@ Sha256 Sha256::resume(const Sha256Midstate& m) {
   return ctx;
 }
 
-Sha256Digest Sha256::hash(ByteView data) {
+namespace {
+
+stats::Timer& oneshot_timer() {
   // deterministic=false: the signature-verification and WOTS public-key
   // memos in wots.cc absorb a scheduling-dependent share of these calls, so
   // the count is not byte-identical across LRS_JOBS worker counts.
@@ -92,9 +94,22 @@ Sha256Digest Sha256::hash(ByteView data) {
       stats::Registry::instance().timer("crypto.sha.oneshot",
                                         /*top_level=*/false,
                                         /*deterministic=*/false);
-  stats::TimerScope scope(timer);
+  return timer;
+}
+
+}  // namespace
+
+Sha256Digest Sha256::hash(ByteView data) {
+  stats::TimerScope scope(oneshot_timer());
   Sha256 ctx;
   ctx.update(data);
+  return ctx.finalize();
+}
+
+Sha256Digest Sha256::hash(ByteView head, ByteView tail) {
+  stats::TimerScope scope(oneshot_timer());
+  Sha256 ctx;
+  ctx.update(head).update(tail);
   return ctx.finalize();
 }
 

@@ -44,6 +44,8 @@ class Sha256 {
 
   /// One-shot convenience.
   static Sha256Digest hash(ByteView data);
+  /// One-shot hash of the concatenation head || tail, without building it.
+  static Sha256Digest hash(ByteView head, ByteView tail);
 
  private:
   std::array<std::uint32_t, 8> state_;

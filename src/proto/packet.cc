@@ -58,8 +58,10 @@ std::optional<PacketType> peek_type(ByteView frame) {
 
 namespace {
 
-Bytes adv_body(const Advertisement& a) {
-  Writer w;
+/// `mac_size` is the length of the MAC the caller will append, so the
+/// frame is allocated once at its final size.
+Bytes adv_body(const Advertisement& a, std::size_t mac_size) {
+  Writer w(14 + mac_size);  // tag, 3 x u32, flag
   w.u8(static_cast<std::uint8_t>(PacketType::kAdvertisement));
   w.u32(a.version);
   w.u32(a.sender);
@@ -89,13 +91,14 @@ std::optional<Advertisement> parse_adv_body(ByteView body) {
 }  // namespace
 
 Bytes Advertisement::serialize(ByteView cluster_key) const {
-  Bytes frame = adv_body(*this);
+  Bytes frame =
+      adv_body(*this, cluster_key.empty() ? 0 : crypto::kControlMacSize);
   append_mac(frame, cluster_key);
   return frame;
 }
 
 Bytes Advertisement::serialize(const crypto::HmacKey& key) const {
-  Bytes frame = adv_body(*this);
+  Bytes frame = adv_body(*this, crypto::kControlMacSize);
   append_mac(frame, key);
   return frame;
 }
@@ -116,15 +119,17 @@ std::optional<Advertisement> Advertisement::parse(ByteView frame,
 
 namespace {
 
-Bytes snack_body(const Snack& s) {
-  Writer w;
+/// `mac_size` as for adv_body.
+Bytes snack_body(const Snack& s, std::size_t mac_size) {
+  const Bytes bits = s.requested.to_bytes();
+  Writer w(19 + bits.size() + mac_size);  // tag, 4 x u32, u16 count
   w.u8(static_cast<std::uint8_t>(PacketType::kSnack));
   w.u32(s.version);
   w.u32(s.sender);
   w.u32(s.target);
   w.u32(s.page);
   w.u16(static_cast<std::uint16_t>(s.requested.size()));
-  w.bytes(view(s.requested.to_bytes()));
+  w.bytes(view(bits));
   return std::move(w).take();
 }
 
@@ -153,13 +158,14 @@ std::optional<Snack> parse_snack_body(ByteView body) {
 }  // namespace
 
 Bytes Snack::serialize(ByteView cluster_key) const {
-  Bytes frame = snack_body(*this);
+  Bytes frame =
+      snack_body(*this, cluster_key.empty() ? 0 : crypto::kControlMacSize);
   append_mac(frame, cluster_key);
   return frame;
 }
 
 Bytes Snack::serialize(const crypto::HmacKey& key) const {
-  Bytes frame = snack_body(*this);
+  Bytes frame = snack_body(*this, crypto::kControlMacSize);
   append_mac(frame, key);
   return frame;
 }
@@ -194,7 +200,7 @@ Bytes leap_source_key(ByteView master, NodeId v) {
 }
 
 Bytes DataPacket::serialize() const {
-  Writer w;
+  Writer w(15 + payload.size());  // tag, 3 x u32, u16 length
   w.u8(static_cast<std::uint8_t>(PacketType::kData));
   w.u32(version);
   w.u32(page);
@@ -223,7 +229,7 @@ std::optional<DataPacket> DataPacket::parse(ByteView frame) {
 }
 
 Bytes DataPacket::hash_preimage() const {
-  Writer w;
+  Writer w(12 + payload.size());  // 3 x u32
   w.u32(version);
   w.u32(page);
   w.u32(index);

@@ -36,12 +36,12 @@ struct QueueStats {
 
 }  // namespace
 
-EventQueue::EventQueue() : buckets_(kBuckets) {}
+EventQueue::EventQueue() : heads_(kBuckets, kNil) {}
 
 std::uint32_t EventQueue::acquire_slot() {
-  if (!free_slots_.empty()) {
-    const std::uint32_t s = free_slots_.back();
-    free_slots_.pop_back();
+  if (free_slot_ != kNil) {
+    const std::uint32_t s = free_slot_;
+    free_slot_ = slots_[s].next_free;
     return s;
   }
   slots_.emplace_back();
@@ -53,25 +53,42 @@ void EventQueue::release_slot(std::uint32_t slot) {
   s.fn.reset();
   ++s.gen;
   if (s.gen == 0) ++s.gen;  // generation 0 is reserved for null tokens
-  free_slots_.push_back(slot);
+  s.next_free = free_slot_;
+  free_slot_ = slot;
+}
+
+void EventQueue::link(std::size_t b, const Ref& r) {
+  std::uint32_t n = free_node_;
+  if (n != kNil) {
+    free_node_ = nodes_[n].next;
+  } else {
+    n = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.emplace_back();
+  }
+  nodes_[n] = Node{r, heads_[b]};
+  heads_[b] = n;
+  set_occupied(b);
 }
 
 void EventQueue::push_ref(const Ref& r) {
+  const auto after = [](const Ref& a, const Ref& b) { return a.after(b); };
   const SimTime offset = r.time - base_;
   if (offset >= kSpan) {
     QueueStats::get().overflow.add();
     overflow_.push_back(r);
-    std::push_heap(overflow_.begin(), overflow_.end(),
-                   [](const Ref& a, const Ref& b) { return a.after(b); });
+    std::push_heap(overflow_.begin(), overflow_.end(), after);
     return;
   }
   const auto b = static_cast<std::size_t>(offset >> kBucketWidthBits);
   LRS_DCHECK(b < kBuckets);
-  auto& bucket = buckets_[b];
-  bucket.push_back(r);
-  std::push_heap(bucket.begin(), bucket.end(),
-                 [](const Ref& a, const Ref& b2) { return a.after(b2); });
-  occupied_[b / 64] |= std::uint64_t{1} << (b % 64);
+  if (b == loaded_) {
+    heap_.push_back(r);
+    std::push_heap(heap_.begin(), heap_.end(), after);
+    return;
+  }
+  // The loaded bucket must stay the first occupied one.
+  if (loaded_ != kBuckets && b < loaded_) spill();
+  link(b, r);
   if (b < cursor_) cursor_ = b;
 }
 
@@ -110,15 +127,42 @@ std::size_t EventQueue::next_occupied(std::size_t from) const {
   return word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
 }
 
-bool EventQueue::prune_bucket(std::size_t b) {
-  auto& bucket = buckets_[b];
-  const auto after = [](const Ref& a, const Ref& b2) { return a.after(b2); };
-  while (!bucket.empty() && !is_live(bucket.front())) {
-    std::pop_heap(bucket.begin(), bucket.end(), after);
-    bucket.pop_back();
+void EventQueue::load(std::size_t b) {
+  LRS_DCHECK(loaded_ == kBuckets && heap_.empty());
+  std::uint32_t n = heads_[b];
+  while (n != kNil) {
+    Node& node = nodes_[n];
+    if (is_live(node.ref)) heap_.push_back(node.ref);
+    const std::uint32_t next = node.next;
+    node.next = free_node_;
+    free_node_ = n;
+    n = next;
   }
-  if (bucket.empty()) {
-    occupied_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+  heads_[b] = kNil;
+  std::make_heap(heap_.begin(), heap_.end(),
+                 [](const Ref& a, const Ref& b2) { return a.after(b2); });
+  loaded_ = b;
+}
+
+void EventQueue::spill() {
+  const std::size_t b = loaded_;
+  loaded_ = kBuckets;
+  for (const Ref& r : heap_) {
+    if (is_live(r)) link(b, r);
+  }
+  heap_.clear();
+  if (heads_[b] == kNil) clear_occupied(b);
+}
+
+bool EventQueue::prune_loaded() {
+  const auto after = [](const Ref& a, const Ref& b) { return a.after(b); };
+  while (!heap_.empty() && !is_live(heap_.front())) {
+    std::pop_heap(heap_.begin(), heap_.end(), after);
+    heap_.pop_back();
+  }
+  if (heap_.empty()) {
+    clear_occupied(loaded_);
+    loaded_ = kBuckets;
     return false;
   }
   return true;
@@ -140,8 +184,9 @@ bool EventQueue::find_earliest(SimTime* time) {
     // Buckets ahead of the first live entry are empty or stale-only, so
     // the cursor can skip them on every later scan.
     cursor_ = b;
-    if (prune_bucket(b)) {
-      *time = buckets_[b].front().time;
+    if (loaded_ != b) load(b);
+    if (prune_loaded()) {
+      *time = heap_.front().time;
       return true;
     }
   }
@@ -153,25 +198,27 @@ bool EventQueue::find_earliest(SimTime* time) {
 
 EventQueue::Ref EventQueue::pop_earliest() {
   const auto after = [](const Ref& a, const Ref& b) { return a.after(b); };
-  const std::size_t b = cursor_;
-  if (b < kBuckets) {
-    auto& bucket = buckets_[b];
-    LRS_DCHECK(!bucket.empty() && is_live(bucket.front()));
-    std::pop_heap(bucket.begin(), bucket.end(), after);
-    const Ref r = bucket.back();
-    bucket.pop_back();
-    if (bucket.empty()) occupied_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+  if (cursor_ < kBuckets) {
+    LRS_DCHECK(loaded_ == cursor_ && !heap_.empty() &&
+               is_live(heap_.front()));
+    std::pop_heap(heap_.begin(), heap_.end(), after);
+    const Ref r = heap_.back();
+    heap_.pop_back();
+    if (heap_.empty()) {
+      clear_occupied(loaded_);
+      loaded_ = kBuckets;
+    }
     return r;
   }
   // Wheel drained: re-anchor it onto the overflow's earliest event and
   // sweep everything inside the new horizon back into buckets. now_ is
   // advanced to the popped event's time by the caller before any code can
   // schedule again, so base_ <= now() keeps holding.
+  LRS_DCHECK(loaded_ == kBuckets);
   LRS_DCHECK(!overflow_.empty() && is_live(overflow_.front()));
   QueueStats::get().reanchor.add();
   const SimTime head = overflow_.front().time;
   base_ = head & ~(kBucketWidth - 1);
-  cursor_ = 0;
   while (!overflow_.empty() && overflow_.front().time - base_ < kSpan) {
     std::pop_heap(overflow_.begin(), overflow_.end(), after);
     const Ref r = overflow_.back();

@@ -1,22 +1,28 @@
 // Calendar event queue for the discrete-event simulator.
 //
-// The hot path of every experiment is schedule / cancel / pop, so all three
-// are allocation-free in steady state:
+// The hot path of every experiment is schedule / cancel / pop. All three
+// are O(1) amortized, and a fresh queue allocates O(log pending) times in
+// total — never once per bucket it touches — so building a Simulator per
+// run (Monte Carlo trials, fleet cells) stays cheap:
 //
-//  - Events live in a slab of fixed-layout slots recycled through a free
-//    list. A slot is addressed by an EventToken — a POD {slot, generation}
-//    handle — so cancellation is an O(1) generation bump, never a search
-//    and never a heap allocation (the old design minted a shared_ptr<bool>
-//    per event).
+//  - Events live in a slab of fixed-layout slots recycled through an
+//    index-linked free list. A slot is addressed by an EventToken — a POD
+//    {slot, generation} handle — so cancellation is an O(1) generation
+//    bump, never a search and never a heap allocation.
 //  - Closures are stored inline in the slot (EventFn, a fixed-capacity
 //    copyable closure), not in a std::function that spills to the heap.
 //  - Ordering uses a bucketed calendar: a wheel of kBuckets windows of
-//    kBucketWidth microseconds each, with a min-heap per bucket and a
-//    sorted overflow heap for events beyond the wheel's horizon. Schedule
-//    and pop are O(1) amortized for the timer/airtime event mix the radio
-//    model produces (sub-second deltas); far-future events (advertisement
-//    trains, crash schedules) ride the overflow heap and are swept into
-//    the wheel when the wheel drains and re-anchors.
+//    kBucketWidth microseconds each, plus an overflow min-heap for events
+//    beyond the wheel's horizon. A bucket is an unordered singly linked
+//    list of references threaded through one pooled node array, so an
+//    empty bucket costs one 32-bit head. Only the bucket at the cursor is
+//    ordered: it is loaded into a single reusable min-heap, pushes into it
+//    go straight to the heap, and a push into an earlier bucket spills the
+//    heap back into its list. Schedule and pop are O(1) amortized for the
+//    timer/airtime event mix the radio model produces (sub-second deltas);
+//    far-future events (advertisement trains, crash schedules) ride the
+//    overflow heap and are swept into the wheel when it drains and
+//    re-anchors.
 //
 // Determinism: events fire in strictly increasing (time, seq) order, where
 // seq is the scheduling order — exactly the contract of the binary-heap
@@ -24,11 +30,11 @@
 //
 // Cancellation is cooperative and lazy: cancel() invalidates the slot
 // immediately (live counts update right away — pending() and empty() are
-// exact), but the stale reference stays in its bucket until the pop path
-// reaches and discards it. Consequently an event cancelled at any point
-// before it fires — including between a peek_time() that reported its time
-// and the run_next() that would have fired it — can never fire; run_next()
-// skips the stale entry and fires the next live event instead.
+// exact), but the stale reference stays in its bucket until the load or
+// pop path reaches and discards it. Consequently an event cancelled at any
+// point before it fires — including between a peek_time() that reported
+// its time and the run_next() that would have fired it — can never fire;
+// run_next() skips the stale entry and fires the next live event instead.
 #pragma once
 
 #include <cstddef>
@@ -242,20 +248,44 @@ class EventQueue {
     }
   };
 
+  /// End-of-list / empty-free-list marker for the index-linked lists.
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
   struct Slot {
     EventFn fn;
     std::uint32_t gen = 1;  // bumped on every release; 0 never occurs
+    std::uint32_t next_free = kNil;
+  };
+
+  /// One cell of a bucket list (or of the free-cell list).
+  struct Node {
+    Ref ref;
+    std::uint32_t next;
   };
 
   bool is_live(const Ref& r) const { return slots_[r.slot].gen == r.gen; }
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
   void push_ref(const Ref& r);
+  /// Prepends `r` to bucket b's list.
+  void link(std::size_t b, const Ref& r);
+  void set_occupied(std::size_t b) {
+    occupied_[b / 64] |= std::uint64_t{1} << (b % 64);
+  }
+  void clear_occupied(std::size_t b) {
+    occupied_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+  }
   /// First bucket index >= from with entries, or kBuckets when the wheel
   /// is clear.
   std::size_t next_occupied(std::size_t from) const;
-  /// Drops stale heap tops; true when a live ref tops the bucket after.
-  bool prune_bucket(std::size_t b);
+  /// Moves bucket b's live refs from its list into the (empty) heap and
+  /// makes b the loaded bucket.
+  void load(std::size_t b);
+  /// Returns the loaded bucket's refs to its list; nothing is loaded after.
+  void spill();
+  /// Drops stale heap tops; true when a live ref tops the loaded bucket
+  /// after. An emptied bucket is unloaded.
+  bool prune_loaded();
   bool prune_overflow();
   /// Locates the earliest live ref without removing it. Never re-anchors
   /// (safe from peek paths); when the wheel is clear the overflow top is
@@ -270,13 +300,19 @@ class EventQueue {
   SimTime now_ = 0;
   SimTime base_ = 0;        // wheel origin, multiple of kBucketWidth
   std::size_t cursor_ = 0;  // first bucket that can still hold entries
+  // Bucket whose refs sit in heap_ (kBuckets: none). When set it is the
+  // first occupied bucket at or after cursor_.
+  std::size_t loaded_ = kBuckets;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;
 
   std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_slots_;
-  std::vector<std::vector<Ref>> buckets_;  // min-heaps by (time, seq)
+  std::uint32_t free_slot_ = kNil;
+  std::vector<Node> nodes_;  // pooled bucket-list cells
+  std::uint32_t free_node_ = kNil;
+  std::vector<std::uint32_t> heads_;  // per-bucket list head, kNil = empty
+  std::vector<Ref> heap_;             // loaded bucket, min-heap by (time, seq)
   std::uint64_t occupied_[kBitmapWords] = {};
   std::vector<Ref> overflow_;  // min-heap by (time, seq)
 };

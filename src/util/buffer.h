@@ -21,6 +21,9 @@ namespace lrs {
 class Writer {
  public:
   Writer() = default;
+  /// Pre-sizes the buffer: the integer writers append byte by byte, so a
+  /// caller that knows the final size saves every regrowth.
+  explicit Writer(std::size_t reserve) { out_.reserve(reserve); }
 
   void u8(std::uint8_t v) { out_.push_back(v); }
   void u16(std::uint16_t v) {

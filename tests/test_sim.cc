@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/channel.h"
@@ -12,6 +15,7 @@
 #include "sim/simulator.h"
 #include "sim/topology.h"
 #include "sim/trickle.h"
+#include "util/rng.h"
 
 namespace lrs::sim {
 namespace {
@@ -279,6 +283,176 @@ TEST(EventQueueTest, ForgedTokensCannotTouchLiveEvents) {
   EXPECT_EQ(q.pending(), 1u);
   EXPECT_TRUE(q.run_next());
   EXPECT_TRUE(ran);
+}
+
+// Differential test: the calendar queue against a reference ordered set
+// of (time, seq) keys. Every event, when it fires, checks that it is the
+// reference's earliest key and removes it; some fired events schedule a
+// child, so mid-run pushes are covered too. The random operation mix
+// includes same-time ties, pushes into a bucket earlier than the one a
+// peek loaded (the spill path), cancels between a peek and the run that
+// would fire the peeked event, and far-future events that force several
+// re-anchors.
+class QueueDifferential {
+ public:
+  explicit QueueDifferential(std::uint64_t seed) : rng_(seed) {}
+  // Scheduled closures hold `this`.
+  QueueDifferential(const QueueDifferential&) = delete;
+  QueueDifferential& operator=(const QueueDifferential&) = delete;
+
+  void run(int ops) {
+    for (int i = 0; i < ops && !::testing::Test::HasFatalFailure(); ++i) {
+      step();
+      ASSERT_EQ(q_.pending(), ref_.size());
+      ASSERT_EQ(q_.empty(), ref_.empty());
+    }
+    // Drain whatever is left, far-future events included.
+    while (q_.run_next()) {
+    }
+    EXPECT_TRUE(ref_.empty());
+    EXPECT_EQ(q_.executed(), fired_);
+  }
+
+  std::uint64_t fired() const { return fired_; }
+
+ private:
+  using Key = std::pair<SimTime, std::uint64_t>;  // (time, seq)
+
+  // Delays mixing every structure the queue has: ties, the current ~1 ms
+  // bucket, nearby buckets, the whole ~4.2 s wheel and the overflow heap.
+  SimTime draw_delay() {
+    switch (rng_.uniform(6)) {
+      case 0: return 0;
+      case 1: return static_cast<SimTime>(rng_.uniform(1024));
+      case 2: return static_cast<SimTime>(rng_.uniform(50 * kMillisecond));
+      case 3: return static_cast<SimTime>(rng_.uniform(5 * kSecond));
+      case 4: return static_cast<SimTime>(rng_.uniform(30 * kSecond));
+      default: return static_cast<SimTime>(rng_.uniform(4)) * 1024;
+    }
+  }
+
+  void schedule(SimTime at) {
+    const Key key{at, seq_++};
+    ref_[key] = q_.schedule_at(at, [this, key] { fire(key); });
+  }
+
+  void retire(EventToken token) {
+    if (stale_.size() < 64) {
+      stale_.push_back(token);
+    } else {
+      stale_[rng_.uniform(stale_.size())] = token;
+    }
+  }
+
+  void fire(const Key& key) {
+    ASSERT_FALSE(ref_.empty());
+    ASSERT_EQ(ref_.begin()->first, key) << "fired out of (time, seq) order";
+    ASSERT_EQ(q_.now(), key.first);
+    retire(ref_.begin()->second);
+    ref_.erase(ref_.begin());
+    ++fired_;
+    last_fired_ = key.first;
+    if (rng_.uniform(4) == 0) schedule(q_.now() + draw_delay());
+  }
+
+  void cancel(std::map<Key, EventToken>::iterator it) {
+    ASSERT_TRUE(q_.cancel(it->second));
+    retire(it->second);
+    ref_.erase(it);
+  }
+
+  void cancel_one() {
+    if (!stale_.empty() && rng_.uniform(2) == 0) {
+      ASSERT_FALSE(q_.cancel(stale_[rng_.uniform(stale_.size())]));
+      return;
+    }
+    // Roughly uniform over live events: the first at or after a random
+    // time up to the wheel span and a bit beyond.
+    const Key probe{q_.now() + static_cast<SimTime>(rng_.uniform(6 * kSecond)),
+                    0};
+    auto it = ref_.lower_bound(probe);
+    if (it == ref_.end()) it = ref_.begin();
+    if (it != ref_.end()) cancel(it);
+  }
+
+  std::optional<SimTime> ref_earliest() const {
+    if (ref_.empty()) return std::nullopt;
+    return ref_.begin()->first.first;
+  }
+
+  void step() {
+    const SimTime now = q_.now();
+    switch (rng_.uniform(8)) {
+      case 0:
+      case 1:
+        schedule(now + draw_delay());
+        break;
+      case 2:
+        cancel_one();
+        break;
+      case 3:
+        ASSERT_EQ(q_.peek_time(), ref_earliest());
+        break;
+      case 4: {  // peek loads a bucket; push ahead of it (spill path)
+        const auto t = q_.peek_time();
+        ASSERT_EQ(t, ref_earliest());
+        if (t && *t > now) {
+          schedule(now + static_cast<SimTime>(rng_.uniform(*t - now)));
+        }
+        break;
+      }
+      case 5: {  // cancel the peeked event before running
+        const auto t = q_.peek_time();
+        ASSERT_EQ(t, ref_earliest());
+        if (!t) break;
+        cancel(ref_.begin());
+        const bool expected = !ref_.empty();
+        ASSERT_EQ(q_.run_next(), expected);
+        break;
+      }
+      case 6: {  // run_next_before
+        const SimTime limit = now + draw_delay();
+        const auto t = ref_earliest();
+        const bool should_run = t && *t <= limit;
+        ASSERT_EQ(q_.run_next_before(limit), should_run);
+        if (!should_run) {
+          ASSERT_EQ(q_.now(), now);
+        }
+        break;
+      }
+      default: {  // run_until
+        const SimTime limit = now + draw_delay();
+        const std::uint64_t before = fired_;
+        const std::uint64_t ran = q_.run_until(limit);
+        ASSERT_EQ(ran, fired_ - before);
+        if (!ref_.empty()) {
+          ASSERT_GT(*ref_earliest(), limit);
+          ASSERT_EQ(q_.now(), ran > 0 ? last_fired_ : now);
+        } else {
+          ASSERT_EQ(q_.now(), limit);  // drained: now() advances to limit
+        }
+        break;
+      }
+    }
+  }
+
+  EventQueue q_;
+  Rng rng_;
+  std::map<Key, EventToken> ref_;  // live events, ordered as they must fire
+  std::vector<EventToken> stale_;  // fired or cancelled: cancel must refuse
+  std::uint64_t seq_ = 0;
+  std::uint64_t fired_ = 0;
+  SimTime last_fired_ = 0;
+};
+
+TEST(EventQueueTest, DifferentialAgainstReferenceOrderedSet) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    QueueDifferential d(seed);
+    d.run(20000);
+    if (HasFatalFailure()) return;
+    EXPECT_GT(d.fired(), 1000u);
+  }
 }
 
 // ---------------------------------------------------------------------------
