@@ -6,10 +6,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "crypto/hash.h"
 #include "proto/params.h"
 #include "sim/channel.h"
 #include "sim/faults.h"
@@ -75,8 +77,8 @@ struct ExperimentConfig {
   // into radio-connected components, give each its own base station (the
   // island's smallest id) and simulate them independently on a worker
   // pool. Deterministic — serial and parallel runs are byte-identical, and
-  // a connected topology (one island) takes the classic single-simulator
-  // path unchanged. Requires no fault plan and no tracing.
+  // a connected topology (one island) runs as one whole-network cell,
+  // exactly as without island mode. Requires no fault plan and no tracing.
   bool islands = false;
   std::size_t island_jobs = 0;  // 0 = default_jobs() (LRS_JOBS)
 };
@@ -144,6 +146,21 @@ struct ExperimentResult {
 Bytes make_test_image(std::size_t size, std::uint64_t seed);
 
 ExperimentResult run_experiment(const ExperimentConfig& config);
+
+/// Simulates one closed radio system — a whole network, one island of it,
+/// or one fleet cell — to completion and extracts its metrics. `members`
+/// follows the Simulator contract: empty means every topology position;
+/// otherwise an ascending list closed under the radio graph, whose smallest
+/// id serves as the base station. `source` is the (pre-signed)
+/// disseminating scheme; receivers verify against `root_pk` and must
+/// reassemble `image`. The topology selector, image size and island fields
+/// of `config` are not read here. Opens no top-level timer scope (callers
+/// own one per cell); the event loop is timed by the nested "sim.run".
+ExperimentResult run_cell(const ExperimentConfig& config, const Bytes& image,
+                          const crypto::PacketHash& root_pk,
+                          std::shared_ptr<const sim::Topology> topology,
+                          std::vector<NodeId> members,
+                          std::unique_ptr<proto::SchemeState> source);
 
 /// Averages `repeats` runs with derived seeds (seed, seed+1, ...).
 ExperimentResult run_experiment_avg(const ExperimentConfig& config,

@@ -21,25 +21,45 @@ std::size_t default_jobs() {
   return hw >= 1 ? hw : 1;
 }
 
-std::vector<ExperimentResult> run_trials(const ExperimentConfig& config,
-                                         std::size_t repeats,
-                                         std::size_t jobs) {
+namespace {
+
+/// The one trial loop: every (config, trial) pair of a grid on one
+/// work-stealing pool. Slot c * repeats + i holds trial i of configs[c],
+/// run with seed configs[c].seed + i and trace_for_trial(trace, c, i), so
+/// the result vector is identical for any worker count. Sweeps mix cheap
+/// and expensive configs and the block deal-out puts each config's trials
+/// on one worker; stealing keeps the tail busy without touching the
+/// trial -> seed mapping.
+std::vector<ExperimentResult> run_grid(std::span<const ExperimentConfig> configs,
+                                       std::size_t repeats, std::size_t jobs) {
   LRS_CHECK(repeats >= 1);
   if (jobs == 0) jobs = default_jobs();
 
-  std::vector<ExperimentResult> results(repeats);
-  const std::size_t steals = parallel_for_ws(repeats, jobs, [&](std::size_t i) {
-    ExperimentConfig c = config;
-    c.seed = config.seed + i;
-    c.trace = sim::trace_for_trial(config.trace, 0, i);
-    results[i] = run_experiment(c);
-  });
+  std::vector<ExperimentResult> trials(configs.size() * repeats);
+  const std::size_t steals =
+      parallel_for_ws(trials.size(), jobs, [&](std::size_t t) {
+        const std::size_t ci = t / repeats;
+        const std::size_t ri = t % repeats;
+        ExperimentConfig c = configs[ci];
+        c.seed = configs[ci].seed + ri;
+        c.trace = sim::trace_for_trial(configs[ci].trace, ci, ri);
+        trials[t] = run_experiment(c);
+      });
   // Steal counts depend on worker timing: a Gauge (timing section), never a
   // Counter, or the deterministic export would vary with LRS_JOBS.
   static stats::Gauge& steal_gauge =
       stats::Registry::instance().gauge("core.parallel.steals");
   steal_gauge.add(static_cast<std::int64_t>(steals));
-  return results;
+  return trials;
+}
+
+}  // namespace
+
+std::vector<ExperimentResult> run_trials(const ExperimentConfig& config,
+                                         std::size_t repeats,
+                                         std::size_t jobs) {
+  return run_grid(std::span<const ExperimentConfig>(&config, 1), repeats,
+                  jobs);
 }
 
 ExperimentResult aggregate_trials(std::span<const ExperimentResult> trials) {
@@ -104,26 +124,7 @@ ExperimentResult aggregate_trials(std::span<const ExperimentResult> trials) {
 std::vector<ExperimentResult> run_experiments_avg(
     std::span<const ExperimentConfig> configs, std::size_t repeats,
     std::size_t jobs) {
-  LRS_CHECK(repeats >= 1);
-  if (jobs == 0) jobs = default_jobs();
-
-  const std::size_t total = configs.size() * repeats;
-  std::vector<ExperimentResult> trials(total);
-  // Work-stealing pool: sweeps mix cheap and expensive configs, and the
-  // block deal-out puts each config's trials on one worker — stealing keeps
-  // the tail busy without touching the trial -> seed mapping.
-  const std::size_t steals = parallel_for_ws(total, jobs, [&](std::size_t t) {
-    const std::size_t ci = t / repeats;
-    const std::size_t ri = t % repeats;
-    ExperimentConfig c = configs[ci];
-    c.seed = configs[ci].seed + ri;
-    c.trace = sim::trace_for_trial(configs[ci].trace, ci, ri);
-    trials[t] = run_experiment(c);
-  });
-  static stats::Gauge& steal_gauge =
-      stats::Registry::instance().gauge("core.parallel.steals");
-  steal_gauge.add(static_cast<std::int64_t>(steals));
-
+  const std::vector<ExperimentResult> trials = run_grid(configs, repeats, jobs);
   std::vector<ExperimentResult> out(configs.size());
   for (std::size_t ci = 0; ci < configs.size(); ++ci) {
     out[ci] = aggregate_trials(

@@ -3,12 +3,8 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/experiment.h"  // make_test_image
 #include "core/parallel.h"
 #include "fleet/delta.h"
-#include "proto/engine.h"
-#include "sim/channel.h"
-#include "sim/simulator.h"
 #include "sim/stats/stats.h"
 #include "util/check.h"
 
@@ -110,8 +106,8 @@ void FleetEngine::prepare() {
   }
 }
 
-CellResult FleetEngine::run_cell(const Tenant& tenant,
-                                 std::size_t cell) const {
+core::ExperimentResult FleetEngine::run_cell(const Tenant& tenant,
+                                            std::size_t cell) const {
   // Top-level scope: one fleet cell end to end. Cells run concurrently, so
   // accumulated scope time is CPU-time-like under LRS_JOBS > 1.
   static stats::Timer& cell_timer = stats::Registry::instance().timer(
@@ -119,65 +115,21 @@ CellResult FleetEngine::run_cell(const Tenant& tenant,
   stats::TimerScope cell_scope(cell_timer);
 
   const TenantSpec& spec = tenant.spec;
-  const std::size_t receivers = cell_receivers(spec, cell);
-  const std::uint64_t seed = cell_seed(spec, cell);
+  // scheme keeps its kLrSeluge default: the Publisher prepared an LR-Seluge
+  // source, and receivers must run the matching scheme.
+  core::ExperimentConfig config;
+  config.params = spec.params;
+  config.timing = spec.timing;
+  config.loss_p = spec.loss_p;
+  config.time_limit = spec.time_limit;
+  config.seed = cell_seed(spec, cell);
 
   std::unique_ptr<proto::SchemeState> source = tenant.master->clone_source();
   LRS_CHECK_MSG(source != nullptr, "tenant master must be serving-ready");
-
-  sim::Simulator simulator(
-      sim::Topology::star(receivers),
-      spec.loss_p > 0.0 ? sim::make_uniform_loss(spec.loss_p)
-                        : sim::make_perfect_channel(),
-      sim::RadioParams{}, seed);
-
-  // One receive-side verification memo per cell (cells are single-threaded
-  // simulations; the memo never crosses cells).
-  auto rx_memo = std::make_unique<proto::RxFanoutMemo>();
-  proto::EngineConfig engine;
-  engine.timing = spec.timing;
-  engine.leap_snack_auth = spec.params.leap_snack_auth;
-  engine.leap_master = spec.params.leap_master;
-  engine.rx_memo = rx_memo.get();
-
-  std::vector<proto::DissemNode*> nodes;
-  nodes.reserve(receivers + 1);
-  engine.is_base_station = true;
-  nodes.push_back(&simulator.add_node<proto::DissemNode>(
-      std::move(source), engine, spec.params.cluster_key));
-  engine.is_base_station = false;
-  for (std::size_t i = 0; i < receivers; ++i) {
-    nodes.push_back(&simulator.add_node<proto::DissemNode>(
-        core::make_lr_receiver(spec.params, tenant.root_pk), engine,
-        spec.params.cluster_key));
-  }
-
-  auto& metrics = simulator.metrics();
-  const NodeId base = 0;
-  const auto done = [&] { return metrics.completed_count(base) == receivers; };
-  {
-    static stats::Timer& run_timer =
-        stats::Registry::instance().timer("sim.run");
-    stats::TimerScope run_scope(run_timer);
-    simulator.run(spec.time_limit, done);
-  }
-
-  CellResult r;
-  r.receivers = receivers;
-  r.converged = metrics.completed_count(base) == receivers;
-  r.events = simulator.events_executed();
-  r.data_packets = metrics.total_sent(sim::PacketClass::kData);
-  r.snack_packets = metrics.total_sent(sim::PacketClass::kSnack);
-  r.total_bytes = metrics.total_sent_bytes();
-  r.latency_s = r.converged ? sim::to_seconds(metrics.last_completion())
-                            : sim::to_seconds(spec.time_limit);
-  for (std::size_t k = 1; k <= receivers; ++k) {
-    if (!nodes[k]->image_complete()) continue;
-    if (nodes[k]->scheme().assemble_image() != tenant.payload) {
-      r.images_match = false;
-    }
-  }
-  return r;
+  return core::run_cell(config, tenant.payload, tenant.root_pk,
+                        std::make_shared<const sim::Topology>(
+                            sim::Topology::star(cell_receivers(spec, cell))),
+                        {}, std::move(source));
 }
 
 FleetReport FleetEngine::run(std::size_t jobs) {
@@ -200,7 +152,7 @@ FleetReport FleetEngine::run(std::size_t jobs) {
     }
   }
 
-  std::vector<CellResult> results(items.size());
+  std::vector<core::ExperimentResult> results(items.size());
   const std::size_t steals =
       core::parallel_for_ws(items.size(), jobs, [&](std::size_t i) {
         results[i] = run_cell(tenants_[items[i].tenant], items[i].cell);
@@ -221,11 +173,11 @@ FleetReport FleetEngine::run(std::size_t jobs) {
     // Cell-index order: the aggregate is a pure fold over deterministic
     // per-cell results, byte-identical for any worker count.
     for (std::size_t c = 0; c < t.spec.cells; ++c) {
-      const CellResult& r = results[first_item[ti] + c];
-      agg.converged_cells += r.converged ? 1 : 0;
+      const core::ExperimentResult& r = results[first_item[ti] + c];
+      agg.converged_cells += r.all_complete ? 1 : 0;
       agg.receivers += r.receivers;
-      agg.events += r.events;
-      agg.max_cell_events = std::max(agg.max_cell_events, r.events);
+      agg.events += r.events_executed;
+      agg.max_cell_events = std::max(agg.max_cell_events, r.events_executed);
       agg.data_packets += r.data_packets;
       agg.snack_packets += r.snack_packets;
       agg.total_bytes += r.total_bytes;

@@ -11,6 +11,8 @@
 //     clone_source() (a byte copy, no re-hashing, no re-signing).
 //   * Per cell, everything dynamic is private: simulator, RNG streams,
 //     receiver states, verification memo. Cells never touch each other.
+//     A cell is a one-hop star run through core::run_cell — the same cell
+//     runner run_experiment uses — so the fleet has no wiring of its own.
 //
 // Determinism contract (the repo-wide serial-vs-LRS_JOBS discipline): the
 // work list is the tenant-ordered, cell-indexed cross product; each cell's
@@ -26,24 +28,13 @@
 #include <string>
 #include <vector>
 
+#include "core/experiment.h"
 #include "core/lr_seluge.h"
 #include "crypto/hash.h"
 #include "fleet/tenant.h"
 #include "util/types.h"
 
 namespace lrs::fleet {
-
-/// Outcome of one cell — deterministic for (spec, cell index).
-struct CellResult {
-  bool converged = false;  // every receiver completed within the time limit
-  std::size_t receivers = 0;
-  std::uint64_t events = 0;  // simulator events executed
-  std::uint64_t data_packets = 0;
-  std::uint64_t snack_packets = 0;
-  std::uint64_t total_bytes = 0;
-  double latency_s = 0.0;  // simulated; time limit when not converged
-  bool images_match = true;  // completed receivers reassembled the payload
-};
 
 /// Per-tenant aggregate over its cells, walked in cell-index order.
 struct TenantResult {
@@ -133,7 +124,9 @@ class FleetEngine {
     Bytes payload;     // what cells disseminate: image or delta blob
   };
 
-  CellResult run_cell(const Tenant& tenant, std::size_t cell) const;
+  /// One cell through core::run_cell — deterministic for (spec, cell).
+  core::ExperimentResult run_cell(const Tenant& tenant,
+                                  std::size_t cell) const;
 
   std::vector<Tenant> tenants_;
 };

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <iterator>
 #include <stdexcept>
 #include <vector>
 
@@ -422,6 +424,41 @@ TEST(FleetEngine, SerialAndParallelRunsAreByteIdentical) {
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.max_cell_events, b.max_cell_events);
   EXPECT_EQ(a.steals, 0u);  // one worker has no one to steal from
+}
+
+TEST(FleetEngine, SmallFleetOutputsArePinned) {
+  // Golden per-tenant outputs of make_small_fleet(). Serial == parallel
+  // alone cannot see a change in how a cell is wired (node order, engine
+  // config, loss model, seeds); these values can.
+  struct Pinned {
+    const char* name;
+    std::uint64_t events;
+    std::uint64_t data_packets;
+    std::uint64_t snack_packets;
+    std::uint64_t total_bytes;
+    double latency_max_s;
+  };
+  const Pinned kPinned[] = {
+      {"alpha", 1849, 324, 124, 24080, 3.073405},
+      {"bravo", 2038, 401, 108, 26873, 2.333588},
+      {"delta", 1011, 150, 74, 13318, 1.973713},
+  };
+
+  fleet::FleetEngine engine = make_small_fleet();
+  engine.prepare();
+  const fleet::FleetReport report = engine.run(2);
+  ASSERT_EQ(report.tenants.size(), std::size(kPinned));
+  for (std::size_t t = 0; t < std::size(kPinned); ++t) {
+    const fleet::TenantResult& got = report.tenants[t];
+    const Pinned& want = kPinned[t];
+    SCOPED_TRACE(want.name);
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.events, want.events);
+    EXPECT_EQ(got.data_packets, want.data_packets);
+    EXPECT_EQ(got.snack_packets, want.snack_packets);
+    EXPECT_EQ(got.total_bytes, want.total_bytes);
+    EXPECT_DOUBLE_EQ(got.latency_max_s, want.latency_max_s);
+  }
 }
 
 TEST(FleetEngine, CellDerivationsAreDeterministicAndInRange) {
