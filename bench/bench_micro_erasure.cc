@@ -10,11 +10,16 @@
 // The sweep also covers the LRC and XOR-schedule backends: encode/decode per
 // geometry, the local-repair fast path, RS/LRC decode against the number of
 // erased data blocks, Monte Carlo local-repair hit rates at the Fig. 6 loss
-// points, and the xorsched-vs-table-RS speedup row.
+// points, and the xorsched-vs-table-RS speedup row. The star20/ rows pin the
+// paper cell's hot calls under the active kernel: contiguous RS encode,
+// decode with 8 erasures, and the fused dot against the addmul loop it
+// replaced. Every codec row encodes and decodes through the contiguous
+// caller-owned buffer API into buffers allocated once, outside the timing.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <numeric>
@@ -44,6 +49,36 @@ std::vector<Bytes> random_blocks(std::size_t k, std::size_t len,
   }
   return blocks;
 }
+
+/// `blocks` laid back to back: the contiguous page the codecs read.
+Bytes join(const std::vector<Bytes>& blocks) {
+  Bytes page;
+  for (const auto& b : blocks) page.insert(page.end(), b.begin(), b.end());
+  return page;
+}
+
+/// A codec's contiguous encode/decode operands for one page, allocated once.
+struct Page {
+  Page(const ErasureCode& code, std::size_t len, std::uint64_t seed)
+      : blocks(random_blocks(code.k(), len, seed)),
+        data(join(blocks)),
+        encoded(code.n() * len),
+        decoded(code.k() * len),
+        len(len) {
+    code.encode(view(data), encoded);
+  }
+  /// Encoded block i as a share.
+  Share share(std::size_t i) const {
+    const auto first = encoded.begin() + static_cast<std::ptrdiff_t>(i * len);
+    return {i, Bytes(first, first + static_cast<std::ptrdiff_t>(len))};
+  }
+  /// Whether `decoded` holds the original page.
+  bool decoded_ok() const { return decoded == data; }
+
+  std::vector<Bytes> blocks;
+  Bytes data, encoded, decoded;
+  std::size_t len;
+};
 
 // ---------------------------------------------------------------------------
 // google-benchmark table: per-kernel addmul plus codec-level encode/decode.
@@ -83,9 +118,10 @@ BENCHMARK(BM_MatrixInvert)->Arg(8)->Arg(32);
 void encode_bench(benchmark::State& state, CodecKind kind,
                   std::size_t delta) {
   auto code = make_code(kind, 32, 48, delta, 42);
-  const auto blocks = random_blocks(32, 64, 2);
+  Page page(*code, 64, 2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(code->encode(blocks));
+    code->encode(view(page.data), page.encoded);
+    benchmark::DoNotOptimize(page.encoded.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           32 * 64);
@@ -94,17 +130,14 @@ void encode_bench(benchmark::State& state, CodecKind kind,
 void decode_bench(benchmark::State& state, CodecKind kind,
                   std::size_t delta) {
   auto code = make_code(kind, 32, 48, delta, 42);
-  const auto blocks = random_blocks(32, 64, 3);
-  const auto encoded = code->encode(blocks);
+  Page page(*code, 64, 3);
   // Worst-ish case: all parity-heavy tail shares.
   std::vector<Share> shares;
   const std::size_t take = code->decode_threshold() + 2;
-  for (std::size_t i = 0; i < take; ++i) {
-    const std::size_t idx = 48 - 1 - i;
-    shares.push_back({idx, encoded[idx]});
-  }
+  for (std::size_t i = 0; i < take; ++i)
+    shares.push_back(page.share(48 - 1 - i));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(code->decode(shares));
+    benchmark::DoNotOptimize(code->decode(shares, page.decoded));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           32 * 64);
@@ -137,26 +170,24 @@ void BM_LrcLocalRepairDecode(benchmark::State& state) {
   // local parity present — repair touches 5 blocks instead of a 32-wide
   // solve.
   auto code = make_lrc_code(32, 48);
-  const auto blocks = random_blocks(32, 64, 5);
-  const auto encoded = code->encode(blocks);
+  Page page(*code, 64, 5);
   std::vector<Share> shares;
   for (std::size_t i = 0; i < 32; ++i)
-    if (i != 6) shares.push_back({i, encoded[i]});
-  shares.push_back({32 + 1, encoded[32 + 1]});  // local parity of group 1
+    if (i != 6) shares.push_back(page.share(i));
+  shares.push_back(page.share(32 + 1));  // local parity of group 1
   for (auto _ : state) {
-    benchmark::DoNotOptimize(code->decode(shares));
+    benchmark::DoNotOptimize(code->decode(shares, page.decoded));
   }
 }
 BENCHMARK(BM_LrcLocalRepairDecode);
 
 void BM_SystematicFastPathDecode(benchmark::State& state) {
   auto code = make_rs_code(32, 48);
-  const auto blocks = random_blocks(32, 64, 4);
-  const auto encoded = code->encode(blocks);
+  Page page(*code, 64, 4);
   std::vector<Share> shares;
-  for (std::size_t i = 0; i < 32; ++i) shares.push_back({i, encoded[i]});
+  for (std::size_t i = 0; i < 32; ++i) shares.push_back(page.share(i));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(code->decode(shares));
+    benchmark::DoNotOptimize(code->decode(shares, page.decoded));
   }
 }
 BENCHMARK(BM_SystematicFastPathDecode);
@@ -268,20 +299,18 @@ std::vector<SweepResult> run_sweep() {
                                  "/n=" + std::to_string(cfg.n) +
                                  "/len=" + std::to_string(cfg.payload);
       auto code = make_rs_code(cfg.k, cfg.n);
-      const auto blocks = random_blocks(cfg.k, cfg.payload, 2);
+      Page page(*code, cfg.payload, 2);
       const std::size_t page_bytes = cfg.k * cfg.payload;
       results.push_back(time_op("rs_encode" + suffix, page_bytes, [&] {
-        benchmark::DoNotOptimize(code->encode(blocks));
+        code->encode(view(page.data), page.encoded);
+        benchmark::DoNotOptimize(page.encoded.data());
       }));
 
-      const auto encoded = code->encode(blocks);
       std::vector<Share> shares;
-      for (std::size_t i = 0; i < cfg.k; ++i) {
-        const std::size_t idx = cfg.n - 1 - i;
-        shares.push_back({idx, encoded[idx]});
-      }
+      for (std::size_t i = 0; i < cfg.k; ++i)
+        shares.push_back(page.share(cfg.n - 1 - i));
       results.push_back(time_op("rs_decode" + suffix, page_bytes, [&] {
-        benchmark::DoNotOptimize(code->decode(shares));
+        benchmark::DoNotOptimize(code->decode(shares, page.decoded));
       }));
     }
   }
@@ -314,23 +343,21 @@ void append_codec_sweep(std::vector<SweepResult>& results) {
                                  "/n=" + std::to_string(cfg.n) +
                                  "/len=" + std::to_string(cfg.payload);
       auto code = make_code(c.kind, cfg.k, cfg.n, 0, 0);
-      const auto blocks = random_blocks(cfg.k, cfg.payload, 2);
+      Page page(*code, cfg.payload, 2);
       const std::size_t page_bytes = cfg.k * cfg.payload;
       results.push_back(
           time_op(std::string(c.name) + "_encode" + suffix, page_bytes, [&] {
-            benchmark::DoNotOptimize(code->encode(blocks));
+            code->encode(view(page.data), page.encoded);
+            benchmark::DoNotOptimize(page.encoded.data());
           }));
 
       // Parity-heavy decode at the codec's own threshold.
-      const auto encoded = code->encode(blocks);
       std::vector<Share> shares;
-      for (std::size_t i = 0; i < code->decode_threshold(); ++i) {
-        const std::size_t idx = cfg.n - 1 - i;
-        shares.push_back({idx, encoded[idx]});
-      }
+      for (std::size_t i = 0; i < code->decode_threshold(); ++i)
+        shares.push_back(page.share(cfg.n - 1 - i));
       results.push_back(
           time_op(std::string(c.name) + "_decode" + suffix, page_bytes, [&] {
-            benchmark::DoNotOptimize(code->decode(shares));
+            benchmark::DoNotOptimize(code->decode(shares, page.decoded));
           }));
     }
   }
@@ -339,15 +366,14 @@ void append_codec_sweep(std::vector<SweepResult>& results) {
   // repaired from its group alone.
   {
     auto code = make_lrc_code(32, 48);
-    const auto blocks = random_blocks(32, 64, 5);
-    const auto encoded = code->encode(blocks);
+    Page page(*code, 64, 5);
     std::vector<Share> shares;
     for (std::size_t i = 0; i < 32; ++i)
-      if (i != 6) shares.push_back({i, encoded[i]});
-    shares.push_back({32 + 1, encoded[32 + 1]});
+      if (i != 6) shares.push_back(page.share(i));
+    shares.push_back(page.share(32 + 1));
     results.push_back(
         time_op("lrc_decode_local_repair/k=32/n=48/len=64", 32 * 64, [&] {
-          benchmark::DoNotOptimize(code->decode(shares));
+          benchmark::DoNotOptimize(code->decode(shares, page.decoded));
         }));
   }
 }
@@ -376,26 +402,25 @@ void append_erased_sweep(std::vector<SweepResult>& results) {
   };
   for (const auto& c : codecs) {
     auto code = make_code(c.kind, k, n, 0, 0);
-    const auto blocks = random_blocks(k, len, 7);
-    const auto encoded = code->encode(blocks);
+    Page page(*code, len, 7);
     for (std::size_t erased : {1u, 3u, 8u, 16u}) {
       std::vector<bool> lost(k, false);
       for (std::size_t i = 0; i < erased; ++i) lost[perm[i]] = true;
       std::vector<Share> shares;
       for (std::size_t j = 0; j < k; ++j)
-        if (!lost[j]) shares.push_back({j, encoded[j]});
+        if (!lost[j]) shares.push_back(page.share(j));
       const std::size_t parity =
           c.kind == CodecKind::kReedSolomon ? erased : n - k;
       for (std::size_t i = 0; i < parity; ++i)
-        shares.push_back({n - 1 - i, encoded[n - 1 - i]});
-      if (code->decode(shares) != blocks) {
+        shares.push_back(page.share(n - 1 - i));
+      if (!code->decode(shares, page.decoded) || !page.decoded_ok()) {
         std::cerr << c.name << " decode failed at erased=" << erased << "\n";
         std::exit(1);
       }
       const std::string name = std::string(c.name) + "_decode/erased=" +
                                std::to_string(erased) + "/k=32/n=48/len=64";
       results.push_back(time_op(name, k * len, [&] {
-        benchmark::DoNotOptimize(code->decode(shares));
+        benchmark::DoNotOptimize(code->decode(shares, page.decoded));
       }));
     }
   }
@@ -414,8 +439,7 @@ void append_local_repair_rates(std::vector<SweepResult>& results) {
   for (const auto& loss : losses) {
     auto code = make_lrc_code(32, 48);
     lrc_stats_reset(*code);
-    const auto blocks = random_blocks(32, 64, 6);
-    const auto encoded = code->encode(blocks);
+    Page page(*code, 64, 6);
     Rng rng(static_cast<std::uint64_t>(loss.p * 1000) + 9);
     const int trials = 2000;
     for (int t = 0; t < trials; ++t) {
@@ -423,9 +447,9 @@ void append_local_repair_rates(std::vector<SweepResult>& results) {
       for (std::size_t i = 0; i < 48; ++i) {
         if (rng.uniform(10000) < static_cast<std::size_t>(loss.p * 10000))
           continue;
-        shares.push_back({i, encoded[i]});
+        shares.push_back(page.share(i));
       }
-      benchmark::DoNotOptimize(code->decode(shares));
+      benchmark::DoNotOptimize(code->decode(shares, page.decoded));
     }
     const auto st = lrc_stats(*code);
     const double rate =
@@ -437,6 +461,62 @@ void append_local_repair_rates(std::vector<SweepResult>& results) {
                            "/k=32/n=48",
                        rate, static_cast<double>(st->decodes)});
   }
+}
+
+/// The paper cell's hot erasure calls (star20-paper: k=32, n=48, 64-byte
+/// packets) under the active kernel: one contiguous page encode, one decode
+/// with 8 erased data blocks (24 data + 8 parity shares), and one parity
+/// block as the fused dot against the zero-fill-plus-addmul loop it
+/// replaced, with their ratio.
+void append_star20_rows(std::vector<SweepResult>& results) {
+  const std::size_t k = 32, n = 48, len = 64;
+  const std::string kernel = gf256_kernel().name;
+  auto code = make_rs_code(k, n);
+  Page page(*code, len, 11);
+  results.push_back(time_op(
+      "star20/rs_encode_contiguous/k=32/n=48/len=64", k * len, [&] {
+        code->encode(view(page.data), page.encoded);
+        benchmark::DoNotOptimize(page.encoded.data());
+      }));
+
+  std::vector<Share> shares;
+  for (std::size_t j = 8; j < k; ++j) shares.push_back(page.share(j));
+  for (std::size_t i = 0; i < 8; ++i) shares.push_back(page.share(k + i));
+  if (!code->decode(shares, page.decoded) || !page.decoded_ok()) {
+    std::cerr << "star20 decode failed\n";
+    std::exit(1);
+  }
+  results.push_back(time_op(
+      "star20/rs_decode_contiguous/erased=8/k=32/n=48/len=64", k * len, [&] {
+        benchmark::DoNotOptimize(code->decode(shares, page.decoded));
+      }));
+
+  std::vector<const std::uint8_t*> srcs;
+  for (std::size_t j = 0; j < k; ++j)
+    srcs.push_back(page.data.data() + j * len);
+  Rng rng(12);
+  Bytes coeffs(k);
+  for (auto& c : coeffs) c = static_cast<std::uint8_t>(1 + rng.uniform(255));
+  Bytes dst(len);
+  const Gf256Kernel& kern = gf256_kernel();
+  const SweepResult dot = time_op(
+      "star20/gf256_dot/kernel=" + kernel + "/sources=32/len=64", k * len,
+      [&] {
+        kern.dot(dst.data(), srcs.data(), coeffs.data(), k, len);
+        benchmark::DoNotOptimize(dst.data());
+      });
+  const SweepResult loop = time_op(
+      "star20/gf256_addmul_loop/kernel=" + kernel + "/sources=32/len=64",
+      k * len, [&] {
+        std::memset(dst.data(), 0, len);
+        for (std::size_t s = 0; s < k; ++s)
+          kern.addmul(dst.data(), srcs[s], len, coeffs[s]);
+        benchmark::DoNotOptimize(dst.data());
+      });
+  results.push_back(dot);
+  results.push_back(loop);
+  results.push_back({"star20/gf256_dot/speedup/dot_vs_addmul_loop",
+                     dot.mb_per_s / loop.mb_per_s, 0.0});
 }
 
 /// Speedup rows: the fastest available kernel vs the reference oracle for
@@ -544,6 +624,7 @@ int main(int argc, char** argv) {
   append_codec_sweep(results);
   append_erased_sweep(results);
   append_local_repair_rates(results);
+  append_star20_rows(results);
   append_speedups(results);
   write_json(results, path);
   return 0;

@@ -6,29 +6,38 @@ namespace lrs::core {
 
 GreedyRoundRobinScheduler::GreedyRoundRobinScheduler(
     std::size_t packets_in_page)
-    : n_(packets_in_page) {
+    : n_(packets_in_page), popularity_(packets_in_page, 0) {
   LRS_CHECK(n_ >= 1);
+}
+
+void GreedyRoundRobinScheduler::tally(const BitVec& wanted, bool add) {
+  for (auto j = wanted.first_set(); j; j = wanted.first_set(*j + 1)) {
+    if (add) {
+      ++popularity_[*j];
+    } else {
+      --popularity_[*j];
+    }
+  }
 }
 
 void GreedyRoundRobinScheduler::on_snack(NodeId node, const BitVec& requested,
                                          std::size_t needed) {
   LRS_CHECK(requested.size() == n_);
+  auto it = table_.find(node);
+  if (it != table_.end()) tally(it->second.wanted, false);
   if (needed == 0 || requested.none()) {
-    table_.erase(node);
+    if (it != table_.end()) table_.erase(it);
     return;
   }
-  auto& entry = table_[node];
+  auto& entry = it != table_.end() ? it->second : table_[node];
   entry.wanted = requested;
   entry.distance = needed;
+  tally(entry.wanted, true);
 }
 
 std::size_t GreedyRoundRobinScheduler::popularity(std::uint32_t index) const {
   LRS_CHECK(index < n_);
-  std::size_t pop = 0;
-  for (const auto& [id, entry] : table_) {
-    if (entry.wanted.get(index)) ++pop;
-  }
-  return pop;
+  return popularity_[index];
 }
 
 std::size_t GreedyRoundRobinScheduler::distance(NodeId node) const {
@@ -47,7 +56,7 @@ std::optional<std::uint32_t> GreedyRoundRobinScheduler::next_packet() {
   std::size_t best_pop = 0;
   for (std::size_t step = 0; step < n_; ++step) {
     const std::size_t j = (start + step) % n_;
-    const std::size_t pop = popularity(static_cast<std::uint32_t>(j));
+    const std::size_t pop = popularity_[j];
     if (pop > best_pop) {
       best_pop = pop;
       best_index = j;
@@ -81,9 +90,11 @@ void GreedyRoundRobinScheduler::account_transmission(std::uint32_t index) {
     auto& entry = it->second;
     if (entry.wanted.get(index)) {
       entry.wanted.clear(index);
+      --popularity_[index];
       if (entry.distance > 0) --entry.distance;
     }
     if (entry.distance == 0 || entry.wanted.none()) {
+      tally(entry.wanted, false);
       it = table_.erase(it);
     } else {
       ++it;

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "proto/scheduler.h"
 
@@ -48,11 +49,17 @@ class GreedyRoundRobinScheduler final : public proto::TxScheduler {
 
   /// Clears column `index` and settles distances, deleting satisfied rows.
   void account_transmission(std::uint32_t index);
+  /// Adds one tracked row's wanted bits to popularity_, or removes them.
+  void tally(const BitVec& wanted, bool add);
 
   std::size_t n_;
   bool sent_any_ = false;
   std::size_t last_ = 0;
   std::map<NodeId, Entry> table_;
+  // popularity_[j]: how many rows of table_ want packet j, kept in step
+  // with every table_ change so a pick reads n counts instead of walking
+  // the table once per index.
+  std::vector<std::size_t> popularity_;
 };
 
 std::unique_ptr<proto::TxScheduler> make_greedy_scheduler(

@@ -1,5 +1,6 @@
 #include "core/lr_image.h"
 
+#include <algorithm>
 #include <array>
 #include <optional>
 #include <span>
@@ -57,10 +58,11 @@ class LrSelugeState final : public proto::SchemeState {
 
   /// Every member is value-copyable and the codec instances are shared
   /// through the process-wide cache, so the default copy constructor IS the
-  /// cheap clone: the hash chain, decoded pages, Merkle root and signature
-  /// frame are duplicated as bytes, never recomputed, and no one-time
-  /// signing key is consumed. Only complete (serving-ready) states clone —
-  /// a partially-filled receiver has nothing a fresh cell could serve.
+  /// cheap clone: the decoded pages (which carry the hash chain), Merkle
+  /// root and signature frame are duplicated as bytes, never recomputed, and
+  /// no one-time signing key is consumed. Only complete (serving-ready)
+  /// states clone — a partially-filled receiver has nothing a fresh cell
+  /// could serve.
   std::unique_ptr<proto::SchemeState> clone_source() const override {
     if (!image_complete()) return nullptr;
     return std::make_unique<LrSelugeState>(*this);
@@ -92,12 +94,10 @@ class LrSelugeState final : public proto::SchemeState {
     Bytes image(layout.image_size, 0);
     const std::size_t g = meta_->content_pages;
     for (std::size_t p = 1; p <= g; ++p) {
-      Bytes input;
-      for (const auto& block : page_inputs_[p - 1]) {
-        input.insert(input.end(), block.begin(), block.end());
-      }
-      input.resize(p < g ? layout.mid_capacity : layout.last_capacity);
-      place_slice(image, layout, p, view(input));
+      place_slice(image, layout, p,
+                  view(pages_[p - 1])
+                      .subspan(0, p < g ? layout.mid_capacity
+                                        : layout.last_capacity));
     }
     return image;
   }
@@ -121,7 +121,7 @@ class LrSelugeState final : public proto::SchemeState {
     // the partially collected share set for the current page is not.
     if (!meta_ || image_complete()) return;
     reset_collection(complete_pages_);
-    serve_cache_.reset();
+    serve_page_.reset();
   }
 
   DataStatus on_data(std::uint32_t page, std::uint32_t index,
@@ -153,9 +153,8 @@ class LrSelugeState final : public proto::SchemeState {
     } else {
       m.hash_verifications += 1;
       if (payload.size() != params_.payload_size ||
-          !crypto::equal(
-              content_digest(page, index, payload, dig),
-              current_hashes_[index])) {
+          !crypto::equal(content_digest(page, index, payload, dig),
+                         hash_image(page, index))) {
         m.auth_failures += 1;
         return DataStatus::kRejected;
       }
@@ -163,12 +162,16 @@ class LrSelugeState final : public proto::SchemeState {
     }
     have_.set(index);
 
-    // Enough authenticated packets? Attempt the erasure decode.
+    // Enough authenticated packets? Attempt the erasure decode, straight
+    // into the page's own buffer.
     if (shares_.size() >= decode_threshold(page)) {
       m.decode_operations += 1;
       const auto& codec = page == 0 ? code0_ : code_;
-      if (auto blocks = codec->decode(shares_)) {
-        finish_page(page, *std::move(blocks));
+      Bytes& decoded = page == 0 ? m0_ : pages_[page - 1];
+      decoded.resize(page == 0 ? params_.k0 * page0_block_size()
+                               : params_.k * params_.payload_size);
+      if (codec->decode(shares_, decoded)) {
+        finish_page();
         return image_complete() ? DataStatus::kImageComplete
                                 : DataStatus::kPageComplete;
       }
@@ -191,13 +194,10 @@ class LrSelugeState final : public proto::SchemeState {
     if (!meta_ || page >= complete_pages_ || index >= packets_in_page(page))
       return false;
     if (page == 0) return verify_page0_packet(index, payload, m);
-    if (payload.size() != params_.payload_size ||
-        page_hashes_[page].size() != params_.n) {
-      return false;
-    }
+    if (payload.size() != params_.payload_size) return false;
     m.hash_verifications += 1;
     return crypto::equal(content_digest(page, index, payload, dig),
-                         page_hashes_[page][index]);
+                         hash_image(page, index));
   }
 
   /// Packet-content digest with the cross-receiver memo: the preimage is
@@ -258,8 +258,8 @@ class LrSelugeState final : public proto::SchemeState {
         index >= packets_in_page(page)) {
       return std::nullopt;
     }
-    const auto& encoded = encoded_page(page);
-    return encoded[index];
+    const ByteView packet = served_packet(page, index);
+    return Bytes(packet.begin(), packet.end());
   }
 
   std::unique_ptr<proto::TxScheduler> make_scheduler(
@@ -305,9 +305,7 @@ class LrSelugeState final : public proto::SchemeState {
     LRS_CHECK(meta.content_pages >= 1 && meta.image_size >= 1);
     meta_ = meta;
     root_ = root;
-    page_inputs_.assign(meta.content_pages, {});
-    page_hashes_.assign(meta.content_pages + 1, {});
-    current_hashes_.clear();
+    pages_.assign(meta.content_pages, {});
     reset_collection(0);
   }
 
@@ -353,28 +351,8 @@ class LrSelugeState final : public proto::SchemeState {
 
   // --- page completion -----------------------------------------------------------
 
-  void finish_page(std::uint32_t page, std::vector<Bytes> blocks) {
-    if (page == 0) {
-      // M0 holds the hash images of page 1's n packets.
-      Bytes m0;
-      for (const auto& b : blocks) m0.insert(m0.end(), b.begin(), b.end());
-      m0.resize(page0_bytes());
-      m0_blocks_ = std::move(blocks);
-      current_hashes_ = parse_hashes(view(m0));
-    } else {
-      page_hashes_[page] = current_hashes_;  // archive for replay checks
-      // Blocks = image slice (+ next page's hashes below page g).
-      if (page < meta_->content_pages) {
-        Bytes input;
-        for (const auto& b : blocks)
-          input.insert(input.end(), b.begin(), b.end());
-        current_hashes_ = parse_hashes(
-            ByteView(input).subspan(mid_capacity(), hash_block_bytes()));
-      } else {
-        current_hashes_.clear();
-      }
-      page_inputs_[page - 1] = std::move(blocks);
-    }
+  /// The current page has been decoded into m0_ / pages_.
+  void finish_page() {
     ++complete_pages_;
     if (complete_pages_ <= meta_->content_pages) {
       reset_collection(complete_pages_);
@@ -385,41 +363,49 @@ class LrSelugeState final : public proto::SchemeState {
     }
   }
 
-  std::vector<crypto::PacketHash> parse_hashes(ByteView data) const {
-    LRS_CHECK(data.size() >= hash_block_bytes());
-    std::vector<crypto::PacketHash> hashes;
-    hashes.reserve(params_.n);
-    for (std::size_t j = 0; j < params_.n; ++j) {
-      hashes.push_back(
-          crypto::read_packet_hash(data, j * crypto::kPacketHashSize));
-    }
-    return hashes;
+  /// Hash image of packet `index` of content page `page`: M0 carries page
+  /// 1's n hash images, and every content page below g carries the next
+  /// page's after its image slice. Page `page - 1` must be decoded.
+  crypto::PacketHash hash_image(std::uint32_t page, std::size_t index) const {
+    const ByteView carrier =
+        page == 1 ? view(m0_)
+                  : view(pages_[page - 2]).subspan(mid_capacity());
+    return crypto::read_packet_hash(carrier,
+                                    index * crypto::kPacketHashSize);
   }
 
   // --- serving ----------------------------------------------------------------
 
-  /// Regenerates (and caches) all packets of a completed page.
-  const std::vector<Bytes>& encoded_page(std::uint32_t page) {
-    if (serve_cache_ && serve_cache_->first == page)
-      return serve_cache_->second;
-
-    std::vector<Bytes> payloads;
-    if (page == 0) {
-      LRS_CHECK(!m0_blocks_.empty());
-      auto encoded = code0_->encode(m0_blocks_);
-      const auto tree = crypto::MerkleTree::build(encoded);
-      payloads.reserve(params_.n0);
-      for (std::size_t j = 0; j < params_.n0; ++j) {
-        Bytes payload = std::move(encoded[j]);
-        for (const auto& sib : tree.auth_path(j))
-          crypto::append(payload, sib);
-        payloads.push_back(std::move(payload));
+  /// Packet `index` of completed page `page`. All packets of the most
+  /// recently served page are regenerated once (the codec instances are
+  /// preloaded and deterministic) and cached back to back in serve_.
+  ByteView served_packet(std::uint32_t page, std::uint32_t index) {
+    if (serve_page_ != page) {
+      if (page == 0) {
+        // Page 0 packets carry their Merkle authentication paths.
+        const std::size_t block = page0_block_size();
+        Bytes encoded(params_.n0 * block);
+        code0_->encode(view(m0_), encoded);
+        const auto tree = crypto::MerkleTree::build(view(encoded), params_.n0);
+        serve_stride_ = block + merkle_depth() * crypto::kPacketHashSize;
+        serve_.resize(params_.n0 * serve_stride_);
+        for (std::size_t j = 0; j < params_.n0; ++j) {
+          auto out = serve_.begin() +
+                     static_cast<std::ptrdiff_t>(j * serve_stride_);
+          out = std::copy_n(encoded.begin() +
+                                static_cast<std::ptrdiff_t>(j * block),
+                            block, out);
+          for (const auto& sib : tree.auth_path(j))
+            out = std::copy(sib.begin(), sib.end(), out);
+        }
+      } else {
+        serve_stride_ = params_.payload_size;
+        serve_.resize(params_.n * serve_stride_);
+        code_->encode(view(pages_[page - 1]), serve_);
       }
-    } else {
-      payloads = code_->encode(page_inputs_[page - 1]);
+      serve_page_ = page;
     }
-    serve_cache_ = {page, std::move(payloads)};
-    return serve_cache_->second;
+    return view(serve_).subspan(index * serve_stride_, serve_stride_);
   }
 
   // --- build (base station) -----------------------------------------------------
@@ -434,8 +420,8 @@ class LrSelugeState final : public proto::SchemeState {
     meta.content_pages = static_cast<std::uint32_t>(g);
     meta.image_size = static_cast<std::uint32_t>(image.size());
 
-    std::vector<std::vector<Bytes>> inputs(g);
-    std::vector<std::vector<crypto::PacketHash>> all_hashes(g + 1);
+    std::vector<Bytes> inputs(g);
+    Bytes encoded(params_.n * params_.payload_size);
     std::vector<crypto::PacketHash> next_hashes;  // of page p+1's packets
     for (std::size_t p = g; p >= 1; --p) {
       Bytes input = page_slice(view(image), layout, p);
@@ -443,9 +429,7 @@ class LrSelugeState final : public proto::SchemeState {
         for (const auto& h : next_hashes) crypto::append(input, h);
       }
       LRS_CHECK(input.size() == params_.k * params_.payload_size);
-      auto blocks = proto::split_fixed(view(input), params_.payload_size,
-                                       params_.k);
-      auto encoded = code_->encode(blocks);
+      code_->encode(view(input), encoded);
       // All n preimages share one length, so the whole page hashes as a
       // single multi-buffer batch (crypto/hash.h).
       std::vector<Bytes> preimages(params_.n);
@@ -455,25 +439,27 @@ class LrSelugeState final : public proto::SchemeState {
         probe.version = params_.version;
         probe.page = static_cast<std::uint32_t>(p);
         probe.index = static_cast<std::uint32_t>(j);
-        probe.payload = std::move(encoded[j]);
+        const ByteView payload = view(encoded).subspan(
+            j * params_.payload_size, params_.payload_size);
+        probe.payload.assign(payload.begin(), payload.end());
         preimages[j] = probe.hash_preimage();
         preimage_views[j] = view(preimages[j]);
       }
       std::vector<crypto::PacketHash> hashes(params_.n);
       crypto::packet_hash_batch(preimage_views.data(), params_.n,
                                 hashes.data());
-      inputs[p - 1] = std::move(blocks);
-      all_hashes[p] = hashes;
+      inputs[p - 1] = std::move(input);
       next_hashes = std::move(hashes);
     }
 
-    // Hash page: M0 = h_{1,1} || ... || h_{1,n}, coded with f0, Merkle tree.
+    // Hash page: M0 = h_{1,1} || ... || h_{1,n}, zero-padded to k0 blocks,
+    // coded with f0, Merkle tree over the n0 encoded blocks.
     Bytes m0;
     for (const auto& h : next_hashes) crypto::append(m0, h);
-    auto m0_blocks =
-        proto::split_fixed(view(m0), page0_block_size(), params_.k0);
-    auto encoded0 = code0_->encode(m0_blocks);
-    const auto tree = crypto::MerkleTree::build(encoded0);
+    m0.resize(params_.k0 * page0_block_size());
+    Bytes encoded0(params_.n0 * page0_block_size());
+    code0_->encode(view(m0), encoded0);
+    const auto tree = crypto::MerkleTree::build(view(encoded0), params_.n0);
 
     proto::SignaturePacket sig;
     sig.meta = meta;
@@ -484,13 +470,9 @@ class LrSelugeState final : public proto::SchemeState {
 
     // Adopt as fully complete.
     adopt_meta(meta, tree.root());
-    m0_blocks_ = std::move(m0_blocks);
-    current_hashes_ = parse_hashes(view(m0));
-    page_inputs_ = std::move(inputs);
-    page_hashes_ = std::move(all_hashes);
+    m0_ = std::move(m0);
+    pages_ = std::move(inputs);
     complete_pages_ = static_cast<std::uint32_t>(g + 1);
-    // current_hashes_ after full build are not used for verification, but
-    // keep the page-1 hashes for symmetry/diagnostics.
     signature_frame_ = sig.serialize();
     shares_.clear();
     have_ = BitVec();
@@ -505,22 +487,25 @@ class LrSelugeState final : public proto::SchemeState {
   crypto::PacketHash root_{};
   std::optional<Bytes> signature_frame_;
 
-  // Decoded state: hash-page blocks and per-content-page input blocks.
-  std::vector<Bytes> m0_blocks_;
-  std::vector<std::vector<Bytes>> page_inputs_;
-  // Archived packet hashes of completed content pages (index = page number,
-  // entry 0 unused); lets verify_stored_packet() check straggler traffic.
-  std::vector<std::vector<crypto::PacketHash>> page_hashes_;
+  // Decoded pages, each one contiguous buffer of k0 (M0) or k (content
+  // page p at pages_[p - 1]) blocks, written by decode in place. They also
+  // carry the hash chain hash_image() reads, for current traffic and
+  // verify_stored_packet()'s straggler checks alike.
+  Bytes m0_;
+  std::vector<Bytes> pages_;
 
   // Collection state for the page currently being received; spare_ holds
   // share buffers of earlier pages for store_share() to reuse.
   std::vector<erasure::Share> shares_;
   std::vector<Bytes> spare_;
   BitVec have_;
-  std::vector<crypto::PacketHash> current_hashes_;  // for current page >= 1
 
   std::uint32_t complete_pages_ = 0;
-  std::optional<std::pair<std::uint32_t, std::vector<Bytes>>> serve_cache_;
+  // Single-slot serve cache: every packet of page serve_page_, serve_stride_
+  // bytes apart in serve_.
+  std::optional<std::uint32_t> serve_page_;
+  std::size_t serve_stride_ = 0;
+  Bytes serve_;
 };
 
 }  // namespace

@@ -30,6 +30,20 @@ PacketHash MerkleTree::node_hash(const PacketHash& left,
 }
 
 MerkleTree MerkleTree::build(const std::vector<Bytes>& leaves) {
+  std::vector<ByteView> views(leaves.begin(), leaves.end());
+  return build_views(views);
+}
+
+MerkleTree MerkleTree::build(ByteView leaves, std::size_t leaf_count) {
+  LRS_CHECK(leaf_count != 0 && leaves.size() % leaf_count == 0);
+  const std::size_t size = leaves.size() / leaf_count;
+  std::vector<ByteView> views(leaf_count);
+  for (std::size_t i = 0; i < leaf_count; ++i)
+    views[i] = leaves.subspan(i * size, size);
+  return build_views(views);
+}
+
+MerkleTree MerkleTree::build_views(std::span<const ByteView> leaves) {
   LRS_CHECK_MSG(!leaves.empty(), "Merkle tree needs at least one leaf");
   LRS_CHECK_MSG(std::has_single_bit(leaves.size()),
                 "Merkle leaf count must be a power of two");
@@ -43,10 +57,10 @@ MerkleTree MerkleTree::build(const std::vector<Bytes>& leaves) {
   // in one batch call so the multi-buffer kernels see same-length runs.
   {
     std::size_t total = 0;
-    for (const Bytes& leaf : leaves) total += 1 + leaf.size();
+    for (const ByteView leaf : leaves) total += 1 + leaf.size();
     Bytes tagged;
     tagged.reserve(total);
-    for (const Bytes& leaf : leaves) {
+    for (const ByteView leaf : leaves) {
       tagged.push_back(kLeafTag);
       tagged.insert(tagged.end(), leaf.begin(), leaf.end());
     }

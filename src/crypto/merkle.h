@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "crypto/hash.h"
@@ -25,6 +26,9 @@ class MerkleTree {
   /// authenticates). The leaf count must be a power of two >= 1; callers pad
   /// with empty leaves if necessary.
   static MerkleTree build(const std::vector<Bytes>& leaves);
+  /// The same tree over `leaf_count` equal-size leaves stored back to back
+  /// in `leaves` (a contiguous encoded page).
+  static MerkleTree build(ByteView leaves, std::size_t leaf_count);
 
   std::size_t leaf_count() const { return leaf_count_; }
   std::size_t depth() const { return depth_; }
@@ -46,6 +50,7 @@ class MerkleTree {
 
  private:
   MerkleTree() = default;
+  static MerkleTree build_views(std::span<const ByteView> leaves);
 
   std::size_t leaf_count_ = 0;
   std::size_t depth_ = 0;

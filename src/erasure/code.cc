@@ -4,7 +4,47 @@
 #include <mutex>
 #include <tuple>
 
+#include "util/check.h"
+
 namespace lrs::erasure {
+
+namespace {
+
+/// The `count` consecutive `len`-byte blocks of `buf`, as owned copies.
+std::vector<Bytes> split_blocks(const Bytes& buf, std::size_t count,
+                                std::size_t len) {
+  std::vector<Bytes> blocks;
+  blocks.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto first = buf.begin() + static_cast<std::ptrdiff_t>(i * len);
+    blocks.emplace_back(first, first + static_cast<std::ptrdiff_t>(len));
+  }
+  return blocks;
+}
+
+}  // namespace
+
+std::vector<Bytes> ErasureCode::encode(const std::vector<Bytes>& blocks) const {
+  LRS_CHECK(blocks.size() == k());
+  const std::size_t len = blocks.front().size();
+  Bytes data;
+  data.reserve(k() * len);
+  for (const auto& b : blocks) {
+    LRS_CHECK(b.size() == len);
+    data.insert(data.end(), b.begin(), b.end());
+  }
+  Bytes out(n() * len);
+  encode(view(data), out);
+  return split_blocks(out, n(), len);
+}
+
+std::optional<std::vector<Bytes>> ErasureCode::decode(
+    const std::vector<Share>& shares) const {
+  const std::size_t len = shares.empty() ? 0 : shares.front().data.size();
+  Bytes out(k() * len);
+  if (!decode(shares, out)) return std::nullopt;
+  return split_blocks(out, k(), len);
+}
 
 std::optional<CodecKind> parse_codec_kind(const std::string& name) {
   if (name == "rs") return CodecKind::kReedSolomon;

@@ -7,8 +7,10 @@
 //
 // Four families are provided:
 //  * ReedSolomonCode — systematic Cauchy-matrix RS over GF(256). MDS:
-//    deterministically decodable from ANY k blocks (k' == k). Decode
-//    costs ~e*k block addmuls for e erased data blocks (erased_solve.h).
+//    deterministically decodable from ANY k blocks (k' == k). Encode is
+//    one fused GF(256) dot per parity block; decode is one dot per
+//    syndrome and per erased data column, ~e*k block multiply-adds for e
+//    erased data blocks (erased_solve.h).
 //  * RlcCode — systematic random linear code over GF(2) or GF(256) with
 //    pseudorandom parity rows derived from a public seed. Decoding succeeds
 //    once the received coefficient rows reach rank k; the nominal k'
@@ -18,8 +20,9 @@
 //    global Cauchy parities. A single erasure inside a group repairs from
 //    the group alone (no k-wide solve); any k + g - 1 blocks decode
 //    deterministically (weaker than MDS — see lrc_code.cc). Decode costs
-//    one group per local repair, then ~e*k block addmuls for the e data
-//    blocks still erased (erased_solve.h).
+//    one dot over the group per local repair, written straight into the
+//    output page, then ~e*k block multiply-adds for the e data blocks
+//    still erased (erased_solve.h).
 //  * XorScheduleCode — the same Cauchy-RS construction compiled into a
 //    precomputed word-wise XOR program (jerasure matrix_to_bitmatrix /
 //    bitmatrix_to_schedule style); MDS like RS but with no GF(256)
@@ -42,6 +45,13 @@ struct Share {
   Bytes data;
 };
 
+/// Every codec works on contiguous, caller-owned pages (the caller-owned
+/// block idiom of production codec libraries): a page of k blocks of `len`
+/// bytes is one buffer of k * len bytes with block j at [j * len, (j+1) *
+/// len), and encoded blocks lie back to back the same way. The block length
+/// is implied by the buffer sizes. Codecs are immutable after construction
+/// and shared across threads; per-call scratch is thread-local, so a warm
+/// Reed-Solomon or LRC decode performs no heap allocation.
 class ErasureCode {
  public:
   virtual ~ErasureCode() = default;
@@ -53,16 +63,26 @@ class ErasureCode {
   /// probability otherwise). k <= k' <= n.
   virtual std::size_t decode_threshold() const = 0;
 
-  /// Encodes k equal-length blocks into n encoded blocks. Systematic codes
-  /// return the originals as the first k outputs.
-  virtual std::vector<Bytes> encode(
-      const std::vector<Bytes>& blocks) const = 0;
+  /// Encodes the k blocks of `data` (k * len bytes) into the n blocks of
+  /// `out` (n * len bytes). Systematic codes write the originals as the
+  /// first k outputs. `out` must not overlap `data`.
+  virtual void encode(ByteView data, MutByteView out) const = 0;
 
-  /// Recovers the k original blocks from a subset of encoded blocks.
-  /// Returns nullopt when the subset is insufficient (protocol keeps
-  /// requesting). Duplicate indices are tolerated and ignored.
-  virtual std::optional<std::vector<Bytes>> decode(
-      const std::vector<Share>& shares) const = 0;
+  /// Recovers the k original blocks into `out` (k * len bytes; every share
+  /// must be len bytes) from a subset of encoded blocks. Returns false when
+  /// the subset is insufficient (the protocol keeps requesting); `out` is
+  /// then unspecified. Duplicate indices are tolerated and ignored.
+  virtual bool decode(const std::vector<Share>& shares,
+                      MutByteView out) const = 0;
+
+  /// Vector-of-blocks forms for tests and benches: each copies into and out
+  /// of one contiguous buffer around a single call of the virtual above.
+  /// encode() needs k blocks of one length; decode() takes the block length
+  /// from the first share and returns nullopt where the virtual returns
+  /// false.
+  std::vector<Bytes> encode(const std::vector<Bytes>& blocks) const;
+  std::optional<std::vector<Bytes>> decode(
+      const std::vector<Share>& shares) const;
 
   virtual std::string name() const = 0;
 };

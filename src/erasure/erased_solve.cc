@@ -1,22 +1,65 @@
 #include "erasure/erased_solve.h"
 
 #include <algorithm>
+#include <cstring>
+#include <vector>
 
 #include "erasure/gf256.h"
 #include "util/check.h"
 
 namespace lrs::erasure {
 
-std::optional<std::vector<Bytes>> solve_erased_columns(
-    const MatrixGf256& generator, std::span<const Bytes* const> data,
-    std::span<const ParityShare> parity, std::size_t len) {
+namespace {
+
+/// Per-thread working set; vectors keep their capacity between calls, so a
+/// warm encode or solve does not touch the heap.
+struct Scratch {
+  std::vector<const std::uint8_t*> srcs;  // dot sources
+  Bytes coeffs;                           // dot coefficients
+  std::vector<std::size_t> erased, pivots;
+  std::vector<const ParityShare*> rows;
+  Bytes kept;       // e x 2e, row-major
+  Bytes cand;       // 2e
+  Bytes syndromes;  // e blocks of len bytes
+};
+
+Scratch& scratch() {
+  thread_local Scratch s;
+  return s;
+}
+
+}  // namespace
+
+void encode_systematic(const MatrixGf256& generator, ByteView data,
+                       MutByteView out) {
+  const std::size_t k = generator.cols(), n = generator.rows();
+  LRS_CHECK(data.size() % k == 0);
+  const std::size_t len = data.size() / k;
+  LRS_CHECK(out.size() == n * len);
+  if (len == 0) return;
+  std::memcpy(out.data(), data.data(), k * len);
+  Scratch& sc = scratch();
+  sc.srcs.resize(k);
+  for (std::size_t j = 0; j < k; ++j) sc.srcs[j] = data.data() + j * len;
+  // Zero coefficients (LRC's local rows) are skipped inside the kernel.
+  for (std::size_t r = k; r < n; ++r)
+    Gf256::dot(out.subspan(r * len, len), sc.srcs, generator.row(r));
+}
+
+bool solve_erased_columns(const MatrixGf256& generator,
+                          std::span<const std::uint8_t* const> data,
+                          std::span<const ParityShare> parity,
+                          MutByteView out) {
   const std::size_t k = generator.cols();
   LRS_CHECK(data.size() == k);
-  std::vector<std::size_t> erased;
+  LRS_CHECK(out.size() % k == 0);
+  const std::size_t len = out.size() / k;
+  Scratch& sc = scratch();
+  sc.erased.clear();
   for (std::size_t j = 0; j < k; ++j) {
-    if (data[j] == nullptr) erased.push_back(j);
+    if (data[j] == nullptr) sc.erased.push_back(j);
   }
-  const std::size_t e = erased.size();
+  const std::size_t e = sc.erased.size();
 
   // Pick rows and invert the minor in one Gauss-Jordan pass. Kept row i is
   // [restriction to the erased columns | combination of picked rows], with
@@ -25,58 +68,74 @@ std::optional<std::vector<Bytes>> solve_erased_columns(
   // picked and is skipped. Once e rows are kept every column is a pivot, so
   // row i's combination of the picked rows' syndromes is erased column
   // erased[pivots[i]].
-  MatrixGf256 kept(e, 2 * e);
-  std::vector<std::size_t> pivots;
-  std::vector<const ParityShare*> rows;
-  Bytes cand(2 * e);
+  sc.kept.resize(e * 2 * e);
+  sc.cand.resize(2 * e);
+  sc.pivots.clear();
+  sc.rows.clear();
+  const auto kept = [&](std::size_t i) {
+    return MutByteView(sc.kept).subspan(i * 2 * e, 2 * e);
+  };
+  const MutByteView cand(sc.cand);
   for (const auto& p : parity) {
-    if (rows.size() == e) break;
+    if (sc.rows.size() == e) break;
     std::fill(cand.begin(), cand.end(), 0);
     for (std::size_t b = 0; b < e; ++b)
-      cand[b] = generator.at(p.row, erased[b]);
-    cand[e + rows.size()] = 1;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const std::uint8_t f = cand[pivots[i]];
-      if (f != 0) Gf256::addmul(MutByteView(cand), kept.row(i), f);
+      cand[b] = generator.at(p.row, sc.erased[b]);
+    cand[e + sc.rows.size()] = 1;
+    for (std::size_t i = 0; i < sc.rows.size(); ++i) {
+      const std::uint8_t f = cand[sc.pivots[i]];
+      if (f != 0) Gf256::addmul(cand, kept(i), f);
     }
     std::size_t pivot = 0;
     while (pivot < e && cand[pivot] == 0) ++pivot;
     if (pivot == e) continue;
-    Gf256::scale(MutByteView(cand), Gf256::inv(cand[pivot]));
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const std::uint8_t f = kept.at(i, pivot);
-      if (f != 0) Gf256::addmul(kept.row(i), view(cand), f);
+    Gf256::scale(cand, Gf256::inv(cand[pivot]));
+    for (std::size_t i = 0; i < sc.rows.size(); ++i) {
+      const std::uint8_t f = kept(i)[pivot];
+      if (f != 0) Gf256::addmul(kept(i), cand, f);
     }
-    auto dst = kept.row(rows.size());
-    std::copy(cand.begin(), cand.end(), dst.begin());
-    pivots.push_back(pivot);
-    rows.push_back(&p);
+    std::copy(cand.begin(), cand.end(), kept(sc.rows.size()).begin());
+    sc.pivots.push_back(pivot);
+    sc.rows.push_back(&p);
   }
-  if (rows.size() < e) return std::nullopt;
+  if (sc.rows.size() < e) return false;
+  if (len == 0) return true;
 
-  std::vector<Bytes> out(k);
   for (std::size_t j = 0; j < k; ++j) {
-    if (data[j] != nullptr) out[j] = *data[j];
+    std::uint8_t* slot = out.data() + j * len;
+    if (data[j] != nullptr && data[j] != slot)
+      std::memcpy(slot, data[j], len);
   }
-  std::vector<Bytes> syndromes(e);
+  // Syndrome a: the picked parity block plus every present column's term.
+  sc.syndromes.resize(e * len);
   for (std::size_t a = 0; a < e; ++a) {
-    Bytes& s = syndromes[a];
-    s = *rows[a]->data;
+    const std::size_t row = sc.rows[a]->row;
+    sc.srcs.assign(1, sc.rows[a]->data);
+    sc.coeffs.assign(1, 1);
     for (std::size_t j = 0; j < k; ++j) {
-      const std::uint8_t c = generator.at(rows[a]->row, j);
-      if (data[j] != nullptr && c != 0)
-        Gf256::addmul(MutByteView(s), view(out[j]), c);
+      const std::uint8_t c = generator.at(row, j);
+      if (data[j] != nullptr && c != 0) {
+        sc.srcs.push_back(data[j]);
+        sc.coeffs.push_back(c);
+      }
     }
+    Gf256::dot(MutByteView(sc.syndromes).subspan(a * len, len), sc.srcs,
+               sc.coeffs);
   }
   for (std::size_t i = 0; i < e; ++i) {
-    Bytes& d = out[erased[pivots[i]]];
-    d.assign(len, 0);
+    sc.srcs.clear();
+    sc.coeffs.clear();
     for (std::size_t a = 0; a < e; ++a) {
-      const std::uint8_t f = kept.at(i, e + a);
-      if (f != 0) Gf256::addmul(MutByteView(d), view(syndromes[a]), f);
+      const std::uint8_t f = kept(i)[e + a];
+      if (f != 0) {
+        sc.srcs.push_back(sc.syndromes.data() + a * len);
+        sc.coeffs.push_back(f);
+      }
     }
+    Gf256::dot(out.subspan(sc.erased[sc.pivots[i]] * len, len), sc.srcs,
+               sc.coeffs);
   }
-  return out;
+  return true;
 }
 
 }  // namespace lrs::erasure

@@ -1,4 +1,5 @@
-// Erased-column solve shared by the systematic GF(256) decoders (RS, LRC).
+// Encode and erased-column solve shared by the systematic GF(256) codes
+// (RS and LRC; RLC over GF(256) shares the encode).
 //
 // A systematic generator is [I_k ; P]. A receiver that holds data block d_j
 // for every column j outside the erased set M (|M| = e) knows, for each
@@ -12,31 +13,44 @@
 // solution of the k-row system [present unit rows ; chosen parity rows], so
 // it is byte-identical to a full elimination over those same rows — also
 // when the shares are inconsistent (e.g. a corrupted parity block).
+//
+// Every parity block, syndrome and erased column is one fused Gf256::dot
+// over its sources. Pages are contiguous (code.h): block j of a k-block
+// page of `len`-byte blocks is bytes [j * len, (j+1) * len).
 #pragma once
 
-#include <optional>
 #include <span>
-#include <vector>
 
 #include "erasure/matrix.h"
 #include "util/types.h"
 
 namespace lrs::erasure {
 
+/// Writes the n = generator.rows() encoded blocks of `data` (k =
+/// generator.cols() blocks) to `out`: the identity rows as copies, each
+/// parity row as one dot over its nonzero coefficients. `out` must not
+/// overlap `data`.
+void encode_systematic(const MatrixGf256& generator, ByteView data,
+                       MutByteView out);
+
 /// One candidate parity equation: generator row index (>= k) and its block.
 struct ParityShare {
   std::size_t row;
-  const Bytes* data;
+  const std::uint8_t* data;
 };
 
 /// Recovers the k data blocks of a systematic code with `generator` (n x k,
-/// identity on its first k rows). `data[j]` is data block j, or nullptr when
-/// column j is erased; every block (data and parity) is `len` bytes.
-/// `parity` lists the candidate parity shares in priority order: the first e
-/// whose restriction to the erased columns is independent of those already
-/// chosen are used. Returns nullopt when fewer than e candidates qualify.
-std::optional<std::vector<Bytes>> solve_erased_columns(
-    const MatrixGf256& generator, std::span<const Bytes* const> data,
-    std::span<const ParityShare> parity, std::size_t len);
+/// identity on its first k rows) into `out` (k * len bytes). `data[j]` is
+/// data block j, or nullptr when column j is erased; a present block may
+/// already sit in its own slot of `out`. Every block (data and parity) is
+/// `len` bytes. `parity` lists the candidate parity shares in priority
+/// order: the first e whose restriction to the erased columns is
+/// independent of those already chosen are used. Returns false when fewer
+/// than e candidates qualify. Scratch is thread-local: no heap allocation
+/// once warm.
+bool solve_erased_columns(const MatrixGf256& generator,
+                          std::span<const std::uint8_t* const> data,
+                          std::span<const ParityShare> parity,
+                          MutByteView out);
 
 }  // namespace lrs::erasure

@@ -44,4 +44,11 @@ void Gf256::scale(MutByteView dst, std::uint8_t coeff) {
   gf256_kernel().scale(dst.data(), dst.size(), coeff);
 }
 
+void Gf256::dot(MutByteView dst, std::span<const std::uint8_t* const> srcs,
+                ByteView coeffs) {
+  LRS_CHECK(srcs.size() == coeffs.size());
+  gf256_kernel().dot(dst.data(), srcs.data(), coeffs.data(), srcs.size(),
+                     dst.size());
+}
+
 }  // namespace lrs::erasure

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "util/types.h"
 
@@ -27,6 +28,10 @@ class Gf256 {
   static void addmul(MutByteView dst, ByteView src, std::uint8_t coeff);
   /// dst[i] = coeff * dst[i].
   static void scale(MutByteView dst, std::uint8_t coeff);
+  /// dst[i] = XOR_s coeffs[s] * srcs[s][i], one fused pass over dst; every
+  /// source is dst.size() bytes and none overlaps dst.
+  static void dot(MutByteView dst, std::span<const std::uint8_t* const> srcs,
+                  ByteView coeffs);
 };
 
 }  // namespace lrs::erasure

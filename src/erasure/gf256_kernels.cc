@@ -190,6 +190,29 @@ void scale_table(std::uint8_t* dst, std::size_t len, std::uint8_t coeff) {
   for (; i < len; ++i) dst[i] = row[dst[i]];
 }
 
+/// Bytes [from, len) of dot as a zero fill plus one `Addmul` per source:
+/// the whole dot of the ref and table tiers, and the sub-vector tail of the
+/// SIMD ones.
+template <auto Addmul>
+void dot_composed(std::uint8_t* dst, const std::uint8_t* const* src,
+                  const std::uint8_t* coeff, std::size_t count,
+                  std::size_t from, std::size_t len) {
+  if (from == len) return;  // empty views carry nullptr
+  std::memset(dst + from, 0, len - from);
+  for (std::size_t s = 0; s < count; ++s)
+    Addmul(dst + from, src[s] + from, len - from, coeff[s]);
+}
+
+void dot_ref(std::uint8_t* dst, const std::uint8_t* const* src,
+             const std::uint8_t* coeff, std::size_t count, std::size_t len) {
+  dot_composed<addmul_ref>(dst, src, coeff, count, 0, len);
+}
+
+void dot_table(std::uint8_t* dst, const std::uint8_t* const* src,
+               const std::uint8_t* coeff, std::size_t count, std::size_t len) {
+  dot_composed<addmul_table>(dst, src, coeff, count, 0, len);
+}
+
 // ---------------------------------------------------------------------------
 // SSSE3 / AVX2 kernels: split each byte into nibbles and use pshufb as a
 // 16-way parallel table lookup — two shuffles + xor per 16 (or 32) bytes.
@@ -251,6 +274,47 @@ __attribute__((target("ssse3"))) void scale_ssse3(std::uint8_t* dst,
   if (i < len) scale_table(dst + i, len - i, coeff);
 }
 
+/// One strip of V 16-byte vectors at offset `off`: the accumulators stay in
+/// registers across every source and dst is stored once.
+template <std::size_t V>
+__attribute__((target("ssse3"))) inline void dot_strip_ssse3(
+    std::uint8_t* dst, const std::uint8_t* const* src,
+    const std::uint8_t* coeff, std::size_t count, std::size_t off) {
+  const auto& nt = nibble_table();
+  const __m128i mask = _mm_set1_epi8(0x0f);
+  __m128i acc[V];
+  for (std::size_t v = 0; v < V; ++v) acc[v] = _mm_setzero_si128();
+  for (std::size_t s = 0; s < count; ++s) {
+    if (coeff[s] == 0) continue;
+    const std::uint8_t* nib = nt.row[coeff[s]];
+    const __m128i lo = _mm_load_si128(reinterpret_cast<const __m128i*>(nib));
+    const __m128i hi =
+        _mm_load_si128(reinterpret_cast<const __m128i*>(nib + 16));
+    const std::uint8_t* p = src[s] + off;
+    for (std::size_t v = 0; v < V; ++v) {
+      const __m128i x =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16 * v));
+      const __m128i l = _mm_and_si128(x, mask);
+      const __m128i h = _mm_and_si128(_mm_srli_epi64(x, 4), mask);
+      acc[v] = _mm_xor_si128(acc[v], _mm_xor_si128(_mm_shuffle_epi8(lo, l),
+                                                   _mm_shuffle_epi8(hi, h)));
+    }
+  }
+  for (std::size_t v = 0; v < V; ++v)
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + off + 16 * v), acc[v]);
+}
+
+__attribute__((target("ssse3"))) void dot_ssse3(
+    std::uint8_t* dst, const std::uint8_t* const* src,
+    const std::uint8_t* coeff, std::size_t count, std::size_t len) {
+  std::size_t i = 0;
+  for (; i + 64 <= len; i += 64)
+    dot_strip_ssse3<4>(dst, src, coeff, count, i);
+  for (; i + 16 <= len; i += 16)
+    dot_strip_ssse3<1>(dst, src, coeff, count, i);
+  dot_composed<addmul_table>(dst, src, coeff, count, i, len);
+}
+
 __attribute__((target("avx2"))) void addmul_avx2(std::uint8_t* dst,
                                                  const std::uint8_t* src,
                                                  std::size_t len,
@@ -305,17 +369,67 @@ __attribute__((target("avx2"))) void scale_avx2(std::uint8_t* dst,
   if (i < len) scale_ssse3(dst + i, len - i, coeff);
 }
 
+/// AVX2 counterpart of dot_strip_ssse3: V 32-byte vectors at `off`.
+template <std::size_t V>
+__attribute__((target("avx2"))) inline void dot_strip_avx2(
+    std::uint8_t* dst, const std::uint8_t* const* src,
+    const std::uint8_t* coeff, std::size_t count, std::size_t off) {
+  const auto& nt = nibble_table();
+  const __m256i mask = _mm256_set1_epi8(0x0f);
+  __m256i acc[V];
+  for (std::size_t v = 0; v < V; ++v) acc[v] = _mm256_setzero_si256();
+  for (std::size_t s = 0; s < count; ++s) {
+    if (coeff[s] == 0) continue;
+    const std::uint8_t* nib = nt.row[coeff[s]];
+    const __m256i lo = _mm256_broadcastsi128_si256(
+        _mm_load_si128(reinterpret_cast<const __m128i*>(nib)));
+    const __m256i hi = _mm256_broadcastsi128_si256(
+        _mm_load_si128(reinterpret_cast<const __m128i*>(nib + 16)));
+    const std::uint8_t* p = src[s] + off;
+    for (std::size_t v = 0; v < V; ++v) {
+      const __m256i x =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 32 * v));
+      const __m256i l = _mm256_and_si256(x, mask);
+      const __m256i h = _mm256_and_si256(_mm256_srli_epi64(x, 4), mask);
+      acc[v] = _mm256_xor_si256(
+          acc[v], _mm256_xor_si256(_mm256_shuffle_epi8(lo, l),
+                                   _mm256_shuffle_epi8(hi, h)));
+    }
+  }
+  for (std::size_t v = 0; v < V; ++v)
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + off + 32 * v),
+                        acc[v]);
+}
+
+__attribute__((target("avx2"))) void dot_avx2(
+    std::uint8_t* dst, const std::uint8_t* const* src,
+    const std::uint8_t* coeff, std::size_t count, std::size_t len) {
+  std::size_t i = 0;
+  for (; i + 128 <= len; i += 128)
+    dot_strip_avx2<4>(dst, src, coeff, count, i);
+  // The paper's 64-byte blocks land here: one two-register strip.
+  for (; i + 64 <= len; i += 64)
+    dot_strip_avx2<2>(dst, src, coeff, count, i);
+  for (; i + 32 <= len; i += 32)
+    dot_strip_avx2<1>(dst, src, coeff, count, i);
+  for (; i + 16 <= len; i += 16)
+    dot_strip_ssse3<1>(dst, src, coeff, count, i);
+  dot_composed<addmul_table>(dst, src, coeff, count, i, len);
+}
+
 #endif  // LRS_GF256_X86
 
 // ---------------------------------------------------------------------------
 // Registry and runtime selection.
 // ---------------------------------------------------------------------------
 
-constexpr Gf256Kernel kRefKernel{"ref", addmul_ref, scale_ref};
-constexpr Gf256Kernel kTableKernel{"table", addmul_table, scale_table};
+constexpr Gf256Kernel kRefKernel{"ref", addmul_ref, scale_ref, dot_ref};
+constexpr Gf256Kernel kTableKernel{"table", addmul_table, scale_table,
+                                   dot_table};
 #ifdef LRS_GF256_X86
-constexpr Gf256Kernel kSsse3Kernel{"ssse3", addmul_ssse3, scale_ssse3};
-constexpr Gf256Kernel kAvx2Kernel{"avx2", addmul_avx2, scale_avx2};
+constexpr Gf256Kernel kSsse3Kernel{"ssse3", addmul_ssse3, scale_ssse3,
+                                   dot_ssse3};
+constexpr Gf256Kernel kAvx2Kernel{"avx2", addmul_avx2, scale_avx2, dot_avx2};
 #endif
 
 /// Kernels runnable on this CPU, slowest to fastest.

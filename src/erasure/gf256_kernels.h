@@ -1,5 +1,5 @@
-// Runtime-dispatched GF(256) bulk kernels: the addmul/scale inner loops
-// behind every erasure encode and decode.
+// Runtime-dispatched GF(256) bulk kernels: the addmul/scale/dot inner
+// loops behind every erasure encode and decode.
 //
 // Three implementation tiers are compiled in (availability permitting):
 //  * "ref"   — the original branchy log/exp scalar loop. Kept forever as the
@@ -11,6 +11,15 @@
 //  * "ssse3" / "avx2" — the classic low/high-nibble pshufb split-table
 //              technique (as in ISA-L and Jerasure): two 16-entry product
 //              tables per coefficient, 16 or 32 bytes per shuffle step.
+//
+// `dot` is the fused form of a run of addmuls into one zeroed block, shaped
+// like ISA-L's gf_vect_dot_prod: dst = XOR_s coeff[s] * src[s]. "ref" and
+// "table" compose it from their own addmul (so "ref" stays the oracle);
+// "ssse3" and "avx2" walk dst in strips of up to four vectors, keep the
+// strip's accumulators in registers across every source, and store each
+// strip once — one pass over dst instead of one read-modify-write per
+// source. Encoding a parity block, a syndrome or an erased column is one
+// dot call.
 //
 // The active kernel is chosen once, at first use, by CPUID feature probing
 // (best available wins) and can be overridden with the environment variable
@@ -30,11 +39,16 @@ namespace lrs::erasure {
 /// identical semantics (verified byte-for-byte by tests/test_gf256_kernels):
 ///   addmul: dst[i] ^= coeff * src[i]   (no-op when coeff == 0)
 ///   scale:  dst[i]  = coeff * dst[i]   (zero-fill when coeff == 0)
+///   dot:    dst[i]  = XOR over s < count of coeff[s] * src[s][i]
+///           (overwrites dst; zero-fill when count == 0; zero coefficients
+///           contribute nothing; dst must not overlap any src)
 struct Gf256Kernel {
   const char* name;
   void (*addmul)(std::uint8_t* dst, const std::uint8_t* src, std::size_t len,
                  std::uint8_t coeff);
   void (*scale)(std::uint8_t* dst, std::size_t len, std::uint8_t coeff);
+  void (*dot)(std::uint8_t* dst, const std::uint8_t* const* src,
+              const std::uint8_t* coeff, std::size_t count, std::size_t len);
 };
 
 /// The active kernel. First call performs selection (env override, then

@@ -133,55 +133,43 @@ class LrcCode final : public ErasureCode {
   }
   std::string name() const override { return "lrc"; }
 
-  std::vector<Bytes> encode(const std::vector<Bytes>& blocks) const override {
+  void encode(ByteView data, MutByteView out) const override {
     stats::TimerScope scope(LrcRegistry::get().encode);
-    LRS_CHECK(blocks.size() == k_);
-    const std::size_t len = blocks.front().size();
-    for (const auto& b : blocks) LRS_CHECK(b.size() == len);
-
-    std::vector<Bytes> out;
-    out.reserve(n_);
-    for (std::size_t i = 0; i < k_; ++i) out.push_back(blocks[i]);
-    for (std::size_t r = k_; r < n_; ++r) {
-      Bytes e(len, 0);
-      for (std::size_t j = 0; j < k_; ++j) {
-        // Local rows are zero outside their group; skip the dead columns.
-        const std::uint8_t c = generator_.at(r, j);
-        if (c == 0) continue;
-        Gf256::addmul(MutByteView(e.data(), e.size()), view(blocks[j]), c);
-      }
-      out.push_back(std::move(e));
-    }
-    return out;
+    encode_systematic(generator_, data, out);
   }
 
-  std::optional<std::vector<Bytes>> decode(
-      const std::vector<Share>& shares) const override {
+  bool decode(const std::vector<Share>& shares,
+              MutByteView out) const override {
     stats::TimerScope scope(LrcRegistry::get().decode);
+    LRS_CHECK(out.size() % k_ == 0);
+    const std::size_t len = out.size() / k_;
     // Deduplicate by index (first occurrence wins), keeping every distinct
     // share: unlike MDS decode, which k blocks we hold decides whether the
     // cheap local path applies.
-    std::vector<const Bytes*> have(n_, nullptr);
+    thread_local std::vector<const Share*> by_index;
+    by_index.assign(n_, nullptr);
     std::size_t distinct = 0;
     for (const auto& s : shares) {
       LRS_CHECK(s.index < n_);
-      if (have[s.index] != nullptr) continue;
-      have[s.index] = &s.data;
+      if (by_index[s.index] != nullptr) continue;
+      by_index[s.index] = &s;
       ++distinct;
     }
-    if (distinct < k_) return std::nullopt;
-
-    const Bytes* first = nullptr;
-    for (std::size_t i = 0; i < n_ && first == nullptr; ++i) first = have[i];
-    const std::size_t len = first->size();
+    if (distinct < k_) return false;
+    thread_local std::vector<const std::uint8_t*> have;
+    have.assign(n_, nullptr);
     for (std::size_t i = 0; i < n_; ++i) {
-      if (have[i] != nullptr) LRS_CHECK(have[i]->size() == len);
+      if (by_index[i] == nullptr) continue;
+      LRS_CHECK(by_index[i]->data.size() == len);
+      have[i] = by_index[i]->data.data();
     }
 
     // Pass 1: local repair. Any group missing exactly one data block whose
-    // local parity survived repairs from group_size_ + 1 blocks.
-    std::vector<Bytes> repaired;
-    repaired.reserve(g_);
+    // local parity survived repairs from group_size_ + 1 blocks, straight
+    // into its slot of `out`: one dot with the inverse of the missing
+    // column's coefficient folded into every term.
+    thread_local std::vector<const std::uint8_t*> srcs;
+    thread_local Bytes coeffs;
     std::uint64_t repairs = 0;
     for (std::size_t grp = 0; grp < g_; ++grp) {
       if (have[k_ + grp] == nullptr) continue;
@@ -194,46 +182,46 @@ class LrcCode final : public ErasureCode {
         missing = j;
       }
       if (!repairable || missing == n_) continue;
-      Bytes rec = *have[k_ + grp];
+      const std::uint8_t inv = Gf256::inv(generator_.at(k_ + grp, missing));
+      srcs.assign(1, have[k_ + grp]);
+      coeffs.assign(1, inv);
       for (std::size_t j = grp * group_size_; j < (grp + 1) * group_size_;
            ++j) {
         if (j == missing) continue;
-        Gf256::addmul(MutByteView(rec.data(), rec.size()), view(*have[j]),
-                      generator_.at(k_ + grp, j));
+        srcs.push_back(have[j]);
+        coeffs.push_back(Gf256::mul(inv, generator_.at(k_ + grp, j)));
       }
-      Gf256::scale(MutByteView(rec.data(), rec.size()),
-                   Gf256::inv(generator_.at(k_ + grp, missing)));
-      repaired.push_back(std::move(rec));
-      have[missing] = &repaired.back();
+      const MutByteView slot = out.subspan(missing * len, len);
+      Gf256::dot(slot, srcs, coeffs);
+      have[missing] = slot.data();
       ++repairs;
     }
     LrcRegistry::get().local_repairs.add(repairs);
 
+    // Pass 2: erased-column solve (which also places the present data
+    // blocks). With nothing left erased it only copies. Parity shares are
+    // offered in index order and the first e innovative ones kept: the rows
+    // an elimination fed data rows first, then parity rows in index order,
+    // would settle on.
     bool all_data = true;
     for (std::size_t j = 0; j < k_; ++j) all_data &= have[j] != nullptr;
-    if (all_data) {
-      LrcRegistry::get().decodes.add();
-      LrcRegistry::get().local_only_decodes.add();
-      std::vector<Bytes> out;
-      out.reserve(k_);
-      for (std::size_t j = 0; j < k_; ++j) out.push_back(*have[j]);
-      return out;
-    }
-
-    // Pass 2: erased-column solve. Parity shares are offered in index order
-    // and the first e innovative ones kept: the rows an elimination fed data
-    // rows first, then parity rows in index order, would settle on.
-    std::vector<ParityShare> parity;
-    for (std::size_t i = k_; i < n_; ++i) {
+    thread_local std::vector<ParityShare> parity;
+    parity.clear();
+    for (std::size_t i = k_; i < n_ && !all_data; ++i) {
       if (have[i] != nullptr) parity.push_back({i, have[i]});
     }
-    auto out = solve_erased_columns(
-        generator_, std::span<const Bytes* const>(have.data(), k_), parity,
-        len);
-    if (!out.has_value()) return std::nullopt;
+    if (!solve_erased_columns(
+            generator_, std::span<const std::uint8_t* const>(have.data(), k_),
+            parity, out)) {
+      return false;
+    }
     LrcRegistry::get().decodes.add();
-    LrcRegistry::get().full_solves.add();
-    return out;
+    if (all_data) {
+      LrcRegistry::get().local_only_decodes.add();
+    } else {
+      LrcRegistry::get().full_solves.add();
+    }
+    return true;
   }
 
  private:

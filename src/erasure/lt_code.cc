@@ -84,32 +84,30 @@ class LtCode final : public ErasureCode {
   }
   std::string name() const override { return "lt"; }
 
-  std::vector<Bytes> encode(const std::vector<Bytes>& blocks) const override {
+  void encode(ByteView data, MutByteView out) const override {
     static stats::Timer& timer =
         stats::Registry::instance().timer("erasure.lt.encode");
     stats::TimerScope scope(timer);
-    LRS_CHECK(blocks.size() == k_);
-    const std::size_t len = blocks.front().size();
-    for (const auto& b : blocks) LRS_CHECK(b.size() == len);
-    std::vector<Bytes> out;
-    out.reserve(n_);
+    LRS_CHECK(data.size() % k_ == 0);
+    const std::size_t len = data.size() / k_;
+    LRS_CHECK(out.size() == n_ * len);
     for (std::size_t i = 0; i < n_; ++i) {
-      Bytes e(len, 0);
+      const MutByteView e = out.subspan(i * len, len);
+      std::fill(e.begin(), e.end(), 0);
       for (auto j : neighbors_[i]) {
-        for (std::size_t b = 0; b < len; ++b) e[b] ^= blocks[j][b];
+        for (std::size_t b = 0; b < len; ++b) e[b] ^= data[j * len + b];
       }
-      out.push_back(std::move(e));
     }
-    return out;
   }
 
-  std::optional<std::vector<Bytes>> decode(
-      const std::vector<Share>& shares) const override {
+  bool decode(const std::vector<Share>& shares,
+              MutByteView out) const override {
     static stats::Timer& timer =
         stats::Registry::instance().timer("erasure.lt.decode");
     stats::TimerScope scope(timer);
-    if (shares.empty()) return std::nullopt;
-    const std::size_t len = shares.front().data.size();
+    if (shares.empty()) return false;
+    LRS_CHECK(out.size() % k_ == 0);
+    const std::size_t len = out.size() / k_;
 
     // Working copies: each received packet's unresolved neighbor set.
     struct Pending {
@@ -126,8 +124,10 @@ class LtCode final : public ErasureCode {
       pend.push_back({neighbors_[s.index], s.data});
     }
 
-    std::vector<std::optional<Bytes>> solved(k_);
+    // Solved block j is written straight into its slot of `out`.
+    std::vector<bool> solved(k_, false);
     std::size_t solved_count = 0;
+    const auto block = [&](std::size_t j) { return out.subspan(j * len, len); };
 
     // Peeling: substitute every already-solved block, then release
     // degree-one packets until the ripple dries up.
@@ -140,8 +140,8 @@ class LtCode final : public ErasureCode {
         auto it = p.nbr.begin();
         while (it != p.nbr.end()) {
           if (solved[*it]) {
-            for (std::size_t b = 0; b < len; ++b)
-              p.data[b] ^= (*solved[*it])[b];
+            const MutByteView b = block(*it);
+            for (std::size_t i = 0; i < len; ++i) p.data[i] ^= b[i];
             it = p.nbr.erase(it);
           } else {
             ++it;
@@ -151,19 +151,15 @@ class LtCode final : public ErasureCode {
           const std::size_t j = p.nbr.front();
           p.nbr.clear();
           if (!solved[j]) {
-            solved[j] = std::move(p.data);
+            std::copy(p.data.begin(), p.data.end(), block(j).begin());
+            solved[j] = true;
             ++solved_count;
           }
           progress = true;
         }
       }
     }
-    if (solved_count < k_) return std::nullopt;
-
-    std::vector<Bytes> out;
-    out.reserve(k_);
-    for (auto& s : solved) out.push_back(*std::move(s));
-    return out;
+    return solved_count == k_;
   }
 
  private:

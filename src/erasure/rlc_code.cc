@@ -11,6 +11,7 @@
 #include <algorithm>
 
 #include "erasure/code.h"
+#include "erasure/erased_solve.h"
 #include "erasure/gf256.h"
 #include "erasure/matrix.h"
 #include "sim/stats/stats.h"
@@ -64,31 +65,28 @@ class RlcGf2Code final : public ErasureCode {
   }
   std::string name() const override { return "rlc2"; }
 
-  std::vector<Bytes> encode(const std::vector<Bytes>& blocks) const override {
+  void encode(ByteView data, MutByteView out) const override {
     stats::TimerScope scope(rlc_timer(false, false));
-    LRS_CHECK(blocks.size() == k_);
-    const std::size_t len = blocks.front().size();
-    for (const auto& b : blocks) LRS_CHECK(b.size() == len);
-
-    std::vector<Bytes> out;
-    out.reserve(n_);
-    for (const auto& b : blocks) out.push_back(b);
-    for (const auto& row : parity_rows_) {
-      Bytes e(len, 0);
+    LRS_CHECK(data.size() % k_ == 0);
+    const std::size_t len = data.size() / k_;
+    LRS_CHECK(out.size() == n_ * len);
+    std::copy(data.begin(), data.end(), out.begin());
+    for (std::size_t r = 0; r < parity_rows_.size(); ++r) {
+      const MutByteView e = out.subspan((k_ + r) * len, len);
+      std::fill(e.begin(), e.end(), 0);
       for (std::size_t j = 0; j < k_; ++j) {
-        if (!row.get(j)) continue;
-        for (std::size_t b = 0; b < len; ++b) e[b] ^= blocks[j][b];
+        if (!parity_rows_[r].get(j)) continue;
+        for (std::size_t b = 0; b < len; ++b) e[b] ^= data[j * len + b];
       }
-      out.push_back(std::move(e));
     }
-    return out;
   }
 
-  std::optional<std::vector<Bytes>> decode(
-      const std::vector<Share>& shares) const override {
+  bool decode(const std::vector<Share>& shares,
+              MutByteView out) const override {
     stats::TimerScope scope(rlc_timer(false, true));
-    if (shares.empty()) return std::nullopt;
-    const std::size_t len = shares.front().data.size();
+    if (shares.empty()) return false;
+    LRS_CHECK(out.size() % k_ == 0);
+    const std::size_t len = out.size() / k_;
     Gf2Eliminator elim(k_, len);
     std::vector<bool> seen(n_, false);
     for (const auto& s : shares) {
@@ -97,9 +95,15 @@ class RlcGf2Code final : public ErasureCode {
       if (seen[s.index]) continue;
       seen[s.index] = true;
       elim.add(coeff_row(s.index), view(s.data));
-      if (elim.complete()) return elim.solve();
+      if (elim.complete()) {
+        const std::vector<Bytes> blocks = elim.solve();
+        for (std::size_t j = 0; j < k_; ++j)
+          std::copy(blocks[j].begin(), blocks[j].end(),
+                    out.begin() + static_cast<std::ptrdiff_t>(j * len));
+        return true;
+      }
     }
-    return std::nullopt;
+    return false;
   }
 
  private:
@@ -143,29 +147,16 @@ class RlcGf256Code final : public ErasureCode {
   }
   std::string name() const override { return "rlc256"; }
 
-  std::vector<Bytes> encode(const std::vector<Bytes>& blocks) const override {
+  void encode(ByteView data, MutByteView out) const override {
     stats::TimerScope scope(rlc_timer(true, false));
-    LRS_CHECK(blocks.size() == k_);
-    const std::size_t len = blocks.front().size();
-    for (const auto& b : blocks) LRS_CHECK(b.size() == len);
-
-    std::vector<Bytes> out;
-    out.reserve(n_);
-    for (const auto& b : blocks) out.push_back(b);
-    for (std::size_t r = k_; r < n_; ++r) {
-      Bytes e(len, 0);
-      for (std::size_t j = 0; j < k_; ++j) {
-        Gf256::addmul(MutByteView(e.data(), e.size()), view(blocks[j]),
-                      generator_.at(r, j));
-      }
-      out.push_back(std::move(e));
-    }
-    return out;
+    encode_systematic(generator_, data, out);
   }
 
-  std::optional<std::vector<Bytes>> decode(
-      const std::vector<Share>& shares) const override {
+  bool decode(const std::vector<Share>& shares,
+              MutByteView out) const override {
     stats::TimerScope scope(rlc_timer(true, true));
+    LRS_CHECK(out.size() % k_ == 0);
+    const std::size_t len = out.size() / k_;
     // Gather distinct shares.
     std::vector<const Share*> picked;
     std::vector<bool> seen(n_, false);
@@ -175,18 +166,22 @@ class RlcGf256Code final : public ErasureCode {
       seen[s.index] = true;
       picked.push_back(&s);
     }
-    if (picked.size() < k_) return std::nullopt;
-    const std::size_t len = picked.front()->data.size();
+    if (picked.size() < k_) return false;
 
-    // Augmented Gaussian elimination over all received rows.
+    // Augmented Gaussian elimination over all received rows; payload row r
+    // is bytes [r * len, (r+1) * len) of one buffer.
     const std::size_t m = picked.size();
     MatrixGf256 a(m, k_);
-    std::vector<Bytes> payload(m);
+    Bytes payload(m * len);
+    const auto row = [&](std::size_t r) {
+      return MutByteView(payload).subspan(r * len, len);
+    };
     for (std::size_t r = 0; r < m; ++r) {
       LRS_CHECK(picked[r]->data.size() == len);
       for (std::size_t c = 0; c < k_; ++c)
         a.set(r, c, generator_.at(picked[r]->index, c));
-      payload[r] = picked[r]->data;
+      std::copy(picked[r]->data.begin(), picked[r]->data.end(),
+                row(r).begin());
     }
 
     std::size_t rank = 0;
@@ -194,32 +189,34 @@ class RlcGf256Code final : public ErasureCode {
     for (std::size_t col = 0; col < k_; ++col) {
       std::size_t pr = rank;
       while (pr < m && a.at(pr, col) == 0) ++pr;
-      if (pr == m) return std::nullopt;  // rank deficient in this column
+      if (pr == m) return false;  // rank deficient in this column
       if (pr != rank) {
-        for (std::size_t c = 0; c < k_; ++c)
-          std::swap(a.row(rank)[c], a.row(pr)[c]);
-        std::swap(payload[rank], payload[pr]);
+        std::swap_ranges(a.row(rank).begin(), a.row(rank).end(),
+                         a.row(pr).begin());
+        std::swap_ranges(row(rank).begin(), row(rank).end(),
+                         row(pr).begin());
       }
       const std::uint8_t pinv = Gf256::inv(a.at(rank, col));
       Gf256::scale(a.row(rank), pinv);
-      Gf256::scale(MutByteView(payload[rank].data(), len), pinv);
+      Gf256::scale(row(rank), pinv);
       for (std::size_t r = 0; r < m; ++r) {
         if (r == rank) continue;
         const std::uint8_t f = a.at(r, col);
         if (f != 0) {
           Gf256::addmul(a.row(r), a.row(rank), f);
-          Gf256::addmul(MutByteView(payload[r].data(), len),
-                        view(payload[rank]), f);
+          Gf256::addmul(row(r), row(rank), f);
         }
       }
       pivot_row[col] = rank;
       ++rank;
     }
 
-    std::vector<Bytes> out(k_);
-    for (std::size_t col = 0; col < k_; ++col)
-      out[col] = std::move(payload[pivot_row[col]]);
-    return out;
+    for (std::size_t col = 0; col < k_; ++col) {
+      const MutByteView src = row(pivot_row[col]);
+      std::copy(src.begin(), src.end(),
+                out.begin() + static_cast<std::ptrdiff_t>(col * len));
+    }
+    return true;
   }
 
  private:

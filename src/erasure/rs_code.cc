@@ -49,58 +49,43 @@ class ReedSolomonCode final : public ErasureCode {
   std::size_t decode_threshold() const override { return k_; }
   std::string name() const override { return "rs"; }
 
-  std::vector<Bytes> encode(const std::vector<Bytes>& blocks) const override {
+  void encode(ByteView data, MutByteView out) const override {
     stats::TimerScope scope(rs_encode_timer());
-    LRS_CHECK(blocks.size() == k_);
-    const std::size_t len = blocks.front().size();
-    for (const auto& b : blocks) LRS_CHECK(b.size() == len);
-
-    std::vector<Bytes> out;
-    out.reserve(n_);
-    // Systematic part: copies.
-    for (std::size_t i = 0; i < k_; ++i) out.push_back(blocks[i]);
-    // Parity part.
-    for (std::size_t r = k_; r < n_; ++r) {
-      Bytes e(len, 0);
-      for (std::size_t j = 0; j < k_; ++j) {
-        Gf256::addmul(MutByteView(e.data(), e.size()), view(blocks[j]),
-                      generator_.at(r, j));
-      }
-      out.push_back(std::move(e));
-    }
-    return out;
+    encode_systematic(generator_, data, out);
   }
 
-  std::optional<std::vector<Bytes>> decode(
-      const std::vector<Share>& shares) const override {
+  bool decode(const std::vector<Share>& shares,
+              MutByteView out) const override {
     stats::TimerScope scope(rs_decode_timer());
+    LRS_CHECK(out.size() % k_ == 0);
+    const std::size_t len = out.size() / k_;
     // Deduplicate by index, keep the first k distinct shares. The picked
     // systematic shares fill their columns; the picked parity shares are
     // exactly as many as the erased columns, and every such minor of a
     // Cauchy generator is invertible.
-    std::vector<const Bytes*> data(k_, nullptr);
-    std::vector<ParityShare> parity;
-    std::vector<bool> seen(n_, false);
+    thread_local std::vector<const std::uint8_t*> data;
+    thread_local std::vector<ParityShare> parity;
+    thread_local std::vector<bool> seen;
+    data.assign(k_, nullptr);
+    parity.clear();
+    seen.assign(n_, false);
     std::size_t picked = 0;
     for (const auto& s : shares) {
       LRS_CHECK(s.index < n_);
       if (seen[s.index]) continue;
       seen[s.index] = true;
+      LRS_CHECK(s.data.size() == len);
       if (s.index < k_) {
-        data[s.index] = &s.data;
+        data[s.index] = s.data.data();
       } else {
-        parity.push_back({s.index, &s.data});
+        parity.push_back({s.index, s.data.data()});
       }
       if (++picked == k_) break;
     }
-    if (picked < k_) return std::nullopt;
-    const std::size_t len = shares.front().data.size();
-    for (const Bytes* d : data) LRS_CHECK(d == nullptr || d->size() == len);
-    for (const auto& p : parity) LRS_CHECK(p.data->size() == len);
-
-    auto out = solve_erased_columns(generator_, data, parity, len);
-    LRS_CHECK_MSG(out.has_value(), "MDS property violated (bug)");
-    return out;
+    if (picked < k_) return false;
+    const bool solved = solve_erased_columns(generator_, data, parity, out);
+    LRS_CHECK_MSG(solved, "MDS property violated (bug)");
+    return true;
   }
 
  private:

@@ -186,40 +186,37 @@ class XorScheduleCode final : public ErasureCode {
   std::size_t decode_threshold() const override { return k_; }
   std::string name() const override { return "xorsched"; }
 
-  std::vector<Bytes> encode(const std::vector<Bytes>& blocks) const override {
+  void encode(ByteView data, MutByteView out) const override {
     static stats::Timer& timer =
         stats::Registry::instance().timer("erasure.xorsched.encode");
     stats::TimerScope scope(timer);
-    LRS_CHECK(blocks.size() == k_);
-    const std::size_t len = blocks.front().size();
-    for (const auto& b : blocks) LRS_CHECK(b.size() == len);
-
-    std::vector<Bytes> out;
-    out.reserve(n_);
-    for (std::size_t i = 0; i < k_; ++i) out.push_back(blocks[i]);
-    if (n_ == k_) return out;
+    LRS_CHECK(data.size() % k_ == 0);
+    const std::size_t len = data.size() / k_;
+    LRS_CHECK(out.size() == n_ * len);
+    std::copy(data.begin(), data.end(), out.begin());
+    if (n_ == k_) return;
 
     const std::size_t m = n_ - k_;
     const std::size_t S = (len + 7) / 8;
     Bytes data_planes(k_ * 8 * S, 0);
     for (std::size_t j = 0; j < k_; ++j)
-      to_planes(blocks[j].data(), len, S, data_planes.data() + j * 8 * S);
+      to_planes(data.data() + j * len, len, S, data_planes.data() + j * 8 * S);
     Bytes parity_planes(m * 8 * S, 0);
     run_schedule(encode_sched_, data_planes.data(), parity_planes.data(),
                  m * 8, S);
     for (std::size_t p = 0; p < m; ++p) {
-      Bytes e(len);
-      from_planes(parity_planes.data() + p * 8 * S, S, e.data(), len);
-      out.push_back(std::move(e));
+      from_planes(parity_planes.data() + p * 8 * S, S,
+                  out.data() + (k_ + p) * len, len);
     }
-    return out;
   }
 
-  std::optional<std::vector<Bytes>> decode(
-      const std::vector<Share>& shares) const override {
+  bool decode(const std::vector<Share>& shares,
+              MutByteView out) const override {
     static stats::Timer& timer =
         stats::Registry::instance().timer("erasure.xorsched.decode");
     stats::TimerScope scope(timer);
+    LRS_CHECK(out.size() % k_ == 0);
+    const std::size_t len = out.size() / k_;
     std::vector<const Share*> picked;
     std::vector<bool> seen(n_, false);
     for (const auto& s : shares) {
@@ -229,18 +226,18 @@ class XorScheduleCode final : public ErasureCode {
       picked.push_back(&s);
       if (picked.size() == k_) break;
     }
-    if (picked.size() < k_) return std::nullopt;
-
-    const std::size_t len = picked.front()->data.size();
+    if (picked.size() < k_) return false;
     for (const auto* s : picked) LRS_CHECK(s->data.size() == len);
 
     const bool all_systematic =
         std::all_of(picked.begin(), picked.end(),
                     [&](const Share* s) { return s->index < k_; });
     if (all_systematic) {
-      std::vector<Bytes> out(k_);
-      for (const auto* s : picked) out[s->index] = s->data;
-      return out;
+      for (const auto* s : picked) {
+        std::copy(s->data.begin(), s->data.end(),
+                  out.begin() + static_cast<std::ptrdiff_t>(s->index * len));
+      }
+      return true;
     }
 
     MatrixGf256 sub(k_, k_);
@@ -260,15 +257,9 @@ class XorScheduleCode final : public ErasureCode {
     }
     Bytes out_planes(k_ * 8 * S, 0);
     run_schedule(sched, recv_planes.data(), out_planes.data(), k_ * 8, S);
-
-    std::vector<Bytes> out;
-    out.reserve(k_);
-    for (std::size_t j = 0; j < k_; ++j) {
-      Bytes b(len);
-      from_planes(out_planes.data() + j * 8 * S, S, b.data(), len);
-      out.push_back(std::move(b));
-    }
-    return out;
+    for (std::size_t j = 0; j < k_; ++j)
+      from_planes(out_planes.data() + j * 8 * S, S, out.data() + j * len, len);
+    return true;
   }
 
  private:

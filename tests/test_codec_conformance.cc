@@ -15,6 +15,8 @@
 //    rows guarantee decode (LT's peeling decoder is deliberately weaker).
 // Rank over GF(256) of a {0,1} matrix equals its GF(2) rank (rank is
 // invariant under field extension), so one oracle serves every codec.
+// Every encode and decode here goes through the contiguous caller-owned
+// buffer API, framed by canary guards that must survive each call.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,6 +40,61 @@ std::vector<Bytes> random_blocks(std::size_t k, std::size_t len,
     for (auto& v : b) v = static_cast<std::uint8_t>(rng.uniform(256));
   }
   return blocks;
+}
+
+/// Guard bytes framing every caller-owned output buffer: a codec must
+/// write exactly its own k (decode) or n (encode) blocks.
+constexpr std::size_t kGuard = 16;
+constexpr std::uint8_t kCanary = 0xA5;
+
+/// A caller-owned buffer of `size` bytes between two canary guards.
+struct GuardedBuffer {
+  explicit GuardedBuffer(std::size_t size)
+      : bytes(size + 2 * kGuard, kCanary) {}
+  MutByteView out() {
+    return {bytes.data() + kGuard, bytes.size() - 2 * kGuard};
+  }
+  bool guards_intact() const {
+    const auto canary = [](std::uint8_t b) { return b == kCanary; };
+    return std::all_of(bytes.begin(), bytes.begin() + kGuard, canary) &&
+           std::all_of(bytes.end() - kGuard, bytes.end(), canary);
+  }
+  Bytes bytes;
+};
+
+std::vector<Bytes> split_page(ByteView page, std::size_t count,
+                              std::size_t len) {
+  std::vector<Bytes> blocks;
+  for (std::size_t i = 0; i < count; ++i) {
+    const ByteView b = page.subspan(i * len, len);
+    blocks.emplace_back(b.begin(), b.end());
+  }
+  return blocks;
+}
+
+/// Encodes `blocks` laid back to back into a guarded caller-owned buffer
+/// through the contiguous API; returns the n encoded blocks.
+std::vector<Bytes> encode_page(const ErasureCode& code,
+                               const std::vector<Bytes>& blocks) {
+  const std::size_t len = blocks.front().size();
+  Bytes data;
+  for (const auto& b : blocks) data.insert(data.end(), b.begin(), b.end());
+  GuardedBuffer buf(code.n() * len);
+  code.encode(view(data), buf.out());
+  EXPECT_TRUE(buf.guards_intact()) << code.name() << " encode overran";
+  return split_page(buf.out(), code.n(), len);
+}
+
+/// Decodes into a guarded caller-owned k-block buffer through the
+/// contiguous API (block length from the first share); nullopt on false.
+std::optional<std::vector<Bytes>> decode_page(
+    const ErasureCode& code, const std::vector<Share>& shares) {
+  const std::size_t len = shares.empty() ? 0 : shares.front().data.size();
+  GuardedBuffer buf(code.k() * len);
+  const bool ok = code.decode(shares, buf.out());
+  EXPECT_TRUE(buf.guards_intact()) << code.name() << " decode overran";
+  if (!ok) return std::nullopt;
+  return split_page(buf.out(), code.k(), len);
 }
 
 std::vector<Share> pick_shares(const std::vector<Bytes>& encoded,
@@ -66,7 +123,7 @@ MatrixGf256 probe_generator(const ErasureCode& code) {
   std::vector<Bytes> blocks(k, Bytes{0});
   for (std::size_t j = 0; j < k; ++j) {
     blocks[j][0] = 1;
-    const auto enc = code.encode(blocks);
+    const auto enc = encode_page(code, blocks);
     for (std::size_t i = 0; i < n; ++i) g.set(i, j, enc[i][0]);
     blocks[j][0] = 0;
   }
@@ -140,7 +197,7 @@ TEST_P(CodecConformance, NameParsesBackAndThresholdInBounds) {
 TEST_P(CodecConformance, SystematicPrefix) {
   auto code = make(8, 16);
   const auto blocks = random_blocks(8, 16, 21);
-  const auto encoded = code->encode(blocks);
+  const auto encoded = encode_page(*code, blocks);
   ASSERT_EQ(encoded.size(), 16u);
   if (!GetParam().systematic) GTEST_SKIP() << "non-systematic by design";
   for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(encoded[i], blocks[i]);
@@ -149,30 +206,30 @@ TEST_P(CodecConformance, SystematicPrefix) {
 TEST_P(CodecConformance, DuplicateSharesChangeNothing) {
   auto code = make(8, 16);
   const auto blocks = random_blocks(8, 16, 22);
-  const auto encoded = code->encode(blocks);
+  const auto encoded = encode_page(*code, blocks);
   const std::vector<std::size_t> distinct{0, 1, 2, 3, 10, 11, 12, 13};
   const std::vector<std::size_t> withdups{10, 10, 0,  1, 2,  10, 3,
                                           10, 11, 12, 13, 13, 0};
-  const auto a = code->decode(pick_shares(encoded, distinct));
-  const auto b = code->decode(pick_shares(encoded, withdups));
+  const auto a = decode_page(*code, pick_shares(encoded, distinct));
+  const auto b = decode_page(*code, pick_shares(encoded, withdups));
   EXPECT_EQ(a, b);
   // Duplicates alone never reach k distinct blocks.
   EXPECT_FALSE(
-      code->decode(pick_shares(encoded, {5, 5, 5, 5, 5, 5, 5, 5, 5}))
+      decode_page(*code, pick_shares(encoded, {5, 5, 5, 5, 5, 5, 5, 5, 5}))
           .has_value());
 }
 
 TEST_P(CodecConformance, ThresholdHonesty) {
   auto code = make(8, 16);
   const auto blocks = random_blocks(8, 16, 23);
-  const auto encoded = code->encode(blocks);
+  const auto encoded = encode_page(*code, blocks);
   Rng rng(24);
   const std::size_t kp = code->decode_threshold();
   int successes = 0;
   const int trials = 30;
   for (int t = 0; t < trials; ++t) {
     const auto idx = random_subset(16, kp, rng);
-    const auto decoded = code->decode(pick_shares(encoded, idx));
+    const auto decoded = decode_page(*code, pick_shares(encoded, idx));
     if (decoded.has_value()) {
       EXPECT_EQ(*decoded, blocks);
       ++successes;
@@ -190,13 +247,13 @@ TEST_P(CodecConformance, ThresholdHonesty) {
 TEST_P(CodecConformance, BelowKDistinctAlwaysNullopt) {
   auto code = make(8, 16);
   const auto blocks = random_blocks(8, 16, 25);
-  const auto encoded = code->encode(blocks);
-  EXPECT_FALSE(code->decode({}).has_value());
-  EXPECT_FALSE(code->decode(pick_shares(encoded, {3})).has_value());
+  const auto encoded = encode_page(*code, blocks);
+  EXPECT_FALSE(decode_page(*code, {}).has_value());
+  EXPECT_FALSE(decode_page(*code, pick_shares(encoded, {3})).has_value());
+  EXPECT_FALSE(decode_page(*code, pick_shares(encoded, {0, 1, 2, 3, 4, 5, 6}))
+                   .has_value());
   EXPECT_FALSE(
-      code->decode(pick_shares(encoded, {0, 1, 2, 3, 4, 5, 6})).has_value());
-  EXPECT_FALSE(
-      code->decode(pick_shares(encoded, {9, 10, 11, 12, 13, 14, 15}))
+      decode_page(*code, pick_shares(encoded, {9, 10, 11, 12, 13, 14, 15}))
           .has_value());
 }
 
@@ -208,11 +265,11 @@ TEST_P(CodecConformance, RoundTripsAcrossBlockSizes) {
                           std::size_t{255}, std::size_t{1024}}) {
     auto code = make(8, 16);
     const auto blocks = random_blocks(8, len, 26 + len);
-    const auto encoded = code->encode(blocks);
+    const auto encoded = encode_page(*code, blocks);
     for (const auto& e : encoded) EXPECT_EQ(e.size(), len);
     std::vector<std::size_t> all(16);
     std::iota(all.begin(), all.end(), 0);
-    const auto decoded = code->decode(pick_shares(encoded, all));
+    const auto decoded = decode_page(*code, pick_shares(encoded, all));
     ASSERT_TRUE(decoded.has_value()) << "len " << len;
     EXPECT_EQ(*decoded, blocks) << "len " << len;
   }
@@ -228,7 +285,7 @@ TEST_P(CodecConformance, EncodeIsGeneratorMatrixMultiply) {
         EXPECT_EQ(g.at(i, j), i == j ? 1 : 0);
   }
   const auto blocks = random_blocks(8, 24, 27);
-  const auto encoded = code->encode(blocks);
+  const auto encoded = encode_page(*code, blocks);
   for (std::size_t i = 0; i < 16; ++i) {
     Bytes expect(24, 0);
     for (std::size_t j = 0; j < 8; ++j) {
@@ -245,12 +302,12 @@ TEST_P(CodecConformance, DecodeMatchesReferenceMatrixSolve) {
   auto code = make(8, 16);
   const MatrixGf256 g = probe_generator(*code);
   const auto blocks = random_blocks(8, 24, 28);
-  const auto encoded = code->encode(blocks);
+  const auto encoded = encode_page(*code, blocks);
   Rng rng(29);
   for (int t = 0; t < 20; ++t) {
     const std::size_t take = 8 + rng.uniform(9);  // k .. n shares
     const auto idx = random_subset(16, take, rng);
-    const auto decoded = code->decode(pick_shares(encoded, idx));
+    const auto decoded = decode_page(*code, pick_shares(encoded, idx));
     const auto reference = reference_solve(g, encoded, idx);
     if (decoded.has_value()) {
       // Whatever the codec returned must be exactly the reference solution.
@@ -295,13 +352,13 @@ void exhaustive_patterns(const ErasureCode& code, const MatrixGf256& g,
   const std::size_t k = code.k(), n = code.n();
   const std::size_t kp = code.decode_threshold();
   const auto blocks = random_blocks(k, 2, k * 1000 + n);
-  const auto encoded = code.encode(blocks);
+  const auto encoded = encode_page(code, blocks);
   for (unsigned mask = 0; mask < (1u << n); ++mask) {
     const auto s = static_cast<std::size_t>(std::popcount(mask));
     if (s < k) continue;
     const auto rows = mask_to_rows(mask, n);
     const bool spans = subset_rank(g, rows) == k;
-    const auto decoded = code.decode(pick_shares(encoded, rows));
+    const auto decoded = decode_page(code, pick_shares(encoded, rows));
     if (threshold_guaranteed && s >= kp) {
       ASSERT_TRUE(spans) << code.name() << " k=" << k << " n=" << n
                          << " mask=" << mask
@@ -396,7 +453,7 @@ TEST(ErasedColumnSolve, MatchesReferenceOnPaperGeometries) {
       auto code = make_code(kind, k, n, 0, 0);
       const MatrixGf256 g = probe_generator(*code);
       const auto blocks = random_blocks(k, 64, k * 100 + n);
-      const auto encoded = code->encode(blocks);
+      const auto encoded = encode_page(*code, blocks);
       Rng rng(k * 31 + static_cast<std::uint64_t>(kind));
       for (std::size_t e : {std::size_t{0}, std::size_t{1}, std::size_t{3},
                             std::size_t{8}, std::size_t{16}, k}) {
@@ -416,7 +473,7 @@ TEST(ErasedColumnSolve, MatchesReferenceOnPaperGeometries) {
           for (auto& p : parity) p += k;
           const auto order = parity_first_order(parity, data, 3, rng);
 
-          const auto decoded = code->decode(pick_shares(encoded, order));
+          const auto decoded = decode_page(*code, pick_shares(encoded, order));
           const auto reference =
               reference_solve(g, encoded, rule_order(kind, order));
           ASSERT_EQ(decoded.has_value(), reference.has_value())
@@ -449,7 +506,7 @@ TEST(ErasedColumnSolve, CorruptedParityPinsRowSelection) {
       auto code = make_code(kind, k, n, 0, 0);
       const MatrixGf256 g = probe_generator(*code);
       const auto blocks = random_blocks(k, 64, 77 + k);
-      auto encoded = code->encode(blocks);
+      auto encoded = encode_page(*code, blocks);
       const bool rs = kind == CodecKind::kReedSolomon;
       const std::size_t bad = rs ? n - 1 : k;
       encoded[bad][5] ^= 0x5a;
@@ -465,7 +522,7 @@ TEST(ErasedColumnSolve, CorruptedParityPinsRowSelection) {
       if (rs) order.insert(order.begin(), bad);
       order.push_back(bad);
 
-      const auto decoded = code->decode(pick_shares(encoded, order));
+      const auto decoded = decode_page(*code, pick_shares(encoded, order));
       ASSERT_TRUE(decoded.has_value()) << code->name() << " k=" << k;
       const auto expect = reference_solve(g, encoded, rule_order(kind, order));
       ASSERT_TRUE(expect.has_value());
@@ -505,13 +562,13 @@ TEST(ExhaustivePatterns, LtSeedSweptDecodeImpliesSpanning) {
     auto code = make_lt_code(k, n, 4, seed);
     const MatrixGf256 g = probe_generator(*code);
     const auto blocks = random_blocks(k, 2, 900 + seed);
-    const auto encoded = code->encode(blocks);
+    const auto encoded = encode_page(*code, blocks);
     std::size_t successes = 0;
     for (unsigned mask = 0; mask < (1u << n); ++mask) {
       const auto s = static_cast<std::size_t>(std::popcount(mask));
       if (s < k) continue;
       const auto rows = mask_to_rows(mask, n);
-      const auto decoded = code->decode(pick_shares(encoded, rows));
+      const auto decoded = decode_page(*code, pick_shares(encoded, rows));
       if (decoded.has_value()) {
         ASSERT_EQ(subset_rank(g, rows), k) << "seed " << seed;
         ASSERT_EQ(*decoded, blocks) << "seed " << seed;

@@ -656,8 +656,9 @@ TEST(XorschedCode, RegistryExposesIt) {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic decode fuzz: malformed shares must return nullopt or throw
-// std::logic_error (LRS_CHECK), never read out of bounds.
+// Deterministic decode fuzz: malformed shares must make the contiguous
+// decode return false or throw std::logic_error (LRS_CHECK), never read or
+// write out of bounds.
 // ---------------------------------------------------------------------------
 
 TEST(DecodeFuzz, MalformedSharesFailCleanly) {
@@ -701,10 +702,24 @@ TEST(DecodeFuzz, MalformedSharesFailCleanly) {
         }
       }
       try {
-        const auto decoded = code->decode(shares);
-        if (decoded.has_value()) {
-          ASSERT_EQ(decoded->size(), 8u);
-          for (const auto& b : *decoded) ASSERT_FALSE(b.empty());
+        // Caller-owned k-block output between canary guards: a decode,
+        // successful or not, writes only inside its own 8 x 12 bytes.
+        constexpr std::size_t kGuard = 16;
+        Bytes buf(8 * 12 + 2 * kGuard, 0xA5);
+        const MutByteView out(buf.data() + kGuard, 8 * 12);
+        const bool decoded = code->decode(shares, out);
+        for (std::size_t g = 0; g < kGuard; ++g) {
+          ASSERT_EQ(buf[g], 0xA5) << "kind " << ki << " t=" << t;
+          ASSERT_EQ(buf[buf.size() - 1 - g], 0xA5) << "kind " << ki;
+        }
+        if (decoded) {
+          // Every distinct share the decode could have used was intact or
+          // rejected by a check, so a success reproduces the blocks.
+          for (std::size_t j = 0; j < 8; ++j) {
+            ASSERT_TRUE(std::equal(blocks[j].begin(), blocks[j].end(),
+                                   out.begin() + j * 12))
+                << "kind " << ki << " t=" << t << " block " << j;
+          }
         }
         ++clean;
       } catch (const std::logic_error&) {

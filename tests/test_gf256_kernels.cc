@@ -1,7 +1,8 @@
 // Differential tests for the dispatched GF(256) kernels: every compiled-in
 // kernel must match the reference log/exp kernel byte-for-byte, for every
 // coefficient 0-255, over randomized buffers of awkward lengths (empty,
-// sub-word, around the 8/16/32-byte vector strides, and page-sized).
+// sub-word, around the 8/16/32-byte vector strides, and page-sized) — the
+// fused dot included, over 0 to 33 sources.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -124,6 +125,45 @@ TEST_P(KernelDifferential, UnalignedBuffersMatchReference) {
     r->addmul(want.data() + 1, src_store.data() + 3, len,
               static_cast<std::uint8_t>(c));
     ASSERT_EQ(got, want) << GetParam() << " coeff=" << c;
+  }
+}
+
+TEST_P(KernelDifferential, DotMatchesReferenceEverywhere) {
+  // Lengths straddle the 16/32-byte vectors and the 64/128-byte register
+  // strips; 33 sources exceed any unrolling. Every pattern mixes zero and
+  // one coefficients (skipped / plain XOR) with random ones, and a single
+  // source sweeps every coefficient. dst starts as garbage: dot overwrites.
+  const auto* k = kernel();
+  ASSERT_NE(k, nullptr);
+  const auto* r = ref();
+  Rng rng(0xd07);
+  for (std::size_t len : {0, 1, 15, 16, 31, 32, 48, 63, 64, 65, 200}) {
+    for (std::size_t count : {0, 1, 2, 33}) {
+      std::vector<Bytes> srcs;
+      std::vector<const std::uint8_t*> ptrs;
+      for (std::size_t s = 0; s < count; ++s) {
+        // One spare leading byte so every source sits off alignment.
+        srcs.push_back(random_bytes(len + 1, rng));
+        ptrs.push_back(srcs.back().data() + 1);
+      }
+      const int patterns = count == 1 ? 256 : 8;
+      for (int pat = 0; pat < patterns; ++pat) {
+        Bytes coeffs(count);
+        for (std::size_t s = 0; s < count; ++s) {
+          const std::size_t pick = (s + static_cast<std::size_t>(pat)) % 4;
+          coeffs[s] = pick == 0   ? 0
+                      : pick == 1 ? 1
+                                  : static_cast<std::uint8_t>(rng.uniform(256));
+        }
+        if (count == 1) coeffs[0] = static_cast<std::uint8_t>(pat);
+        Bytes got = random_bytes(len, rng);
+        Bytes want = random_bytes(len, rng);
+        k->dot(got.data(), ptrs.data(), coeffs.data(), count, len);
+        r->dot(want.data(), ptrs.data(), coeffs.data(), count, len);
+        ASSERT_EQ(got, want) << GetParam() << " len=" << len
+                             << " count=" << count << " pattern=" << pat;
+      }
+    }
   }
 }
 

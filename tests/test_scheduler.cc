@@ -5,6 +5,9 @@
 // distance reaches zero, before their full request is served).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+
 #include "core/greedy_scheduler.h"
 #include "proto/scheduler.h"
 #include "util/rng.h"
@@ -198,6 +201,151 @@ TEST(GreedyScheduler, NeverExceedsUnionScheduler) {
     while (greedy.next_packet()) ++greedy_sent;
     while (union_sched->next_packet()) ++union_sent;
     EXPECT_LE(greedy_sent, union_sent) << "trial " << trial;
+  }
+}
+
+/// Brute-force oracle with the paper's rules written the slow, obvious way:
+/// popularity recounted over the whole table for every index of every pick.
+class ReferenceGreedy {
+ public:
+  explicit ReferenceGreedy(std::size_t n) : n_(n) {}
+
+  void on_snack(NodeId node, const BitVec& requested, std::size_t needed) {
+    if (needed == 0 || requested.none()) {
+      table_.erase(node);
+      return;
+    }
+    table_[node] = {requested, needed};
+  }
+
+  std::size_t popularity(std::size_t index) const {
+    std::size_t pop = 0;
+    for (const auto& [id, e] : table_) pop += e.wanted.get(index) ? 1 : 0;
+    return pop;
+  }
+
+  std::optional<std::uint32_t> next_packet() {
+    if (table_.empty()) return std::nullopt;
+    const std::size_t start = sent_any_ ? (last_ + 1) % n_ : 0;
+    std::size_t best = n_, best_pop = 0;
+    for (std::size_t step = 0; step < n_; ++step) {
+      const std::size_t j = (start + step) % n_;
+      if (popularity(j) > best_pop) {
+        best_pop = popularity(j);
+        best = j;
+      }
+    }
+    if (best_pop == 0) {
+      table_.clear();
+      return std::nullopt;
+    }
+    account(best);
+    sent_any_ = true;
+    last_ = best;
+    return static_cast<std::uint32_t>(best);
+  }
+
+  void on_overheard_data(std::uint32_t index) {
+    if (index < n_) account(index);
+  }
+
+  void set_start(std::uint32_t index) {
+    sent_any_ = true;
+    last_ = (index + n_ - 1) % n_;
+  }
+
+  bool idle() const { return table_.empty(); }
+  std::size_t tracked() const { return table_.size(); }
+  std::size_t distance(NodeId node) const {
+    auto it = table_.find(node);
+    return it == table_.end() ? 0 : it->second.distance;
+  }
+
+ private:
+  struct Entry {
+    BitVec wanted;
+    std::size_t distance;
+  };
+
+  void account(std::size_t index) {
+    for (auto it = table_.begin(); it != table_.end();) {
+      if (it->second.wanted.get(index)) {
+        it->second.wanted.clear(index);
+        if (it->second.distance > 0) --it->second.distance;
+      }
+      if (it->second.distance == 0 || it->second.wanted.none()) {
+        it = table_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  std::size_t n_;
+  bool sent_any_ = false;
+  std::size_t last_ = 0;
+  std::map<NodeId, Entry> table_;
+};
+
+TEST(GreedyScheduler, TallyMatchesBruteForceReferenceOnRandomSequences) {
+  // Random interleavings of SNACKs (fresh, replacing, zero-needed and
+  // empty), overheard data (in and out of range), set_start and picks must
+  // produce the same picks, table and per-index popularity as recounting
+  // the whole table for every index.
+  Rng rng(0x7a11);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 1 + rng.uniform(48);
+    const NodeId nodes = static_cast<NodeId>(1 + rng.uniform(12));
+    GreedyRoundRobinScheduler fast(n);
+    ReferenceGreedy ref(n);
+    for (int op = 0; op < 150; ++op) {
+      switch (rng.uniform(8)) {
+        case 0:
+        case 1:
+        case 2: {
+          const NodeId v = static_cast<NodeId>(rng.uniform(nodes));
+          BitVec b(n);
+          const double density = rng.uniform01();
+          for (std::size_t j = 0; j < n; ++j) b.set(j, rng.bernoulli(density));
+          const std::size_t needed = rng.uniform(n + 2);
+          fast.on_snack(v, b, needed);
+          ref.on_snack(v, b, needed);
+          break;
+        }
+        case 3: {
+          const auto index = static_cast<std::uint32_t>(rng.uniform(n + 2));
+          fast.on_overheard_data(index);
+          ref.on_overheard_data(index);
+          break;
+        }
+        case 4: {
+          const auto index = static_cast<std::uint32_t>(rng.uniform(n));
+          fast.set_start(index);
+          ref.set_start(index);
+          break;
+        }
+        default:
+          ASSERT_EQ(fast.next_packet(), ref.next_packet())
+              << "trial " << trial << " op " << op;
+      }
+      ASSERT_EQ(fast.idle(), ref.idle());
+      ASSERT_EQ(fast.tracked(), ref.tracked());
+      for (NodeId v = 0; v < nodes; ++v) {
+        ASSERT_EQ(fast.distance(v), ref.distance(v))
+            << "trial " << trial << " op " << op << " node " << v;
+      }
+      for (std::size_t j = 0; j < n; ++j) {
+        ASSERT_EQ(fast.popularity(static_cast<std::uint32_t>(j)),
+                  ref.popularity(j))
+            << "trial " << trial << " op " << op << " index " << j;
+      }
+    }
+    // Drain: the remaining picks agree too.
+    for (;;) {
+      const auto pick = fast.next_packet();
+      ASSERT_EQ(pick, ref.next_packet()) << "trial " << trial << " drain";
+      if (!pick) break;
+    }
   }
 }
 
