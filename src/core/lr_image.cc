@@ -144,7 +144,7 @@ class LrSelugeState final : public proto::SchemeState {
     if (have_.get(index)) return DataStatus::kStale;
 
     if (page == 0) {
-      if (!verify_page0_packet(index, payload, m)) {
+      if (!verify_page0_packet(index, payload, m, dig)) {
         m.auth_failures += 1;
         return DataStatus::kRejected;
       }
@@ -193,7 +193,7 @@ class LrSelugeState final : public proto::SchemeState {
                             proto::RxDigestMemo* dig) const override {
     if (!meta_ || page >= complete_pages_ || index >= packets_in_page(page))
       return false;
-    if (page == 0) return verify_page0_packet(index, payload, m);
+    if (page == 0) return verify_page0_packet(index, payload, m, dig);
     if (payload.size() != params_.payload_size) return false;
     m.hash_verifications += 1;
     return crypto::equal(content_digest(page, index, payload, dig),
@@ -329,12 +329,20 @@ class LrSelugeState final : public proto::SchemeState {
 
   // --- verification helpers ----------------------------------------------------
 
+  /// Merkle-path check of a page-0 packet against this node's root. The
+  /// root a packet implies is the same for every receiver of one delivery,
+  /// so `dig` shares it (the computed root, never the verdict); each
+  /// receiver still charges depth + 1 hash verifications and compares
+  /// against its own root_.
   bool verify_page0_packet(std::uint32_t index, ByteView payload,
-                           sim::NodeMetrics& m) const {
+                           sim::NodeMetrics& m,
+                           proto::RxDigestMemo* dig) const {
     const std::size_t depth = merkle_depth();
     const std::size_t block = page0_block_size();
     if (payload.size() != block + depth * crypto::kPacketHashSize)
       return false;
+    m.hash_verifications += depth + 1;
+    if (dig && dig->valid) return crypto::equal(dig->digest, root_);
     // n0 is a power of two that fits a packet index, so depth < 32.
     std::array<crypto::PacketHash, 32> path{};
     LRS_CHECK(depth < path.size());
@@ -342,11 +350,13 @@ class LrSelugeState final : public proto::SchemeState {
       path[lvl] = crypto::read_packet_hash(
           payload, block + lvl * crypto::kPacketHashSize);
     }
-    m.hash_verifications += depth + 1;
-    return crypto::equal(
-        crypto::MerkleTree::compute_root(payload.subspan(0, block), index,
-                                         std::span(path.data(), depth)),
-        root_);
+    const crypto::PacketHash root = crypto::MerkleTree::compute_root(
+        payload.subspan(0, block), index, std::span(path.data(), depth));
+    if (dig) {
+      dig->digest = root;
+      dig->valid = true;
+    }
+    return crypto::equal(root, root_);
   }
 
   // --- page completion -----------------------------------------------------------

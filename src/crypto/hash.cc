@@ -115,34 +115,12 @@ void packet_hash_batch(const ByteView* msgs, std::size_t count,
   }
 }
 
-namespace {
-template <std::size_t N>
-bool ct_equal(const std::array<std::uint8_t, N>& a,
-              const std::array<std::uint8_t, N>& b) {
-  std::uint8_t acc = 0;
-  for (std::size_t i = 0; i < N; ++i) acc |= a[i] ^ b[i];
-  return acc == 0;
-}
-}  // namespace
-
-bool equal(const PacketHash& a, const PacketHash& b) { return ct_equal(a, b); }
-bool equal(const Sha256Digest& a, const Sha256Digest& b) {
-  return ct_equal(a, b);
-}
-
 void append(Bytes& out, const PacketHash& h) {
   out.insert(out.end(), h.begin(), h.end());
 }
 
 void append(Bytes& out, const Sha256Digest& h) {
   out.insert(out.end(), h.begin(), h.end());
-}
-
-PacketHash read_packet_hash(ByteView data, std::size_t off) {
-  LRS_CHECK(off + kPacketHashSize <= data.size());
-  PacketHash h;
-  std::memcpy(h.data(), data.data() + off, kPacketHashSize);
-  return h;
 }
 
 }  // namespace lrs::crypto

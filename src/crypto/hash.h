@@ -9,9 +9,11 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "crypto/sha256.h"
+#include "util/check.h"
 #include "util/types.h"
 
 namespace lrs::crypto {
@@ -37,15 +39,26 @@ void packet_hash_batch(const ByteView* msgs, std::size_t count,
                        PacketHash* out);
 
 /// Constant-time-ish comparison (not security-critical in a simulator, but
-/// the library should model good practice).
-bool equal(const PacketHash& a, const PacketHash& b);
-bool equal(const Sha256Digest& a, const Sha256Digest& b);
+/// the library should model good practice): every byte is XOR-accumulated,
+/// no early exit.
+template <std::size_t N>
+bool equal(const std::array<std::uint8_t, N>& a,
+           const std::array<std::uint8_t, N>& b) {
+  std::uint8_t acc = 0;
+  for (std::size_t i = 0; i < N; ++i) acc |= a[i] ^ b[i];
+  return acc == 0;
+}
 
 /// Append helpers for building hash-chained payloads.
 void append(Bytes& out, const PacketHash& h);
 void append(Bytes& out, const Sha256Digest& h);
 
 /// Reads a PacketHash at byte offset `off` (bounds-checked).
-PacketHash read_packet_hash(ByteView data, std::size_t off);
+inline PacketHash read_packet_hash(ByteView data, std::size_t off) {
+  LRS_CHECK(off + kPacketHashSize <= data.size());
+  PacketHash h;
+  std::memcpy(h.data(), data.data() + off, kPacketHashSize);
+  return h;
+}
 
 }  // namespace lrs::crypto

@@ -367,9 +367,14 @@ void DissemNode::arm_snack(SimTime delay) {
   // Deferrals may never push the request past the deadline; this bounds the
   // damage of duplicate/old-page replay floods (see max_snack_deferral).
   const SimTime latest = std::max<SimTime>(1, rx_deadline_ - env().now());
+  const SimTime at = std::min(delay, latest);
+  // Every data packet of a flowing stream pushes the pending send back:
+  // move it in place. A pending retry is replaced, never moved — it would
+  // still run on_snack_retry.
+  if (rx_token_sends_ && env().reschedule(rx_token_, at)) return;
   env().cancel(rx_token_);
-  rx_token_ = env().schedule(std::min(delay, latest),
-                             [this] { send_snack(); });
+  rx_token_ = env().schedule(at, [this] { send_snack(); });
+  rx_token_sends_ = true;
 }
 
 void DissemNode::send_snack() {
@@ -397,6 +402,7 @@ void DissemNode::send_snack() {
   rx_token_ = env().schedule(
       cfg_.timing.snack_retry + rand_delay(cfg_.timing.snack_retry_jitter),
       [this] { on_snack_retry(); });
+  rx_token_sends_ = false;
 }
 
 void DissemNode::on_snack_retry() {

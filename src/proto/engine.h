@@ -191,6 +191,10 @@ class DissemNode : public sim::Node {
   NodeId rx_target_ = 0;
   int rx_retries_ = 0;
   sim::EventToken rx_token_;
+  // True while rx_token_ holds arm_snack's pending send_snack, false while
+  // it holds send_snack's pending on_snack_retry: only a send may be moved
+  // in place.
+  bool rx_token_sends_ = false;
   // Latest time the next SNACK may be deferred to (anti-stall).
   sim::SimTime rx_deadline_ = 0;
 

@@ -16,6 +16,8 @@ namespace {
 struct QueueStats {
   stats::Counter& schedule;
   stats::Counter& cancel;
+  stats::Counter& reschedule;
+  stats::Counter& deferred_push;
   stats::Counter& pop;
   stats::Counter& overflow;
   stats::Counter& reanchor;
@@ -25,6 +27,8 @@ struct QueueStats {
     static QueueStats s{
         stats::Registry::instance().counter("sim.queue.schedule"),
         stats::Registry::instance().counter("sim.queue.cancel"),
+        stats::Registry::instance().counter("sim.queue.reschedule"),
+        stats::Registry::instance().counter("sim.queue.deferred_push"),
         stats::Registry::instance().counter("sim.queue.pop"),
         stats::Registry::instance().counter("sim.queue.overflow_push"),
         stats::Registry::instance().counter("sim.queue.reanchor"),
@@ -92,13 +96,21 @@ void EventQueue::push_ref(const Ref& r) {
   if (b < cursor_) cursor_ = b;
 }
 
+void EventQueue::push_true_key(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.queued_seq = s.seq;
+  push_ref(Ref{s.time, s.seq, slot, s.gen});
+}
+
 EventToken EventQueue::schedule_at(SimTime at, EventFn fn) {
   LRS_CHECK_MSG(at >= now_, "cannot schedule events in the past");
   const std::uint32_t slot = acquire_slot();
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
+  s.time = at;
+  s.seq = next_seq_++;
   const EventToken token(slot, s.gen);
-  push_ref(Ref{at, next_seq_++, slot, s.gen});
+  push_true_key(slot);
   ++live_;
   QueueStats& qs = QueueStats::get();
   qs.schedule.add();
@@ -113,6 +125,25 @@ bool EventQueue::cancel(EventToken token) {
   release_slot(slot);  // the bucket/overflow ref goes stale and is skipped
   --live_;
   QueueStats::get().cancel.add();
+  return true;
+}
+
+bool EventQueue::reschedule(EventToken token, SimTime at) {
+  if (!token) return false;
+  const std::uint32_t slot = token.slot();
+  if (slot >= slots_.size() || slots_[slot].gen != token.gen()) return false;
+  LRS_CHECK_MSG(at >= now_, "cannot schedule events in the past");
+  Slot& s = slots_[slot];
+  // A later key keeps the queued carrier (its key is at most the old true
+  // key, so it reaches the front first and is re-pushed then); an earlier
+  // one needs a carrier of its own.
+  const bool earlier = at < s.time;
+  s.time = at;
+  s.seq = next_seq_++;
+  if (earlier) push_true_key(slot);
+  QueueStats& qs = QueueStats::get();
+  qs.reschedule.add();
+  qs.pending.record(live_);  // sampled per arm, as schedule_at does
   return true;
 }
 
@@ -132,7 +163,7 @@ void EventQueue::load(std::size_t b) {
   std::uint32_t n = heads_[b];
   while (n != kNil) {
     Node& node = nodes_[n];
-    if (is_live(node.ref)) heap_.push_back(node.ref);
+    if (carries(node.ref)) heap_.push_back(node.ref);
     const std::uint32_t next = node.next;
     node.next = free_node_;
     free_node_ = n;
@@ -148,7 +179,7 @@ void EventQueue::spill() {
   const std::size_t b = loaded_;
   loaded_ = kBuckets;
   for (const Ref& r : heap_) {
-    if (is_live(r)) link(b, r);
+    if (carries(r)) link(b, r);
   }
   heap_.clear();
   if (heads_[b] == kNil) clear_occupied(b);
@@ -157,8 +188,15 @@ void EventQueue::spill() {
 bool EventQueue::prune_loaded() {
   const auto after = [](const Ref& a, const Ref& b) { return a.after(b); };
   while (!heap_.empty() && !is_live(heap_.front())) {
+    const Ref top = heap_.front();
     std::pop_heap(heap_.begin(), heap_.end(), after);
     heap_.pop_back();
+    if (carries(top)) {
+      // Moved later since it was queued: its true key lands in this bucket
+      // or a later one, never before the cursor.
+      QueueStats::get().deferred_push.add();
+      push_true_key(top.slot);
+    }
   }
   if (heap_.empty()) {
     clear_occupied(loaded_);
@@ -171,8 +209,16 @@ bool EventQueue::prune_loaded() {
 bool EventQueue::prune_overflow() {
   const auto after = [](const Ref& a, const Ref& b) { return a.after(b); };
   while (!overflow_.empty() && !is_live(overflow_.front())) {
+    const Ref top = overflow_.front();
     std::pop_heap(overflow_.begin(), overflow_.end(), after);
     overflow_.pop_back();
+    if (carries(top)) {
+      // Every overflow ref lies past the horizon (the re-anchor sweep takes
+      // all refs inside it), and the true key is later still.
+      LRS_DCHECK(slots_[top.slot].time - base_ >= kSpan);
+      QueueStats::get().deferred_push.add();
+      push_true_key(top.slot);
+    }
   }
   return !overflow_.empty();
 }
@@ -223,7 +269,7 @@ EventQueue::Ref EventQueue::pop_earliest() {
     std::pop_heap(overflow_.begin(), overflow_.end(), after);
     const Ref r = overflow_.back();
     overflow_.pop_back();
-    if (is_live(r)) push_ref(r);
+    if (carries(r)) push_ref(r);
   }
   SimTime t;
   const bool found = find_earliest(&t);

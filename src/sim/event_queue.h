@@ -35,10 +35,20 @@
 // point before it fires — including between a peek_time() that reported
 // its time and the run_next() that would have fired it — can never fire;
 // run_next() skips the stale entry and fires the next live event instead.
+//
+// Rescheduling is O(1) and equally lazy. The slot holds the event's true
+// (time, seq) key and the seq of the one queued reference that carries it.
+// Moving an event later only rewrites the true key: the carrier stays
+// where it is and, when it reaches the front, is re-pushed once at the
+// true key (a deferred push). Moving it earlier pushes a new carrier and
+// leaves the old one stale. A timer pushed back on every packet — the
+// receiver's SNACK deadline — thus costs one queue push per firing window
+// instead of one cancel and one push per packet.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <new>
 #include <optional>
 #include <type_traits>
@@ -92,7 +102,7 @@ class EventFn {
 
   void reset() {
     if (ops_ != nullptr) {
-      ops_->destroy(storage_);
+      if (ops_->destroy != nullptr) ops_->destroy(storage_);
       ops_ = nullptr;
     }
   }
@@ -112,29 +122,44 @@ class EventFn {
     void (*destroy)(void*);
   };
 
+  // Closures that are trivially copyable and destructible (most capture
+  // only `this` and a few ids) leave copy/move/destroy null: they are
+  // relocated by copying the storage bytes, with no indirect call.
   template <typename Fn>
   struct OpsFor {
+    static constexpr bool kTrivial = std::is_trivially_copyable_v<Fn> &&
+                                     std::is_trivially_destructible_v<Fn>;
     static constexpr Ops ops = {
         [](void* p) { (*static_cast<Fn*>(p))(); },
-        [](void* dst, const void* src) {
-          new (dst) Fn(*static_cast<const Fn*>(src));
-        },
-        [](void* dst, void* src) {
-          new (dst) Fn(std::move(*static_cast<Fn*>(src)));
-        },
-        [](void* p) { static_cast<Fn*>(p)->~Fn(); },
+        kTrivial ? nullptr
+                 : +[](void* dst, const void* src) {
+                     new (dst) Fn(*static_cast<const Fn*>(src));
+                   },
+        kTrivial ? nullptr
+                 : +[](void* dst, void* src) {
+                     new (dst) Fn(std::move(*static_cast<Fn*>(src)));
+                   },
+        kTrivial ? nullptr : +[](void* p) { static_cast<Fn*>(p)->~Fn(); },
     };
   };
 
   void copy_from(const EventFn& other) {
     if (other.ops_ != nullptr) {
-      other.ops_->copy(storage_, other.storage_);
+      if (other.ops_->copy != nullptr) {
+        other.ops_->copy(storage_, other.storage_);
+      } else {
+        std::memcpy(storage_, other.storage_, kCapacity);
+      }
       ops_ = other.ops_;
     }
   }
   void move_from(EventFn& other) {
     if (other.ops_ != nullptr) {
-      other.ops_->move(storage_, other.storage_);
+      if (other.ops_->move != nullptr) {
+        other.ops_->move(storage_, other.storage_);
+      } else {
+        std::memcpy(storage_, other.storage_, kCapacity);
+      }
       ops_ = other.ops_;
       other.reset();
     }
@@ -189,6 +214,14 @@ class EventQueue {
   /// popped it.
   bool cancel(EventToken token);
 
+  /// Moves a live event to absolute time `at` (must be >= now()), O(1). The
+  /// event keeps its token and closure and takes a fresh seq exactly as
+  /// cancel() + schedule_at() would, so firing order, executed() and
+  /// pending() are the same as for that pair. Returns false (and changes
+  /// nothing) for null or stale tokens — including an event's own token
+  /// inside its callback, since a firing event is already stale.
+  bool reschedule(EventToken token, SimTime at);
+
   SimTime now() const { return now_; }
   /// Number of events executed since construction (cancelled events are
   /// never counted).
@@ -235,7 +268,7 @@ class EventQueue {
 
   /// POD reference ordered by (time, seq); `gen` detects stale entries
   /// whose event was cancelled (or whose slot was recycled) after the
-  /// reference was enqueued.
+  /// reference was enqueued, and `seq` those a reschedule superseded.
   struct Ref {
     SimTime time;
     std::uint64_t seq;
@@ -251,10 +284,15 @@ class EventQueue {
   /// End-of-list / empty-free-list marker for the index-linked lists.
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
+  /// Key fields first: the prune paths read them for every queued ref,
+  /// the closure only when the event fires.
   struct Slot {
-    EventFn fn;
     std::uint32_t gen = 1;  // bumped on every release; 0 never occurs
     std::uint32_t next_free = kNil;
+    SimTime time = 0;              // true key: when the event fires...
+    std::uint64_t seq = 0;         // ...and its tie-break
+    std::uint64_t queued_seq = 0;  // seq of the one ref that carries it
+    EventFn fn;
   };
 
   /// One cell of a bucket list (or of the free-cell list).
@@ -263,7 +301,17 @@ class EventQueue {
     std::uint32_t next;
   };
 
-  bool is_live(const Ref& r) const { return slots_[r.slot].gen == r.gen; }
+  /// The ref is the one queued entry of a live event (possibly deferred:
+  /// its key may be earlier than the event's true key).
+  bool carries(const Ref& r) const {
+    const Slot& s = slots_[r.slot];
+    return s.gen == r.gen && s.queued_seq == r.seq;
+  }
+  /// The ref is a live event's true key: it fires when it reaches the front.
+  bool is_live(const Ref& r) const {
+    const Slot& s = slots_[r.slot];
+    return s.gen == r.gen && s.seq == r.seq;
+  }
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
   void push_ref(const Ref& r);
@@ -283,10 +331,13 @@ class EventQueue {
   void load(std::size_t b);
   /// Returns the loaded bucket's refs to its list; nothing is loaded after.
   void spill();
-  /// Drops stale heap tops; true when a live ref tops the loaded bucket
-  /// after. An emptied bucket is unloaded.
+  /// Drops stale heap tops and re-pushes deferred ones at their true key;
+  /// true when a live ref tops the loaded bucket after. An emptied bucket
+  /// is unloaded.
   bool prune_loaded();
   bool prune_overflow();
+  /// Pushes a live event's ref at its true key and makes it the carrier.
+  void push_true_key(std::uint32_t slot);
   /// Locates the earliest live ref without removing it. Never re-anchors
   /// (safe from peek paths); when the wheel is clear the overflow top is
   /// the answer. Returns false when no live events remain.

@@ -69,6 +69,11 @@ class Simulator::SimEnv final : public Env {
 
   void cancel(EventToken token) override { sim_->queue_.cancel(token); }
 
+  bool reschedule(EventToken token, SimTime delay) override {
+    LRS_CHECK(delay >= 0);
+    return sim_->queue_.reschedule(token, now() + delay);
+  }
+
   std::size_t pending_tx() const override {
     return sim_->macs_[id_].queued() +
            (sim_->cards_[id_].transmitting ? 1 : 0);

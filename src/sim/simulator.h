@@ -72,6 +72,13 @@ class Env {
   /// Cancels a timer; null and stale (already fired/cancelled) tokens are
   /// ignored.
   virtual void cancel(EventToken token) = 0;
+  /// Moves a pending timer to fire `delay` from now, keeping its token and
+  /// closure; firing order is the same as cancel() followed by schedule().
+  /// Returns false for null and stale tokens, and by default — an Env that
+  /// cannot move timers leaves callers on cancel() + schedule().
+  virtual bool reschedule(EventToken /*token*/, SimTime /*delay*/) {
+    return false;
+  }
   virtual Rng& rng() = 0;
   virtual NodeMetrics& metrics() = 0;
   /// The node holds the complete verified image (records completion time).

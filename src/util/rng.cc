@@ -13,36 +13,11 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
-
-std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t x = seed;
   for (auto& s : s_) s = splitmix64(x);
-}
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::uniform(std::uint64_t bound) {
-  LRS_CHECK(bound > 0);
-  // Rejection sampling: discard values in the biased tail.
-  const std::uint64_t limit = (~std::uint64_t{0}) - (~std::uint64_t{0}) % bound;
-  std::uint64_t v;
-  do {
-    v = next();
-  } while (v >= limit);
-  return v % bound;
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
@@ -53,19 +28,8 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   return lo + static_cast<std::int64_t>(uniform(span));
 }
 
-double Rng::uniform01() {
-  // 53 random mantissa bits.
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform_real(double lo, double hi) {
   return lo + (hi - lo) * uniform01();
-}
-
-bool Rng::bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform01() < p;
 }
 
 std::uint64_t Rng::geometric(double p) {

@@ -8,7 +8,8 @@
 // This file enforces that contract with a global operator-new hook:
 //
 //  - a synthetic self-rescheduling event loop must perform ZERO heap
-//    allocations once warmed up,
+//    allocations once warmed up, also while it moves a live event with
+//    EventQueue::reschedule,
 //  - a fresh queue filled across the whole wheel and drained must
 //    allocate a few dozen times, not once per bucket it touches, and
 //  - a full star-scenario experiment must stay under a per-event
@@ -116,6 +117,50 @@ struct CancellingLoop {
     q->schedule_at(q->now() + period, *this);
   }
 };
+
+// Like PeriodicLoop, but every firing also moves a long-lived victim 10 ms
+// or 5 ms ahead (by the parity of the shared fire count). A move past its
+// current key is deferred in place; a move before it pushes a new ref and
+// leaves the old one stale. The victim never fires: it is the receiver's
+// SNACK deadline being pushed back packet after packet.
+struct ReschedulingLoop {
+  sim::EventQueue* q;
+  std::uint64_t* fired;
+  sim::EventToken victim;
+  sim::SimTime period;
+
+  void operator()() const {
+    ++*fired;
+    const sim::SimTime ahead =
+        (*fired % 2 == 1 ? 10 : 5) * sim::kMillisecond;
+    ASSERT_TRUE(q->reschedule(victim, q->now() + ahead));
+    q->schedule_at(q->now() + period, *this);
+  }
+};
+
+TEST(AllocGuard, WarmedRescheduleLoopAllocatesNothing) {
+  sim::EventQueue q;
+  std::uint64_t fired = 0;
+  std::uint64_t victim_fired = 0;
+  constexpr sim::SimTime kWidth = 1 << 10;
+  const sim::EventToken victim =
+      q.schedule_at(kWidth, [&victim_fired] { ++victim_fired; });
+  q.schedule_at(0, ReschedulingLoop{&q, &fired, victim, kWidth / 2});
+  q.schedule_at(0, PeriodicLoop{&q, &fired, kWidth});
+
+  for (int i = 0; i < 200000; ++i) ASSERT_TRUE(q.run_next());
+
+  const std::uint64_t fired_before = fired;
+  const std::uint64_t allocs_before = alloc_count();
+  for (int i = 0; i < 200000; ++i) ASSERT_TRUE(q.run_next());
+  const std::uint64_t allocs = alloc_count() - allocs_before;
+
+  EXPECT_EQ(fired - fired_before, 200000u);
+  EXPECT_EQ(victim_fired, 0u);
+  EXPECT_EQ(q.pending(), 3u);
+  EXPECT_EQ(allocs, 0u) << "a warmed reschedule loop must not touch the "
+                           "heap";
+}
 
 TEST(AllocGuard, SteadyStateEventLoopAllocatesNothing) {
   sim::EventQueue q;

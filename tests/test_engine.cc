@@ -2,7 +2,9 @@
 // no simulator, fully deterministic: Trickle advertising and suppression,
 // RX entry and SNACK emission, TX service bursts, signature bootstrap and
 // rebroadcast, denial-of-receipt budgets, lockstep hold-back and its
-// anti-stall deadline, and hostile-input handling.
+// anti-stall deadline, and hostile-input handling. RX-side scenarios run
+// twice — timers re-armed by cancel + schedule, then moved in place — and
+// must broadcast identical frames at identical times.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -30,27 +32,49 @@ using sim::PacketClass;
 using sim::SimTime;
 
 /// Env double: timers run on manual advance; broadcasts are captured.
+/// With `moves_timers` it also implements reschedule() (erase + insert
+/// under a fresh seq, token and closure kept); without it reschedule()
+/// keeps the Env default, so callers fall back to cancel + schedule.
 class FakeEnv final : public sim::Env {
  public:
-  explicit FakeEnv(NodeId id) : id_(id) {}
+  explicit FakeEnv(NodeId id, bool moves_timers = false)
+      : id_(id), moves_timers_(moves_timers) {}
 
   SimTime now() const override { return now_; }
   NodeId id() const override { return id_; }
 
   void broadcast(PacketClass cls, Bytes frame) override {
+    history.push_back({now_, cls, frame});
     sent.push_back({cls, std::move(frame)});
   }
 
   sim::EventToken schedule(SimTime delay, sim::EventFn fn) override {
     const auto token = sim::EventToken::from_bits(++token_bits_);
     timers_.insert({{now_ + delay, seq_++}, {std::move(fn), token}});
+    scheduled.push_back({history.size(), token});
     return token;
+  }
+
+  bool reschedule(sim::EventToken token, SimTime delay) override {
+    if (!moves_timers_ || !token || cancelled(token)) return false;
+    for (auto it = timers_.begin(); it != timers_.end(); ++it) {
+      if (it->second.second != token) continue;
+      auto timer = std::move(it->second);
+      timers_.erase(it);
+      timers_.insert({{now_ + delay, seq_++}, std::move(timer)});
+      moved.push_back(token);
+      return true;
+    }
+    return false;  // already fired
   }
 
   std::size_t pending_tx() const override { return 0; }  // radio always free
 
   void cancel(sim::EventToken token) override {
     if (token) cancelled_.insert(token.bits());
+  }
+  bool cancelled(sim::EventToken token) const {
+    return cancelled_.count(token.bits()) != 0;
   }
 
   Rng& rng() override { return rng_; }
@@ -91,11 +115,23 @@ class FakeEnv final : public sim::Env {
   }
   void clear() { sent.clear(); }
 
+  struct Frame {
+    SimTime at;
+    PacketClass cls;
+    Bytes bytes;
+    friend bool operator==(const Frame&, const Frame&) = default;
+  };
+
   std::vector<std::pair<PacketClass, Bytes>> sent;
+  std::vector<Frame> history;  // every broadcast; take()/clear() keep it
+  // Every timer armed, with the number of frames broadcast before it.
+  std::vector<std::pair<std::size_t, sim::EventToken>> scheduled;
+  std::vector<sim::EventToken> moved;  // successful reschedules
   bool completed = false;
 
  private:
   NodeId id_;
+  bool moves_timers_;
   SimTime now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t token_bits_ = 0;
@@ -121,12 +157,13 @@ CommonParams small_params() {
 /// A complete LR-Seluge test rig: a receiver-under-test plus a prepared
 /// source whose packets can be injected as frames.
 struct Rig {
-  explicit Rig(bool base_station = false, bool dor = true)
+  explicit Rig(bool base_station = false, bool dor = true,
+               bool moves_timers = false)
       : params(small_params()),
         image(core::make_test_image(1024, 3)),
         signer(view(Bytes{1}), 1),
         source(core::make_lr_source(params, image, signer)),
-        env(base_station ? 0 : 5) {
+        env(base_station ? 0 : 5, moves_timers) {
     EngineConfig cfg;
     cfg.is_base_station = base_station;
     cfg.dor_mitigation = dor;
@@ -204,6 +241,22 @@ struct Rig {
   FakeEnv env;
   std::unique_ptr<DissemNode> node;
 };
+
+/// Runs a receiver scenario (which makes its own assertions) once with
+/// timers re-armed by cancel + schedule and once with them moved in place;
+/// both runs must broadcast the same frames at the same times.
+template <typename Scenario>
+void in_both_timer_modes(Scenario scenario) {
+  std::vector<FakeEnv::Frame> frames[2];
+  for (const bool moves : {false, true}) {
+    SCOPED_TRACE(moves ? "timers moved in place"
+                       : "timers cancelled and rescheduled");
+    Rig rig(/*base_station=*/false, /*dor=*/true, moves);
+    scenario(rig);
+    frames[moves] = rig.env.history;
+  }
+  EXPECT_EQ(frames[0], frames[1]);
+}
 
 // ---------------------------------------------------------------------------
 // Advertising
@@ -310,46 +363,117 @@ TEST(EngineBootstrap, SignatureEnablesRx) {
 // ---------------------------------------------------------------------------
 
 TEST(EngineRx, RetriesSnackWhileStalled) {
-  Rig rig;
-  rig.deliver_adv(7, 99, true);
-  rig.deliver_signature();
-  rig.env.advance(5 * sim::kSecond);  // several retry periods, no data
-  const auto snacks = rig.env.take(PacketClass::kSnack);
-  std::size_t page0_requests = 0;
-  for (const auto& f : snacks) {
-    const auto s = Snack::parse(view(f), view(rig.params.cluster_key));
-    if (s && s->page == 0) ++page0_requests;
-  }
-  EXPECT_GE(page0_requests, 3u);
+  in_both_timer_modes([](Rig& rig) {
+    rig.deliver_adv(7, 99, true);
+    rig.deliver_signature();
+    rig.env.advance(5 * sim::kSecond);  // several retry periods, no data
+    const auto snacks = rig.env.take(PacketClass::kSnack);
+    std::size_t page0_requests = 0;
+    for (const auto& f : snacks) {
+      const auto s = Snack::parse(view(f), view(rig.params.cluster_key));
+      if (s && s->page == 0) ++page0_requests;
+    }
+    EXPECT_GE(page0_requests, 3u);
+  });
 }
 
 TEST(EngineRx, SnackBitsReflectReceivedPackets) {
-  Rig rig;
-  rig.deliver_adv(7, 99, true);
-  rig.deliver_signature();
-  rig.deliver_data(0, 2);
-  rig.deliver_data(0, 5);
-  rig.env.advance(2 * sim::kSecond);
-  const auto snacks = rig.env.take(PacketClass::kSnack);
-  ASSERT_FALSE(snacks.empty());
-  const auto s =
-      Snack::parse(view(snacks.back()), view(rig.params.cluster_key));
-  ASSERT_TRUE(s.has_value());
-  EXPECT_FALSE(s->requested.get(2));
-  EXPECT_FALSE(s->requested.get(5));
-  EXPECT_TRUE(s->requested.get(0));
+  in_both_timer_modes([](Rig& rig) {
+    rig.deliver_adv(7, 99, true);
+    rig.deliver_signature();
+    rig.deliver_data(0, 2);
+    rig.deliver_data(0, 5);
+    rig.env.advance(2 * sim::kSecond);
+    const auto snacks = rig.env.take(PacketClass::kSnack);
+    ASSERT_FALSE(snacks.empty());
+    const auto s =
+        Snack::parse(view(snacks.back()), view(rig.params.cluster_key));
+    ASSERT_TRUE(s.has_value());
+    EXPECT_FALSE(s->requested.get(2));
+    EXPECT_FALSE(s->requested.get(5));
+    EXPECT_TRUE(s->requested.get(0));
+  });
 }
 
 TEST(EngineRx, CompletionNotifiesAndStopsRequesting) {
-  Rig rig;
+  in_both_timer_modes([](Rig& rig) {
+    rig.deliver_adv(7, 99, true);
+    rig.deliver_signature();
+    const std::uint32_t pages = rig.source->num_pages();
+    rig.complete_pages_through(pages - 1);
+    EXPECT_TRUE(rig.env.completed);
+    rig.env.clear();
+    rig.env.advance(5 * sim::kSecond);
+    EXPECT_EQ(rig.env.count(PacketClass::kSnack), 0u);
+  });
+}
+
+// A silent server is asked once plus max_snack_retries more times, then
+// dropped; with no other server the node falls back to MAINTAIN.
+TEST(EngineRx, GivesUpOnSilentServerAfterMaxRetries) {
+  in_both_timer_modes([](Rig& rig) {
+    rig.deliver_adv(7, 99, true);
+    rig.deliver_signature();
+    rig.env.advance(20 * sim::kSecond);
+    EXPECT_EQ(rig.env.count(PacketClass::kSnack),
+              static_cast<std::size_t>(rig.timing.max_snack_retries + 1));
+    EXPECT_EQ(rig.node->state(), NodeState::kMaintain);
+  });
+}
+
+// Data for the page being collected replaces a pending retry with a fresh
+// SNACK deadline, so a flowing (if useless) stream never uses up the
+// retries — a retry moved instead of replaced would count each one.
+TEST(EngineRx, FlowingStreamNeverExhaustsRetries) {
+  in_both_timer_modes([](Rig& rig) {
+    rig.deliver_adv(7, 99, true);
+    rig.deliver_signature();
+    for (int i = 0; i < 100; ++i) {
+      rig.deliver_data(0, 1);  // a duplicate after the first: kStale
+      rig.env.advance(200 * sim::kMillisecond);
+    }
+    EXPECT_GT(rig.env.count(PacketClass::kSnack),
+              static_cast<std::size_t>(rig.timing.max_snack_retries + 1));
+    EXPECT_EQ(rig.node->state(), NodeState::kRx);
+  });
+}
+
+// rx_token_ carries either a pending send (arm_snack) or a pending retry
+// (send_snack). Only the send may be moved in place; the retry is
+// cancelled and replaced, so on_snack_retry never turns into a send.
+TEST(EngineRx, PendingRetryIsReplacedNeverMoved) {
+  Rig rig(/*base_station=*/false, /*dor=*/true, /*moves_timers=*/true);
   rig.deliver_adv(7, 99, true);
   rig.deliver_signature();
-  const std::uint32_t pages = rig.source->num_pages();
-  rig.complete_pages_through(pages - 1);
-  EXPECT_TRUE(rig.env.completed);
-  rig.env.clear();
-  rig.env.advance(5 * sim::kSecond);
-  EXPECT_EQ(rig.env.count(PacketClass::kSnack), 0u);
+  while (rig.env.count(PacketClass::kSnack) == 0) {
+    rig.env.advance(sim::kMillisecond);
+  }
+  // send_snack broadcasts, then arms the retry: the first timer armed
+  // after the SNACK frame.
+  std::size_t snack_frames = 0;
+  while (rig.env.history[snack_frames].cls != PacketClass::kSnack) {
+    ++snack_frames;
+  }
+  ++snack_frames;
+  sim::EventToken retry;
+  for (const auto& [frames_before, token] : rig.env.scheduled) {
+    if (frames_before == snack_frames) {
+      retry = token;
+      break;
+    }
+  }
+  ASSERT_TRUE(retry);
+  ASSERT_FALSE(rig.env.cancelled(retry));
+  const std::size_t moved_before = rig.env.moved.size();
+
+  rig.deliver_data(0, 2);  // stream flowing: re-arm the SNACK
+  EXPECT_TRUE(rig.env.cancelled(retry));
+  EXPECT_EQ(rig.env.moved.size(), moved_before);
+
+  rig.deliver_data(0, 5);  // now a pending send: moved in place
+  ASSERT_EQ(rig.env.moved.size(), moved_before + 1);
+  EXPECT_NE(rig.env.moved.back(), retry);
+  EXPECT_FALSE(rig.env.cancelled(rig.env.moved.back()));
 }
 
 // ---------------------------------------------------------------------------
@@ -523,53 +647,56 @@ TEST(EngineHostile, WrongSizeSnackBitmapIgnored) {
 // ---------------------------------------------------------------------------
 
 TEST(EngineLockstep, VerifiedLowerPageDataDefersNextRequest) {
-  Rig rig;
-  rig.deliver_adv(7, 99, true);
-  rig.deliver_signature();
-  rig.complete_pages_through(0);
-  rig.env.clear();
-  // Keep replaying authentic page-0 traffic (a straggler being served):
-  // our page-1 SNACK must stay deferred well past the stream gap.
-  for (int i = 0; i < 8; ++i) {
-    rig.deliver_data(0, static_cast<std::uint32_t>(i % 4));
-    rig.env.advance(100 * sim::kMillisecond);
-  }
-  EXPECT_EQ(rig.env.count(PacketClass::kSnack), 0u);
+  in_both_timer_modes([](Rig& rig) {
+    rig.deliver_adv(7, 99, true);
+    rig.deliver_signature();
+    rig.complete_pages_through(0);
+    rig.env.clear();
+    // Keep replaying authentic page-0 traffic (a straggler being served):
+    // our page-1 SNACK must stay deferred well past the stream gap.
+    for (int i = 0; i < 8; ++i) {
+      rig.deliver_data(0, static_cast<std::uint32_t>(i % 4));
+      rig.env.advance(100 * sim::kMillisecond);
+    }
+    EXPECT_EQ(rig.env.count(PacketClass::kSnack), 0u);
+  });
 }
 
 TEST(EngineLockstep, DeadlineBreaksEndlessReplayStall) {
-  Rig rig;
-  rig.deliver_adv(7, 99, true);
-  rig.deliver_signature();
-  rig.complete_pages_through(0);
-  rig.env.clear();
-  // An adversary replays one captured authentic packet forever; the
-  // deferral ceiling must still let our request out.
-  for (int i = 0; i < 200; ++i) {
-    rig.deliver_data(0, 1);
-    rig.env.advance(100 * sim::kMillisecond);
-  }
-  EXPECT_GE(rig.env.count(PacketClass::kSnack), 2u);
+  in_both_timer_modes([](Rig& rig) {
+    rig.deliver_adv(7, 99, true);
+    rig.deliver_signature();
+    rig.complete_pages_through(0);
+    rig.env.clear();
+    // An adversary replays one captured authentic packet forever; the
+    // deferral ceiling must still let our request out.
+    for (int i = 0; i < 200; ++i) {
+      rig.deliver_data(0, 1);
+      rig.env.advance(100 * sim::kMillisecond);
+    }
+    EXPECT_GE(rig.env.count(PacketClass::kSnack), 2u);
+  });
 }
 
 TEST(EngineLockstep, ForgedLowerPageDataDoesNotDefer) {
-  Rig rig;
-  rig.deliver_adv(7, 99, true);
-  rig.deliver_signature();
-  rig.complete_pages_through(0);
-  rig.env.clear();
-  // Forged page-0 packets (bad content) must not hold our request back:
-  // SNACKs flow at the normal cadence.
-  DataPacket junk;
-  junk.version = rig.params.version;
-  junk.page = 0;
-  junk.index = 2;
-  junk.payload = Bytes(rig.source->packet_payload(0, 2)->size(), 0xee);
-  for (int i = 0; i < 20; ++i) {
-    rig.node->on_receive(view(junk.serialize()));
-    rig.env.advance(100 * sim::kMillisecond);
-  }
-  EXPECT_GE(rig.env.count(PacketClass::kSnack), 2u);
+  in_both_timer_modes([](Rig& rig) {
+    rig.deliver_adv(7, 99, true);
+    rig.deliver_signature();
+    rig.complete_pages_through(0);
+    rig.env.clear();
+    // Forged page-0 packets (bad content) must not hold our request back:
+    // SNACKs flow at the normal cadence.
+    DataPacket junk;
+    junk.version = rig.params.version;
+    junk.page = 0;
+    junk.index = 2;
+    junk.payload = Bytes(rig.source->packet_payload(0, 2)->size(), 0xee);
+    for (int i = 0; i < 20; ++i) {
+      rig.node->on_receive(view(junk.serialize()));
+      rig.env.advance(100 * sim::kMillisecond);
+    }
+    EXPECT_GE(rig.env.count(PacketClass::kSnack), 2u);
+  });
 }
 
 }  // namespace

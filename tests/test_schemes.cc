@@ -346,6 +346,51 @@ TEST(LrScheme, SplicedIndexRejected) {
   EXPECT_EQ(f.dst->on_data(0, 3, view(payload), f.m), DataStatus::kRejected);
 }
 
+// Page-0 packets share the Merkle root they imply through RxDigestMemo,
+// never the verdict: a receiver whose own root differs must still reject
+// after another receiver accepted the same delivery and filled the memo,
+// and each receiver is charged exactly what it is charged without it.
+TEST(LrScheme, Page0MemoSharesRootNotVerdict) {
+  LrFixture a;
+  LrFixture b(small_params(), 2500);  // another image: another root
+  LrFixture b_alone(small_params(), 2500);
+  for (LrFixture* f : {&a, &b, &b_alone}) {
+    ASSERT_TRUE(f->dst->on_signature(view(*f->src->signature_frame()), f->m));
+  }
+  const Bytes payload = a.src->packet_payload(0, 1).value();
+
+  sim::NodeMetrics ma, mb, mb_alone;
+  proto::RxDigestMemo memo;
+  EXPECT_EQ(a.dst->on_data(0, 1, view(payload), ma, &memo),
+            DataStatus::kStored);
+  EXPECT_TRUE(memo.valid);
+  EXPECT_EQ(b.dst->on_data(0, 1, view(payload), mb, &memo),
+            DataStatus::kRejected);
+  EXPECT_EQ(b_alone.dst->on_data(0, 1, view(payload), mb_alone, nullptr),
+            DataStatus::kRejected);
+  EXPECT_EQ(mb.auth_failures, 1u);
+  EXPECT_EQ(mb.auth_failures, mb_alone.auth_failures);
+  EXPECT_EQ(mb.hash_verifications, mb_alone.hash_verifications);
+  EXPECT_EQ(ma.hash_verifications, mb.hash_verifications);
+
+  // Reverse order: the rejecting receiver fills the memo first, and the
+  // receiver that holds the matching root still accepts from it.
+  sim::NodeMetrics ma2, ma2_alone, mb2;
+  proto::RxDigestMemo memo2;
+  const Bytes payload2 = a.src->packet_payload(0, 2).value();
+  EXPECT_EQ(b.dst->on_data(0, 2, view(payload2), mb2, &memo2),
+            DataStatus::kRejected);
+  EXPECT_EQ(a.dst->on_data(0, 2, view(payload2), ma2, &memo2),
+            DataStatus::kStored);
+  LrFixture a_alone;
+  ASSERT_TRUE(a_alone.dst->on_signature(
+      view(*a_alone.src->signature_frame()), a_alone.m));
+  EXPECT_EQ(a_alone.dst->on_data(0, 2, view(payload2), ma2_alone, nullptr),
+            DataStatus::kStored);
+  EXPECT_EQ(ma2.hash_verifications, ma2_alone.hash_verifications);
+  EXPECT_EQ(ma2.auth_failures, 0u);
+}
+
 TEST(LrScheme, CompletedReceiverServesByReencoding) {
   // B completes from A (which itself decoded from the base station),
   // exercising page re-encoding and Merkle path regeneration end-to-end.

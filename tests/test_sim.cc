@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <map>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -285,6 +286,140 @@ TEST(EventQueueTest, ForgedTokensCannotTouchLiveEvents) {
   EXPECT_TRUE(ran);
 }
 
+// EventFn relocates closures that only hold plain values by copying their
+// bytes, and runs the real copy, move and destructor for owning ones.
+TEST(EventFnTest, CopiesMovesAndDestroysTrivialAndOwningClosures) {
+  int calls = 0;
+  EventFn plain = [&calls, step = 2] { calls += step; };
+  EventFn plain_copy = plain;
+  EventFn plain_moved = std::move(plain);
+  EXPECT_FALSE(plain);  // NOLINT(bugprone-use-after-move)
+  plain_copy();
+  plain_moved();
+  EXPECT_EQ(calls, 4);
+
+  auto owned = std::make_shared<int>(7);
+  {
+    EventFn owning = [owned, &calls] { calls += *owned; };
+    EXPECT_EQ(owned.use_count(), 2);
+    EventFn owning_copy = owning;
+    EXPECT_EQ(owned.use_count(), 3);
+    EventFn owning_moved = std::move(owning);
+    EXPECT_FALSE(owning);  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(owned.use_count(), 3);
+    owning_moved();
+    owning_copy = plain_copy;  // the owning closure is destroyed
+    EXPECT_EQ(owned.use_count(), 2);
+    owning_copy();
+  }
+  EXPECT_EQ(owned.use_count(), 1);
+  EXPECT_EQ(calls, 4 + 7 + 2);
+}
+
+// A rescheduled event keeps its token and its closure, and takes a fresh
+// seq exactly like cancel + schedule_at: moved to a time it shares with
+// another event, it now fires after that one.
+TEST(EventQueueTest, RescheduleKeepsTokenAndClosure) {
+  EventQueue q;
+  std::vector<int> order;
+  const auto a = q.schedule_at(10, [&] { order.push_back(1); });
+  q.schedule_at(30, [&] { order.push_back(2); });
+  q.schedule_at(5 * kSecond, [&] { order.push_back(3); });
+  EXPECT_TRUE(q.reschedule(a, 30));  // later, tying with 2: fires after it
+  EXPECT_EQ(q.peek_time().value(), 30);
+  EXPECT_TRUE(q.run_next());
+  EXPECT_TRUE(q.run_next());
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+  EXPECT_FALSE(q.reschedule(a, 40));  // fired: the token is stale now
+
+  // Out past the wheel horizon and back, then earlier than everything.
+  const auto b = q.schedule_at(40, [&] { order.push_back(4); });
+  EXPECT_TRUE(q.reschedule(b, 60 * kSecond));
+  EXPECT_TRUE(q.reschedule(b, 2 * kSecond));
+  EXPECT_TRUE(q.reschedule(b, 35));
+  EXPECT_EQ(q.pending(), 2u);
+  while (q.run_next()) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{2, 1, 4, 3}));
+  EXPECT_EQ(q.executed(), 4u);
+}
+
+TEST(EventQueueTest, RescheduleRefusesNullStaleAndPast) {
+  EventQueue q;
+  EXPECT_FALSE(q.reschedule(EventToken{}, 5));
+  const auto t = q.schedule_at(5, [] {});
+  EXPECT_TRUE(q.cancel(t));
+  EXPECT_FALSE(q.reschedule(t, 7));
+  const auto live = q.schedule_at(10, [] {});
+  EXPECT_FALSE(q.reschedule(EventToken::from_bits(live.bits() + 1), 20));
+  q.schedule_at(8, [] {});
+  EXPECT_TRUE(q.run_next());  // now() == 8
+  EXPECT_THROW(q.reschedule(live, 7), std::logic_error);
+  EXPECT_EQ(q.peek_time().value(), 10);
+}
+
+// A cancel after any number of moves kills every queued copy: neither the
+// deferred ref (later move) nor the superseded one (earlier move) fires.
+TEST(EventQueueTest, CancelAfterRescheduleNeverFires) {
+  EventQueue q;
+  int fired = 0;
+  const auto later = q.schedule_at(10, [&] { ++fired; });
+  const auto earlier = q.schedule_at(50, [&] { ++fired; });
+  EXPECT_TRUE(q.reschedule(later, 20));
+  EXPECT_TRUE(q.reschedule(earlier, 15));
+  EXPECT_EQ(q.pending(), 2u);
+  EXPECT_TRUE(q.cancel(later));
+  EXPECT_TRUE(q.cancel(earlier));
+  EXPECT_FALSE(q.cancel(later));
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.run_next());
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(q.executed(), 0u);
+}
+
+// A firing event's own token is stale inside its callback, so it cannot
+// move itself; it fires exactly once.
+TEST(EventQueueTest, EventCannotRescheduleItselfFromItsCallback) {
+  EventQueue q;
+  EventToken self;
+  int fired = 0;
+  bool moved = true;
+  self = q.schedule_at(5, [&] {
+    ++fired;
+    moved = q.reschedule(self, q.now() + 5);
+  });
+  while (q.run_next()) {
+  }
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(moved);
+}
+
+// pending() counts events, not queued refs: moves in either direction
+// leave it unchanged even while stale and deferred refs sit in the queue.
+TEST(EventQueueTest, PendingStaysExactAcrossReschedules) {
+  EventQueue q;
+  std::vector<EventToken> tokens;
+  for (int i = 1; i <= 4; ++i) {
+    tokens.push_back(q.schedule_at(i * 100, [] {}));
+  }
+  for (int round = 0; round < 10; ++round) {
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+      const SimTime at = (round % 2 == 1 ? 5000 : 50) + 10 * i;
+      EXPECT_TRUE(q.reschedule(tokens[i], at));
+      EXPECT_EQ(q.pending(), 4u);
+    }
+  }
+  EXPECT_TRUE(q.cancel(tokens[1]));
+  EXPECT_EQ(q.pending(), 3u);
+  EXPECT_TRUE(q.run_next());
+  EXPECT_EQ(q.now(), 5000);  // the last round moved everything later
+  EXPECT_EQ(q.pending(), 2u);
+  while (q.run_next()) {
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.executed(), 3u);
+}
+
 // Differential test: the calendar queue against a reference ordered set
 // of (time, seq) keys. Every event, when it fires, checks that it is the
 // reference's earliest key and removes it; some fired events schedule a
@@ -292,7 +427,9 @@ TEST(EventQueueTest, ForgedTokensCannotTouchLiveEvents) {
 // includes same-time ties, pushes into a bucket earlier than the one a
 // peek loaded (the spill path), cancels between a peek and the run that
 // would fire the peeked event, and far-future events that force several
-// re-anchors.
+// re-anchors. Reschedules move events later, earlier, to the same time,
+// out past the horizon and back, and are tried on stale and null tokens;
+// the reference models each as erase + insert under a fresh seq.
 class QueueDifferential {
  public:
   explicit QueueDifferential(std::uint64_t seed) : rng_(seed) {}
@@ -314,9 +451,15 @@ class QueueDifferential {
   }
 
   std::uint64_t fired() const { return fired_; }
+  std::uint64_t moved() const { return moved_; }
 
  private:
   using Key = std::pair<SimTime, std::uint64_t>;  // (time, seq)
+  struct Live {
+    EventToken token;
+    std::size_t id;  // index into keys_
+  };
+  using Iter = std::map<Key, Live>::iterator;
 
   // Delays mixing every structure the queue has: ties, the current ~1 ms
   // bucket, nearby buckets, the whole ~4.2 s wheel and the overflow heap.
@@ -331,9 +474,13 @@ class QueueDifferential {
     }
   }
 
+  // An event is identified by its index in keys_, which tracks its
+  // current key: a rescheduled event keeps the closure it was born with.
   void schedule(SimTime at) {
     const Key key{at, seq_++};
-    ref_[key] = q_.schedule_at(at, [this, key] { fire(key); });
+    const std::size_t id = keys_.size();
+    keys_.push_back(key);
+    ref_[key] = Live{q_.schedule_at(at, [this, id] { fire(id); }), id};
   }
 
   void retire(EventToken token) {
@@ -344,21 +491,46 @@ class QueueDifferential {
     }
   }
 
-  void fire(const Key& key) {
+  void fire(std::size_t id) {
+    const Key key = keys_[id];
     ASSERT_FALSE(ref_.empty());
     ASSERT_EQ(ref_.begin()->first, key) << "fired out of (time, seq) order";
+    ASSERT_EQ(ref_.begin()->second.id, id);
     ASSERT_EQ(q_.now(), key.first);
-    retire(ref_.begin()->second);
+    const EventToken self = ref_.begin()->second.token;
+    // A firing event is already stale: it cannot move itself.
+    ASSERT_FALSE(q_.reschedule(self, q_.now() + 1));
+    retire(self);
     ref_.erase(ref_.begin());
     ++fired_;
     last_fired_ = key.first;
     if (rng_.uniform(4) == 0) schedule(q_.now() + draw_delay());
   }
 
-  void cancel(std::map<Key, EventToken>::iterator it) {
-    ASSERT_TRUE(q_.cancel(it->second));
-    retire(it->second);
+  void cancel(Iter it) {
+    ASSERT_TRUE(q_.cancel(it->second.token));
+    retire(it->second.token);
     ref_.erase(it);
+  }
+
+  void reschedule(Iter it, SimTime at) {
+    const Live live = it->second;
+    ASSERT_TRUE(q_.reschedule(live.token, at));
+    ++moved_;
+    ref_.erase(it);
+    const Key key{at, seq_++};
+    keys_[live.id] = key;
+    ref_[key] = live;
+  }
+
+  // Roughly uniform over live events: the first at or after a random time
+  // up to the wheel span and a bit beyond.
+  Iter pick_live() {
+    const Key probe{q_.now() + static_cast<SimTime>(rng_.uniform(6 * kSecond)),
+                    0};
+    auto it = ref_.lower_bound(probe);
+    if (it == ref_.end()) it = ref_.begin();
+    return it;
   }
 
   void cancel_one() {
@@ -366,13 +538,56 @@ class QueueDifferential {
       ASSERT_FALSE(q_.cancel(stale_[rng_.uniform(stale_.size())]));
       return;
     }
-    // Roughly uniform over live events: the first at or after a random
-    // time up to the wheel span and a bit beyond.
-    const Key probe{q_.now() + static_cast<SimTime>(rng_.uniform(6 * kSecond)),
-                    0};
-    auto it = ref_.lower_bound(probe);
-    if (it == ref_.end()) it = ref_.begin();
+    const auto it = pick_live();
     if (it != ref_.end()) cancel(it);
+  }
+
+  void reschedule_one() {
+    const SimTime now = q_.now();
+    switch (rng_.uniform(6)) {
+      case 0:  // stale or null tokens change nothing
+        ASSERT_FALSE(q_.reschedule(EventToken{}, now));
+        if (!stale_.empty()) {
+          ASSERT_FALSE(q_.reschedule(stale_[rng_.uniform(stale_.size())],
+                                     now + draw_delay()));
+        }
+        return;
+      case 1: {  // the peeked front, later: the loaded heap defers it
+        ASSERT_EQ(q_.peek_time(), ref_earliest());
+        if (!ref_.empty()) {
+          const SimTime at = ref_.begin()->first.first;
+          reschedule(ref_.begin(), at + draw_delay());
+        }
+        return;
+      }
+      default:
+        break;
+    }
+    const auto it = pick_live();
+    if (it == ref_.end()) return;
+    const SimTime old = it->first.first;
+    switch (rng_.uniform(4)) {
+      case 0:  // later
+        reschedule(it, old + draw_delay());
+        break;
+      case 1:  // earlier (or the same time)
+        reschedule(it, now + static_cast<SimTime>(rng_.uniform(
+                                 static_cast<std::uint64_t>(old - now) + 1)));
+        break;
+      case 2:  // the same time: only the seq moves
+        reschedule(it, old);
+        break;
+      default: {  // out past the horizon, then back near now
+        const auto moved = it->second.id;
+        reschedule(it, now + 5 * kSecond +
+                           static_cast<SimTime>(rng_.uniform(20 * kSecond)));
+        if (rng_.uniform(2) == 0) {
+          const SimTime back = now + draw_delay() % (2 * kSecond);
+          reschedule(ref_.find(keys_[moved]), back);
+        }
+        break;
+      }
+    }
   }
 
   std::optional<SimTime> ref_earliest() const {
@@ -382,13 +597,17 @@ class QueueDifferential {
 
   void step() {
     const SimTime now = q_.now();
-    switch (rng_.uniform(8)) {
+    switch (rng_.uniform(10)) {
       case 0:
       case 1:
         schedule(now + draw_delay());
         break;
       case 2:
         cancel_one();
+        break;
+      case 8:
+      case 9:
+        reschedule_one();
         break;
       case 3:
         ASSERT_EQ(q_.peek_time(), ref_earliest());
@@ -420,7 +639,7 @@ class QueueDifferential {
         }
         break;
       }
-      default: {  // run_until
+      case 7: {  // run_until
         const SimTime limit = now + draw_delay();
         const std::uint64_t before = fired_;
         const std::uint64_t ran = q_.run_until(limit);
@@ -438,10 +657,12 @@ class QueueDifferential {
 
   EventQueue q_;
   Rng rng_;
-  std::map<Key, EventToken> ref_;  // live events, ordered as they must fire
+  std::map<Key, Live> ref_;        // live events, ordered as they must fire
+  std::vector<Key> keys_;          // current key of every event ever made
   std::vector<EventToken> stale_;  // fired or cancelled: cancel must refuse
   std::uint64_t seq_ = 0;
   std::uint64_t fired_ = 0;
+  std::uint64_t moved_ = 0;
   SimTime last_fired_ = 0;
 };
 
@@ -452,6 +673,7 @@ TEST(EventQueueTest, DifferentialAgainstReferenceOrderedSet) {
     d.run(20000);
     if (HasFatalFailure()) return;
     EXPECT_GT(d.fired(), 1000u);
+    EXPECT_GT(d.moved(), 1000u);
   }
 }
 

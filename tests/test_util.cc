@@ -4,6 +4,8 @@
 
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/bitvec.h"
 #include "util/buffer.h"
@@ -221,6 +223,60 @@ TEST(Rng, Uniform01InRange) {
     EXPECT_GE(v, 0.0);
     EXPECT_LT(v, 1.0);
   }
+}
+
+// Power-of-two bounds take a division-free path, and other bounds compute
+// the rejection limit only for draws near the top; every bound must still
+// draw and reject exactly like the textbook formula, or every seeded run
+// would shift. The two largest bounds reject a quarter to a half of all
+// draws.
+TEST(Rng, UniformMatchesRejectionFormula) {
+  const std::uint64_t bounds[] = {1,    2,
+                                  256,  std::uint64_t{1} << 32,
+                                  std::uint64_t{1} << 63,
+                                  3,    1000,
+                                  3 * (std::uint64_t{1} << 62)};
+  const std::uint64_t all = ~std::uint64_t{0};
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    for (const std::uint64_t bound : bounds) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " bound "
+                                        << bound);
+      Rng rng(seed);
+      Rng raw(seed);
+      const std::uint64_t limit = all - all % bound;
+      for (int i = 0; i < 200; ++i) {
+        std::uint64_t v;
+        do {
+          v = raw.next();
+        } while (v >= limit);
+        ASSERT_EQ(rng.uniform(bound), v % bound);
+      }
+    }
+  }
+}
+
+// A recorded draw sequence: uniform() and bernoulli() must keep producing
+// exactly these values for this seed.
+TEST(Rng, UniformAndBernoulliSequenceIsPinned) {
+  Rng rng(2024);
+  std::vector<std::uint64_t> bytes;
+  for (int i = 0; i < 8; ++i) bytes.push_back(rng.uniform(256));
+  EXPECT_EQ(bytes, (std::vector<std::uint64_t>{46, 101, 1, 107, 167, 245,
+                                                168, 108}));
+  std::vector<std::uint64_t> small;
+  for (int i = 0; i < 4; ++i) small.push_back(rng.uniform(1000));
+  EXPECT_EQ(small, (std::vector<std::uint64_t>{765, 124, 376, 851}));
+  std::vector<std::uint64_t> words;
+  for (int i = 0; i < 4; ++i) {
+    words.push_back(rng.uniform(std::uint64_t{1} << 32));
+  }
+  EXPECT_EQ(words, (std::vector<std::uint64_t>{2543990406ull, 2322014069ull,
+                                                2210733327ull,
+                                                3410110725ull}));
+  std::string coins;
+  for (int i = 0; i < 16; ++i) coins += rng.bernoulli(0.3) ? '1' : '0';
+  EXPECT_EQ(coins, "1000001001010000");
+  EXPECT_EQ(rng.uniform01(), 0.13139945470803949);
 }
 
 // ---------------------------------------------------------------------------
