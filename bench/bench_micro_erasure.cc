@@ -1,20 +1,20 @@
 // Microbenchmarks for the erasure-coding substrate: GF(256) inner loops
-// across every dispatched kernel, matrix inversion, and full-page
-// encode/decode for the paper's geometry (k=32, n=48, 64-byte blocks) —
-// the per-page computational price of loss resilience.
+// across every dispatched kernel and full-page encode/decode for the paper's
+// geometry (k=32, n=48, 64-byte blocks) — the per-page computational price
+// of loss resilience.
 //
 // Besides the google-benchmark console table, the binary runs a self-timed
 // sweep of kernels x (k, n, payload) and writes machine-readable results to
 // BENCH_micro_erasure.json (override the path with LRS_BENCH_JSON, skip with
 // LRS_BENCH_JSON=none) so successive PRs have a perf trajectory to track.
-// The sweep also covers the LRC and XOR-schedule backends: encode/decode per
-// geometry, the local-repair fast path, RS/LRC decode against the number of
-// erased data blocks, Monte Carlo local-repair hit rates at the Fig. 6 loss
-// points, and the xorsched-vs-table-RS speedup row. The star20/ rows pin the
-// paper cell's hot calls under the active kernel: contiguous RS encode,
-// decode with 8 erasures, and the fused dot against the addmul loop it
-// replaced. Every codec row encodes and decodes through the contiguous
-// caller-owned buffer API into buffers allocated once, outside the timing.
+// The sweep also covers the LRC backend: encode/decode per geometry, the
+// local-repair fast path, RS/LRC decode against the number of erased data
+// blocks, and Monte Carlo local-repair hit rates at the Fig. 6 loss points.
+// The star20/ rows pin the paper cell's hot calls under the active kernel:
+// contiguous RS encode, decode with 8 erasures, and the fused dot against
+// the addmul loop it replaced. Every codec row encodes and decodes through
+// the contiguous caller-owned buffer API into buffers allocated once,
+// outside the timing.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -30,7 +30,6 @@
 #include "erasure/gf256.h"
 #include "erasure/gf256_kernels.h"
 #include "core/provenance.h"
-#include "erasure/matrix.h"
 #include "sim/stats/stats.h"
 #include "util/rng.h"
 
@@ -100,21 +99,6 @@ void BM_Gf256Addmul(benchmark::State& state, const std::string& kernel_name,
                           static_cast<std::int64_t>(len));
 }
 
-void BM_MatrixInvert(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  MatrixGf256 m(n, n);
-  do {
-    for (std::size_t r = 0; r < n; ++r)
-      for (std::size_t c = 0; c < n; ++c)
-        m.set(r, c, static_cast<std::uint8_t>(rng.uniform(256)));
-  } while (!m.inverted().has_value());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(m.inverted());
-  }
-}
-BENCHMARK(BM_MatrixInvert)->Arg(8)->Arg(32);
-
 void encode_bench(benchmark::State& state, CodecKind kind,
                   std::size_t delta) {
   auto code = make_code(kind, 32, 48, delta, 42);
@@ -151,8 +135,6 @@ void BM_Rlc256Encode(benchmark::State& s) { encode_bench(s, CodecKind::kRlcGf256
 void BM_Rlc256Decode(benchmark::State& s) { decode_bench(s, CodecKind::kRlcGf256, 1); }
 void BM_LrcEncode(benchmark::State& s) { encode_bench(s, CodecKind::kLrc, 0); }
 void BM_LrcDecode(benchmark::State& s) { decode_bench(s, CodecKind::kLrc, 0); }
-void BM_XorschedEncode(benchmark::State& s) { encode_bench(s, CodecKind::kXorSchedule, 0); }
-void BM_XorschedDecode(benchmark::State& s) { decode_bench(s, CodecKind::kXorSchedule, 0); }
 
 BENCHMARK(BM_RsEncode);
 BENCHMARK(BM_RsDecode);
@@ -162,8 +144,6 @@ BENCHMARK(BM_Rlc256Encode);
 BENCHMARK(BM_Rlc256Decode);
 BENCHMARK(BM_LrcEncode);
 BENCHMARK(BM_LrcDecode);
-BENCHMARK(BM_XorschedEncode);
-BENCHMARK(BM_XorschedDecode);
 
 void BM_LrcLocalRepairDecode(benchmark::State& state) {
   // The cheap path the LRC exists for: one data block missing, its group's
@@ -318,48 +298,35 @@ std::vector<SweepResult> run_sweep() {
   return results;
 }
 
-/// Codec-backend rows (PR 8): LRC and XOR-schedule encode/decode under the
-/// active kernel, the LRC local-repair fast path, and Monte Carlo
-/// local-repair hit rates under the Fig. 6 loss points. These run once (not
-/// per kernel): the XOR schedule's paper-geometry path is register-resident
-/// u64 arithmetic and LRC's hot loops go through the same dispatched addmul
-/// as RS.
+/// LRC rows: encode/decode per geometry under the active kernel and the
+/// local-repair fast path. These run once (not per kernel): LRC's hot loops
+/// go through the same dispatched kernels as RS, which the kernel sweep
+/// already covers.
 void append_codec_sweep(std::vector<SweepResult>& results) {
   const SweepConfig configs[] = {
       {32, 48, 64},
       {16, 24, 32},
       {64, 128, 256},
   };
-  const struct {
-    CodecKind kind;
-    const char* name;
-  } codecs[] = {
-      {CodecKind::kLrc, "lrc"},
-      {CodecKind::kXorSchedule, "xorsched"},
-  };
-  for (const auto& c : codecs) {
-    for (const auto& cfg : configs) {
-      const std::string suffix = "/k=" + std::to_string(cfg.k) +
-                                 "/n=" + std::to_string(cfg.n) +
-                                 "/len=" + std::to_string(cfg.payload);
-      auto code = make_code(c.kind, cfg.k, cfg.n, 0, 0);
-      Page page(*code, cfg.payload, 2);
-      const std::size_t page_bytes = cfg.k * cfg.payload;
-      results.push_back(
-          time_op(std::string(c.name) + "_encode" + suffix, page_bytes, [&] {
-            code->encode(view(page.data), page.encoded);
-            benchmark::DoNotOptimize(page.encoded.data());
-          }));
+  for (const auto& cfg : configs) {
+    const std::string suffix = "/k=" + std::to_string(cfg.k) +
+                               "/n=" + std::to_string(cfg.n) +
+                               "/len=" + std::to_string(cfg.payload);
+    auto code = make_lrc_code(cfg.k, cfg.n);
+    Page page(*code, cfg.payload, 2);
+    const std::size_t page_bytes = cfg.k * cfg.payload;
+    results.push_back(time_op("lrc_encode" + suffix, page_bytes, [&] {
+      code->encode(view(page.data), page.encoded);
+      benchmark::DoNotOptimize(page.encoded.data());
+    }));
 
-      // Parity-heavy decode at the codec's own threshold.
-      std::vector<Share> shares;
-      for (std::size_t i = 0; i < code->decode_threshold(); ++i)
-        shares.push_back(page.share(cfg.n - 1 - i));
-      results.push_back(
-          time_op(std::string(c.name) + "_decode" + suffix, page_bytes, [&] {
-            benchmark::DoNotOptimize(code->decode(shares, page.decoded));
-          }));
-    }
+    // Parity-heavy decode at the codec's own threshold.
+    std::vector<Share> shares;
+    for (std::size_t i = 0; i < code->decode_threshold(); ++i)
+      shares.push_back(page.share(cfg.n - 1 - i));
+    results.push_back(time_op("lrc_decode" + suffix, page_bytes, [&] {
+      benchmark::DoNotOptimize(code->decode(shares, page.decoded));
+    }));
   }
 
   // LRC local-repair fast path at the paper geometry: one erased data block
@@ -552,23 +519,6 @@ void append_speedups(std::vector<SweepResult>& results) {
     if (best == nullptr) continue;
     results.push_back({std::string(op) + "/speedup/" + best_name + "_vs_ref",
                        best->mb_per_s / ref->mb_per_s, 0.0});
-  }
-
-  // Acceptance row for the XOR-schedule backend: its compiled encode against
-  // table-kernel RS at the paper geometry (the SIMD kernels are a separate
-  // axis already covered by the rows above).
-  auto find_exact = [&](const std::string& want) -> const SweepResult* {
-    for (const auto& r : results) {
-      if (r.name == want) return &r;
-    }
-    return nullptr;
-  };
-  const SweepResult* rs_table =
-      find_exact("rs_encode/kernel=table/k=32/n=48/len=64");
-  const SweepResult* xs = find_exact("xorsched_encode/k=32/n=48/len=64");
-  if (rs_table != nullptr && xs != nullptr && rs_table->mb_per_s > 0) {
-    results.push_back({"xorsched_encode/speedup/xorsched_vs_rs_table",
-                       xs->mb_per_s / rs_table->mb_per_s, 0.0});
   }
 }
 

@@ -33,8 +33,8 @@ void usage() {
       "  --image-kb KB   image size (default 20)\n"
       "  --k K --n N     erasure geometry (default 32/48)\n"
       "  --payload B     packet payload bytes (default 64)\n"
-      "  --codec C       rs (default) | rlc2 | rlc256 | lt | lrc |\n"
-      "                  xorsched, with --delta D (rlc/lt headroom)\n"
+      "  --codec C       rs (default) | rlc2 | rlc256 | lt | lrc,\n"
+      "                  with --delta D (rlc/lt headroom)\n"
       "  --union-sched   serve with the union scheduler (ablation)\n"
       "  --leap          LEAP-style per-source SNACK authentication\n"
       "  --seeds S       runs to average (default 1), --seed base seed\n"

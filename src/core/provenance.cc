@@ -4,6 +4,7 @@
 
 #include "crypto/sha256_kernels.h"
 #include "erasure/gf256_kernels.h"
+#include "sim/stats/stats.h"
 
 // Baked in by CMake (execute_process over git rev-parse at configure time);
 // falls back to "unknown" for tarball builds without a .git directory.
@@ -17,16 +18,7 @@
 namespace lrs::core {
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) continue;  // drop control chars
-    out.push_back(c);
-  }
-  return out;
-}
+using stats::json_escape;
 
 std::string json_string_array(const std::vector<std::string>& items) {
   std::string out = "[";

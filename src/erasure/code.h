@@ -5,7 +5,7 @@
 // LR-Seluge preloads the *same instance* on every node so any node can
 // regenerate the exact n packets of a page it has decoded and serve them.
 //
-// Four families are provided:
+// Five families are provided:
 //  * ReedSolomonCode — systematic Cauchy-matrix RS over GF(256). MDS:
 //    deterministically decodable from ANY k blocks (k' == k). Encode is
 //    one fused GF(256) dot per parity block; decode is one dot per
@@ -15,6 +15,8 @@
 //    pseudorandom parity rows derived from a public seed. Decoding succeeds
 //    once the received coefficient rows reach rank k; the nominal k'
 //    (k + delta) is what the protocol advertises in SNACK distance math.
+//  * LtCode — fixed-rate LT code (robust soliton degrees, peeling decoder):
+//    the genuinely probabilistic k' > k case.
 //  * LrcCode — pyramid-style Locally Repairable Code: the k data blocks
 //    split into g local groups, each protected by one local parity, plus
 //    global Cauchy parities. A single erasure inside a group repairs from
@@ -23,10 +25,6 @@
 //    one dot over the group per local repair, written straight into the
 //    output page, then ~e*k block multiply-adds for the e data blocks
 //    still erased (erased_solve.h).
-//  * XorScheduleCode — the same Cauchy-RS construction compiled into a
-//    precomputed word-wise XOR program (jerasure matrix_to_bitmatrix /
-//    bitmatrix_to_schedule style); MDS like RS but with no GF(256)
-//    multiplies on the encode path.
 #pragma once
 
 #include <memory>
@@ -115,12 +113,6 @@ std::unique_ptr<ErasureCode> make_lt_code(std::size_t k, std::size_t n,
 /// block whose group parity survived repairs from its group alone.
 std::unique_ptr<ErasureCode> make_lrc_code(std::size_t k, std::size_t n);
 
-/// Cauchy-RS compiled to a word-wise XOR schedule; requires k <= n <= 255.
-/// Byte-identical codewords to make_rs_code(k, n) (same generator), but
-/// encode/decode run a precomputed bitmatrix-derived XOR program over
-/// bit-planes instead of GF(256) table multiplies. MDS (k' == k).
-std::unique_ptr<ErasureCode> make_xorsched_code(std::size_t k, std::size_t n);
-
 /// Number of local parity groups the LRC construction uses for (k, n): the
 /// largest divisor of k that is <= (n - k) / 2, or 0 when n - k < 2 (too few
 /// parities for locality to pay — all parities are plain global RS rows).
@@ -145,11 +137,13 @@ std::optional<LrcStats> lrc_stats(const ErasureCode& code);
 /// Zeroes the LRC counters; no-op when `code` is not an LrcCode.
 void lrc_stats_reset(const ErasureCode& code);
 
-/// Parses "rs", "rlc2", "rlc256", "lt", "lrc", "xorsched" — used by
-/// example/bench CLI flags and scenario files.
-enum class CodecKind { kReedSolomon, kRlcGf2, kRlcGf256, kLt, kLrc,
-                       kXorSchedule };
+enum class CodecKind { kReedSolomon, kRlcGf2, kRlcGf256, kLt, kLrc };
+
+/// Parses "rs", "rlc2", "rlc256", "lt", "lrc" — used by example/bench CLI
+/// flags and scenario files. nullopt for any other spelling.
 std::optional<CodecKind> parse_codec_kind(const std::string& name);
+/// The spelling parse_codec_kind accepts for `kind`.
+const char* codec_kind_name(CodecKind kind);
 std::unique_ptr<ErasureCode> make_code(CodecKind kind, std::size_t k,
                                        std::size_t n, std::size_t delta,
                                        std::uint64_t seed);
@@ -160,8 +154,8 @@ std::unique_ptr<ErasureCode> make_code(CodecKind kind, std::size_t k,
 /// Carlo trial of the bench harnesses — can share one generator matrix
 /// instead of rebuilding the Cauchy/RLC construction per node. Codecs are
 /// deterministic and stateless after construction, hence safe to share.
-/// Seed-independent kinds (Reed-Solomon, LRC, XOR-schedule) canonicalize
-/// delta/seed in the key, so all spellings share one instance.
+/// Seed-independent kinds (Reed-Solomon, LRC) canonicalize delta/seed in
+/// the key, so all spellings share one instance.
 /// Thread-safe; entries live for the process lifetime (a handful of small
 /// matrices).
 std::shared_ptr<const ErasureCode> make_code_cached(CodecKind kind,

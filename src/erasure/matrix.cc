@@ -1,6 +1,6 @@
 #include "erasure/matrix.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "erasure/gf256.h"
 #include "util/check.h"
@@ -9,70 +9,6 @@ namespace lrs::erasure {
 
 MatrixGf256::MatrixGf256(std::size_t rows, std::size_t cols)
     : rows_(rows), cols_(cols), data_(rows * cols, 0) {}
-
-MatrixGf256 MatrixGf256::identity(std::size_t n) {
-  MatrixGf256 m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m.set(i, i, 1);
-  return m;
-}
-
-MatrixGf256 MatrixGf256::multiply(const MatrixGf256& other) const {
-  LRS_CHECK(cols_ == other.rows_);
-  MatrixGf256 out(rows_, other.cols_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t t = 0; t < cols_; ++t) {
-      const std::uint8_t a = at(i, t);
-      if (a != 0) Gf256::addmul(out.row(i), other.row(t), a);
-    }
-  }
-  return out;
-}
-
-std::optional<MatrixGf256> MatrixGf256::inverted() const {
-  LRS_CHECK(rows_ == cols_);
-  const std::size_t n = rows_;
-  // Gauss-Jordan on the augmented matrix [A | I]: each elimination step is
-  // one addmul over a contiguous 2n-byte row instead of two n-byte calls,
-  // halving the kernel-dispatch overhead that dominates for the small rows
-  // (k <= 64) erasure decoding works with.
-  MatrixGf256 aug(n, 2 * n);
-  for (std::size_t r = 0; r < n; ++r) {
-    auto dst = aug.row(r);
-    const auto src = row(r);
-    std::copy(src.begin(), src.end(), dst.begin());
-    dst[n + r] = 1;
-  }
-
-  for (std::size_t col = 0; col < n; ++col) {
-    // Find a pivot.
-    std::size_t pivot = col;
-    while (pivot < n && aug.at(pivot, col) == 0) ++pivot;
-    if (pivot == n) return std::nullopt;  // singular
-    if (pivot != col) {
-      auto a = aug.row(col);
-      auto b = aug.row(pivot);
-      std::swap_ranges(a.begin(), a.end(), b.begin());
-    }
-    // Normalize the pivot row.
-    const std::uint8_t p = aug.at(col, col);
-    if (p != 1) Gf256::scale(aug.row(col), Gf256::inv(p));
-    // Eliminate the column everywhere else.
-    for (std::size_t r = 0; r < n; ++r) {
-      if (r == col) continue;
-      const std::uint8_t f = aug.at(r, col);
-      if (f != 0) Gf256::addmul(aug.row(r), aug.row(col), f);
-    }
-  }
-
-  MatrixGf256 inv(n, n);
-  for (std::size_t r = 0; r < n; ++r) {
-    const auto src = aug.row(r);
-    auto dst = inv.row(r);
-    std::copy(src.begin() + static_cast<std::ptrdiff_t>(n), src.end(),
-              dst.begin());
-  }
-  return inv;
-}
 
 std::size_t MatrixGf256::rank() const {
   MatrixGf256 a = *this;

@@ -1,9 +1,9 @@
 // Dense matrices over GF(256) and GF(2) with Gaussian elimination.
 //
 // RS and LRC invert only the e x e minor over their erased columns
-// (erased_solve.h); the XOR-schedule decoder inverts the full k x k
-// sub-generator; the random linear codes eliminate over every received row,
-// and rateless dissemination eliminates incrementally as packets arrive.
+// (erased_solve.h); the random linear codes eliminate over every received
+// row, and rateless dissemination eliminates incrementally as packets arrive.
+// MatrixGf256 itself is the generator store plus a reference rank().
 #pragma once
 
 #include <cstdint>
@@ -24,8 +24,8 @@ class MatrixGf256 {
   std::size_t cols() const { return cols_; }
 
   // Element and row access is inline with debug-only bounds checks:
-  // inverted()/multiply()/rank() call these per element, and an always-on
-  // check there dominates the Gaussian-elimination profile.
+  // rank() and the generator walks call these per element, and an always-on
+  // check there dominates the elimination profile.
   std::uint8_t at(std::size_t r, std::size_t c) const {
     LRS_DCHECK(r < rows_ && c < cols_);
     return data_[r * cols_ + c];
@@ -44,12 +44,6 @@ class MatrixGf256 {
     LRS_DCHECK(r < rows_);
     return {data_.data() + r * cols_, cols_};
   }
-
-  static MatrixGf256 identity(std::size_t n);
-  MatrixGf256 multiply(const MatrixGf256& other) const;
-
-  /// Gauss-Jordan inverse; nullopt when singular. Requires square.
-  std::optional<MatrixGf256> inverted() const;
 
   /// Rank via elimination on a scratch copy.
   std::size_t rank() const;

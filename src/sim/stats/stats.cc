@@ -65,6 +65,20 @@ Calibration calibrate() {
   return c;
 }
 
+/// Current resident set in KiB from /proc/self/status (0 off-Linux).
+std::uint64_t current_rss_kib() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::strtoull(line.c_str() + 6, nullptr, 10);
+    }
+  }
+  return 0;
+}
+
+}  // namespace
+
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -82,20 +96,6 @@ std::string json_escape(const std::string& s) {
   }
   return out;
 }
-
-/// Current resident set in KiB from /proc/self/status (0 off-Linux).
-std::uint64_t current_rss_kib() {
-  std::ifstream in("/proc/self/status");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("VmRSS:", 0) == 0) {
-      return std::strtoull(line.c_str() + 6, nullptr, 10);
-    }
-  }
-  return 0;
-}
-
-}  // namespace
 
 void Histogram::reset() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);

@@ -298,6 +298,10 @@ class Scope {
   std::string prefix_;  // always ends with '.'
 };
 
+/// `s` escaped for use inside a JSON string literal: quote and backslash
+/// get a backslash, control characters become \u00XX escapes.
+std::string json_escape(const std::string& s);
+
 /// Full export document (schema "lrs-metrics-v1"): schema tag, caller
 /// provenance (pass "null" when absent), deterministic + timing sections.
 std::string metrics_json(const std::string& provenance_json);

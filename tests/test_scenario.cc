@@ -371,6 +371,8 @@ TEST(ScenarioParseTest, RejectsMalformedInput) {
   expect_rejected("[scenario]\nname = x\nscheme = bittorrent\n",
                   "unknown scheme");
   expect_rejected("[scenario]\nname = x\ncodec = turbo\n", "unknown codec");
+  expect_rejected("[scenario]\nname = x\ncodec = xorsched\n",
+                  "unknown codec 'xorsched'");
   expect_rejected("[scenario]\nname = x\n[topology]\nkind = torus\n",
                   "unknown topology kind");
   expect_rejected("[scenario]\nname = x\n[channel]\nmodel = quantum\n",

@@ -200,6 +200,18 @@ TEST(StatsRegistry, DisabledPathStaysCheap) {
 }
 
 // ---------------------------------------------------------------------------
+// JSON string escaping (shared by the metrics and provenance exports)
+// ---------------------------------------------------------------------------
+
+TEST(StatsJsonEscape, QuoteBackslashAndControlCharacters) {
+  EXPECT_EQ(stats::json_escape("plain"), "plain");
+  EXPECT_EQ(stats::json_escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(stats::json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(stats::json_escape(std::string("a\nb\x01", 4)),
+            "a\\u000ab\\u0001");
+}
+
+// ---------------------------------------------------------------------------
 // Concurrency (run under TSan in CI: --gtest_filter='StatsHammer.*')
 // ---------------------------------------------------------------------------
 
