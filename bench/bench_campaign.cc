@@ -91,44 +91,16 @@ int run(int argc, char** argv) {
   const bool list_only = args.get_bool("list", false);
   const long repeats_flag = args.get_int("repeats", 0);  // 0 = per-scenario
   const long jobs_flag = args.get_int("jobs", 0);
-  sim::TraceExportConfig trace;
-  trace.events_path = args.get("trace", "");
-  if (!trace.events_path.empty()) {
-    trace.chrome_path = bench::chrome_trace_path(trace.events_path);
-  }
-  trace.timeseries_path = args.get("timeseries", "");
-  trace.all_trials = args.get_bool("trace-all", false);
-  const std::string metrics = args.get("metrics", "");
-  const double metrics_heartbeat = args.get_double("metrics-heartbeat", 0.0);
-
-  bool bad = repeats_flag < 0 || jobs_flag < 0;
-  if (trace.all_trials && trace.events_path.empty() &&
-      trace.timeseries_path.empty()) {
-    std::cerr << "error: --trace-all needs --trace and/or --timeseries\n";
-    bad = true;
-  }
-  if (metrics_heartbeat < 0 || (metrics_heartbeat > 0 && metrics.empty())) {
-    std::cerr << "error: --metrics-heartbeat needs --metrics=FILE and a"
-                 " positive period\n";
-    bad = true;
-  }
-  for (const auto& e : args.errors()) {
-    std::cerr << "error: " << e << "\n";
-    bad = true;
-  }
-  for (const auto& u : args.unknown()) {
-    std::cerr << "error: unknown flag " << u << "\n";
-    bad = true;
-  }
-  if (bad) {
-    std::cerr << "usage: " << argv[0]
-              << " [files-or-dirs...] [--repeats=R] [--jobs=J] [--quick]"
-                 " [--list] [--trace=T.jsonl] [--timeseries=TS.json]"
-                 " [--trace-all] [--metrics=M.json]"
-                 " [--metrics-heartbeat=S]\n";
-    return 2;
-  }
-  bench::arm_metrics_export(metrics, metrics_heartbeat);
+  const sim::TraceExportConfig trace = bench::trace_config(
+      args.get("trace", ""), args.get("timeseries", ""),
+      args.get_bool("trace-all", false));
+  const bool bad = repeats_flag < 0 || jobs_flag < 0 ||
+                   bench::trace_all_without_paths(trace);
+  bench::finish_flags(args, bad, argv[0],
+                      "[files-or-dirs...] [--repeats=R] [--jobs=J] [--quick]"
+                      " [--list] [--trace=T.jsonl] [--timeseries=TS.json]"
+                      " [--trace-all] [--metrics=M.json]"
+                      " [--metrics-heartbeat=S]");
   const std::size_t jobs = static_cast<std::size_t>(jobs_flag);
 
   const auto paths = collect_paths(args.positional());

@@ -14,14 +14,13 @@
 // have a perf trajectory to track.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench/common.h"
 #include "crypto/hash.h"
 #include "crypto/hmac.h"
 #include "crypto/merkle.h"
@@ -29,7 +28,6 @@
 #include "crypto/sha256.h"
 #include "crypto/sha256_kernels.h"
 #include "crypto/wots.h"
-#include "core/provenance.h"
 #include "util/buffer.h"
 #include "util/rng.h"
 
@@ -37,6 +35,8 @@ namespace {
 
 using namespace lrs;
 using namespace lrs::crypto;
+using bench::SweepResult;
+using bench::time_op;
 
 Bytes random_bytes(std::size_t size, std::uint64_t seed) {
   Rng rng(seed);
@@ -191,45 +191,6 @@ void register_kernel_benchmarks() {
 // Self-timed JSON sweep: kernels x message sizes x batch widths
 //   -> BENCH_micro_crypto.json
 // ---------------------------------------------------------------------------
-
-struct SweepResult {
-  std::string name;
-  double mb_per_s;
-  double ns_per_op;
-};
-
-/// Times fn (which processes `bytes` payload bytes per call): three
-/// repetitions of ~150 ms each after a calibration warmup, keeping the
-/// fastest — the standard defense against scheduler/steal-time noise on
-/// shared CI machines. Returns {MB/s, ns/op}.
-template <typename Fn>
-SweepResult time_op(const std::string& name, std::size_t bytes, Fn&& fn) {
-  using Clock = std::chrono::steady_clock;
-  std::size_t iters = 1;
-  for (;;) {
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < iters; ++i) fn();
-    const double elapsed =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    if (elapsed > 0.02 || iters > (1u << 24)) break;
-    iters *= 4;
-  }
-  double best_ns_per_op = 0;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto t0 = Clock::now();
-    std::size_t done = 0;
-    double elapsed = 0;
-    do {
-      for (std::size_t i = 0; i < iters; ++i) fn();
-      done += iters;
-      elapsed = std::chrono::duration<double>(Clock::now() - t0).count();
-    } while (elapsed < 0.15);
-    const double ns_per_op = elapsed * 1e9 / static_cast<double>(done);
-    if (rep == 0 || ns_per_op < best_ns_per_op) best_ns_per_op = ns_per_op;
-  }
-  const double mb_per_s = static_cast<double>(bytes) * 1e3 / best_ns_per_op;
-  return {name, mb_per_s, best_ns_per_op};
-}
 
 std::vector<SweepResult> run_sweep() {
   std::vector<SweepResult> results;
@@ -437,46 +398,6 @@ void append_speedups(std::vector<SweepResult>& results) {
   }
 }
 
-void write_json(const std::vector<SweepResult>& results,
-                const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "could not open " << path << " for writing\n";
-    return;
-  }
-  const Sha256BatchKernel* batch = sha256_batch_kernel();
-  out << "{\n  \"benchmark\": \"bench_micro_crypto\",\n"
-      << "  \"provenance\": " << core::provenance_json("  ") << ",\n"
-      << "  \"active_kernel\": \"" << sha256_kernel().name << "\",\n"
-      << "  \"active_batch_kernel\": \""
-      << (batch != nullptr ? batch->name : "none") << "\",\n"
-      << "  \"kernels\": [";
-  const auto names = sha256_available_kernels();
-  for (std::size_t i = 0; i < names.size(); ++i)
-    out << (i ? ", " : "") << '"' << names[i] << '"';
-  out << "],\n  \"batch_kernels\": [";
-  const auto batch_names = sha256_available_batch_kernels();
-  for (std::size_t i = 0; i < batch_names.size(); ++i)
-    out << (i ? ", " : "") << '"' << batch_names[i] << '"';
-  out << "],\n  \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    out << "    {\"name\": \"" << r.name << "\", ";
-    if (r.name.find("/speedup/") != std::string::npos) {
-      out << "\"speedup\": " << r.mb_per_s;
-    } else if (r.mb_per_s == 0) {
-      out << "\"ns_per_op\": " << r.ns_per_op;
-    } else {
-      out << "\"mb_per_s\": " << r.mb_per_s
-          << ", \"ns_per_op\": " << r.ns_per_op;
-    }
-    out << "}" << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::cout << "\nwrote " << results.size() << " sweep results to " << path
-            << "\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -486,12 +407,12 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
-  const char* env = std::getenv("LRS_BENCH_JSON");
-  const std::string path =
-      env != nullptr && env[0] != '\0' ? env : "BENCH_micro_crypto.json";
-  if (path == "none") return 0;
+  if (bench::bench_json_path("micro_crypto").empty()) return 0;
   auto results = run_sweep();
   append_speedups(results);
-  write_json(results, path);
+  bench::write_bench_json(
+      "micro_crypto", bench::sweep_table(results),
+      {{"batch_kernels",
+        core::json_string_array(sha256_available_batch_kernels())}});
   return 0;
 }

@@ -17,19 +17,17 @@
 // outside the timing.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <numeric>
 #include <string>
 #include <vector>
 
+#include "bench/common.h"
 #include "erasure/code.h"
 #include "erasure/gf256.h"
 #include "erasure/gf256_kernels.h"
-#include "core/provenance.h"
 #include "sim/stats/stats.h"
 #include "util/rng.h"
 
@@ -37,6 +35,8 @@ namespace {
 
 using namespace lrs;
 using namespace lrs::erasure;
+using bench::SweepResult;
+using bench::time_op;
 
 std::vector<Bytes> random_blocks(std::size_t k, std::size_t len,
                                  std::uint64_t seed) {
@@ -203,47 +203,6 @@ void register_kernel_benchmarks() {
 // ---------------------------------------------------------------------------
 // Self-timed JSON sweep: kernels x (k, n, payload) -> BENCH_micro_erasure.json
 // ---------------------------------------------------------------------------
-
-struct SweepResult {
-  std::string name;
-  double mb_per_s;
-  double ns_per_op;
-};
-
-/// Times fn (which processes `bytes` payload bytes per call): three
-/// repetitions of ~150 ms each after a calibration warmup, keeping the
-/// fastest — the standard defense against scheduler/steal-time noise on
-/// shared CI machines. Returns {MB/s, ns/op}.
-template <typename Fn>
-SweepResult time_op(const std::string& name, std::size_t bytes, Fn&& fn) {
-  using Clock = std::chrono::steady_clock;
-  // Warmup + iteration calibration.
-  std::size_t iters = 1;
-  for (;;) {
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < iters; ++i) fn();
-    const double elapsed =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    if (elapsed > 0.02 || iters > (1u << 24)) break;
-    iters *= 4;
-  }
-  double best_ns_per_op = 0;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto t0 = Clock::now();
-    std::size_t done = 0;
-    double elapsed = 0;
-    do {
-      for (std::size_t i = 0; i < iters; ++i) fn();
-      done += iters;
-      elapsed = std::chrono::duration<double>(Clock::now() - t0).count();
-    } while (elapsed < 0.15);
-    const double ns_per_op = elapsed * 1e9 / static_cast<double>(done);
-    if (rep == 0 || ns_per_op < best_ns_per_op) best_ns_per_op = ns_per_op;
-  }
-  const double mb_per_s =
-      static_cast<double>(bytes) * 1e3 / best_ns_per_op;
-  return {name, mb_per_s, best_ns_per_op};
-}
 
 struct SweepConfig {
   std::size_t k, n, payload;
@@ -522,41 +481,6 @@ void append_speedups(std::vector<SweepResult>& results) {
   }
 }
 
-void write_json(const std::vector<SweepResult>& results,
-                const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "could not open " << path << " for writing\n";
-    return;
-  }
-  out << "{\n  \"benchmark\": \"bench_micro_erasure\",\n"
-      << "  \"provenance\": " << core::provenance_json("  ") << ",\n"
-      << "  \"active_kernel\": \"" << gf256_kernel().name << "\",\n"
-      << "  \"kernels\": [";
-  const auto names = gf256_available_kernels();
-  for (std::size_t i = 0; i < names.size(); ++i)
-    out << (i ? ", " : "") << '"' << names[i] << '"';
-  out << "],\n  \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    out << "    {\"name\": \"" << r.name << "\", ";
-    if (r.name.find("/speedup/") != std::string::npos) {
-      out << "\"speedup\": " << r.mb_per_s;
-    } else if (r.name.find("_rate/") != std::string::npos) {
-      // Monte Carlo rows: ns_per_op carries the sample count.
-      out << "\"rate\": " << r.mb_per_s
-          << ", \"decodes\": " << static_cast<std::size_t>(r.ns_per_op);
-    } else {
-      out << "\"mb_per_s\": " << r.mb_per_s
-          << ", \"ns_per_op\": " << r.ns_per_op;
-    }
-    out << "}" << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::cout << "\nwrote " << results.size() << " sweep results to " << path
-            << "\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -566,16 +490,13 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
-  const char* env = std::getenv("LRS_BENCH_JSON");
-  const std::string path =
-      env != nullptr && env[0] != '\0' ? env : "BENCH_micro_erasure.json";
-  if (path == "none") return 0;
+  if (bench::bench_json_path("micro_erasure").empty()) return 0;
   auto results = run_sweep();
   append_codec_sweep(results);
   append_erased_sweep(results);
   append_local_repair_rates(results);
   append_star20_rows(results);
   append_speedups(results);
-  write_json(results, path);
+  bench::write_bench_json("micro_erasure", bench::sweep_table(results));
   return 0;
 }

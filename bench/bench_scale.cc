@@ -32,12 +32,9 @@
 // resolution (VmHWM, printed with matching precision), so small rungs no
 // longer inherit — and tie at — the process-lifetime maximum of whatever
 // ran before them.
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -45,6 +42,7 @@
 #include <vector>
 
 #include "bench/common.h"
+#include "bench/json.h"
 #include "core/run_trials.h"
 #include "sim/scenario/scenario.h"
 #include "util/args.h"
@@ -62,34 +60,6 @@ const std::vector<std::string> kLadder = {
 const std::vector<std::string> kQuickLadder = {
     "grid15x15-tight", "grid15x15-medium", "cells-1k", "geo-2k"};
 
-/// Resets the kernel's RSS high-water mark ("5" into /proc/self/clear_refs,
-/// proc(5)) so the next peak_rss_mb() call reports this rung's own peak
-/// rather than the process-lifetime maximum. Best-effort: a no-op on
-/// kernels without the file, where rows fall back to the monotonic maximum.
-void reset_peak_rss() {
-  std::ofstream f("/proc/self/clear_refs");
-  if (f) f << "5";
-}
-
-/// Peak RSS in MiB at KiB resolution: VmHWM from /proc/self/status (the
-/// value reset_peak_rss clears), falling back to getrusage's ru_maxrss.
-double peak_rss_mb() {
-  std::ifstream in("/proc/self/status");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      try {
-        return std::stod(line.substr(6)) / 1024.0;  // KiB -> MiB
-      } catch (...) {
-        break;
-      }
-    }
-  }
-  struct rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux: KiB
-}
-
 std::vector<std::string> split_csv_list(const std::string& s) {
   std::vector<std::string> out;
   std::string cur;
@@ -105,78 +75,25 @@ std::vector<std::string> split_csv_list(const std::string& s) {
   return out;
 }
 
-/// Minimal reader for the BENCH_scale.json we write ourselves (bench/
-/// common.h write_bench_json format): extracts column names and row cells.
-/// Good enough for the regression gate; not a general JSON parser.
-struct BenchDoc {
-  std::vector<std::string> columns;
-  std::vector<std::vector<std::string>> rows;
-};
-
-std::vector<std::string> parse_bracket_list(const std::string& line) {
-  std::vector<std::string> cells;
-  const auto open = line.find('[');
-  const auto close = line.rfind(']');
-  if (open == std::string::npos || close == std::string::npos || close <= open)
-    return cells;
-  std::string cell;
-  bool in_string = false;
-  for (std::size_t i = open + 1; i < close; ++i) {
-    const char c = line[i];
-    if (c == '"') {
-      in_string = !in_string;
-      continue;
-    }
-    if (c == ',' && !in_string) {
-      cells.push_back(cell);
-      cell.clear();
-      continue;
-    }
-    if (!in_string && (c == ' ' || c == '\t')) continue;
-    cell.push_back(c);
+/// Column `column` of the row whose "scenario" cell is `scenario` in a
+/// BENCH_scale.json document, when that cell is a number.
+std::optional<double> baseline_cell(const bench::Json& doc,
+                                    const std::string& scenario,
+                                    const std::string& column) {
+  const auto& columns = doc.find("columns")->array;
+  std::size_t name_col = columns.size(), want_col = columns.size();
+  for (std::size_t c = 0; c < columns.size(); ++c) {
+    if (columns[c].str == "scenario") name_col = c;
+    if (columns[c].str == column) want_col = c;
   }
-  cells.push_back(cell);
-  return cells;
-}
-
-std::optional<BenchDoc> load_bench_doc(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  BenchDoc doc;
-  std::string line;
-  bool in_rows = false;
-  while (std::getline(in, line)) {
-    if (line.find("\"columns\"") != std::string::npos) {
-      doc.columns = parse_bracket_list(line);
-    } else if (line.find("\"rows\"") != std::string::npos) {
-      in_rows = true;
-    } else if (in_rows && line.find('[') != std::string::npos) {
-      doc.rows.push_back(parse_bracket_list(line));
-    } else if (in_rows && line.find(']') != std::string::npos) {
-      in_rows = false;
-    }
-  }
-  if (doc.columns.empty()) return std::nullopt;
-  return doc;
-}
-
-std::optional<double> doc_cell(const BenchDoc& doc, const std::string& scenario,
-                               const std::string& column) {
-  std::size_t name_col = doc.columns.size(), want_col = doc.columns.size();
-  for (std::size_t c = 0; c < doc.columns.size(); ++c) {
-    if (doc.columns[c] == "scenario") name_col = c;
-    if (doc.columns[c] == column) want_col = c;
-  }
-  if (name_col == doc.columns.size() || want_col == doc.columns.size())
+  if (name_col == columns.size() || want_col == columns.size())
     return std::nullopt;
-  for (const auto& row : doc.rows) {
-    if (row.size() <= std::max(name_col, want_col)) continue;
-    if (row[name_col] != scenario) continue;
-    try {
-      return std::stod(row[want_col]);
-    } catch (...) {
-      return std::nullopt;
-    }
+  for (const bench::Json& row : doc.find("rows")->array) {
+    if (row.array.size() <= std::max(name_col, want_col)) continue;
+    if (row.array[name_col].str != scenario) continue;
+    const bench::Json& cell = row.array[want_col];
+    if (!cell.is(bench::Json::Kind::kNumber)) return std::nullopt;
+    return cell.number;
   }
   return std::nullopt;
 }
@@ -191,35 +108,15 @@ int run(int argc, char** argv) {
   const std::string scales_flag = args.get("scales", "");
   const std::string baseline_path = args.get("baseline", "");
   const double gate = args.get_double("gate", 0.20);
-  const std::string metrics = args.get("metrics", "");
-  const double metrics_heartbeat = args.get_double("metrics-heartbeat", 0.0);
-
   bool bad = repeats_flag < 0 || jobs_flag < 0 || gate < 0.0 || gate >= 1.0;
-  if (metrics_heartbeat < 0 || (metrics_heartbeat > 0 && metrics.empty())) {
-    std::cerr << "error: --metrics-heartbeat needs --metrics=FILE and a"
-                 " positive period\n";
-    bad = true;
-  }
-  for (const auto& e : args.errors()) {
-    std::cerr << "error: " << e << "\n";
-    bad = true;
-  }
-  for (const auto& u : args.unknown()) {
-    std::cerr << "error: unknown flag " << u << "\n";
-    bad = true;
-  }
   if (!args.positional().empty()) {
     std::cerr << "error: bench_scale takes no positional arguments\n";
     bad = true;
   }
-  if (bad) {
-    std::cerr << "usage: " << argv[0]
-              << " [--quick] [--scales=a,b] [--repeats=R] [--jobs=J]"
-                 " [--scenario-dir=D] [--baseline=F.json] [--gate=0.20]"
-                 " [--metrics=M.json] [--metrics-heartbeat=S] [--list]\n";
-    return 2;
-  }
-  bench::arm_metrics_export(metrics, metrics_heartbeat);
+  bench::finish_flags(args, bad, argv[0],
+                      "[--quick] [--scales=a,b] [--repeats=R] [--jobs=J]"
+                      " [--scenario-dir=D] [--baseline=F.json] [--gate=0.20]"
+                      " [--metrics=M.json] [--metrics-heartbeat=S] [--list]");
 
   const std::vector<std::string> ladder =
       !scales_flag.empty() ? split_csv_list(scales_flag)
@@ -249,6 +146,17 @@ int run(int argc, char** argv) {
     return 0;
   }
 
+  // Read the baseline before the run: this run's own artifact may be
+  // written to the same path.
+  std::optional<bench::Json> baseline;
+  if (!baseline_path.empty()) {
+    baseline = bench::parse_json_file(baseline_path);
+    if (!baseline || !baseline->find("columns") || !baseline->find("rows")) {
+      std::cerr << "error: cannot read baseline " << baseline_path << "\n";
+      return 2;
+    }
+  }
+
   Table table({"scenario", "nodes", "mean_degree", "repeats", "events",
                "data_pkts", "snack_pkts", "adv_pkts", "total_bytes",
                "recv_bytes", "latency_s", "min_completed", "islands",
@@ -269,7 +177,7 @@ int run(int argc, char** argv) {
     // documents what "nodes" means radio-wise at this rung of the ladder.
     const double degree = sim::build_topology(config.topo_spec).mean_degree();
 
-    reset_peak_rss();
+    bench::reset_peak_rss();
     const auto t0 = std::chrono::steady_clock::now();
     const auto trials = core::run_trials(config, repeats,
                                          static_cast<std::size_t>(jobs_flag));
@@ -316,7 +224,7 @@ int run(int argc, char** argv) {
                    std::to_string(s.expected_complete()),
                    format_num(wall, 3),
                    format_num(static_cast<double>(events) / wall),
-                   format_num(peak_rss_mb(), 3)});
+                   format_num(bench::peak_rss_mb(), 3)});
   }
 
   bench::print_table("simulator scale ladder", table);
@@ -327,15 +235,10 @@ int run(int argc, char** argv) {
   bench::write_bench_json("scale", table, extras);
 
   int rc = all_complete ? 0 : 1;
-  if (!baseline_path.empty()) {
-    const auto doc = load_bench_doc(baseline_path);
-    if (!doc) {
-      std::cerr << "error: cannot read baseline " << baseline_path << "\n";
-      return 2;
-    }
+  if (baseline) {
     for (std::size_t i = 0; i < library.size(); ++i) {
       const std::string& name = library[i].name;
-      const auto before = doc_cell(*doc, name, "events_per_sec");
+      const auto before = baseline_cell(*baseline, name, "events_per_sec");
       if (!before) {
         std::cout << "gate: " << name << " not in baseline, skipped\n";
         continue;

@@ -19,7 +19,6 @@
 // run-provenance manifest (override with LRS_BENCH_JSON, skip with
 // LRS_BENCH_JSON=none).
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -28,7 +27,6 @@
 
 #include "bench/common.h"
 #include "core/experiment.h"
-#include "core/provenance.h"
 #include "core/run_trials.h"
 #include "sim/faults.h"
 #include "sim/trace.h"
@@ -164,10 +162,8 @@ std::optional<Scheme> parse_scheme(const std::string& name) {
   return std::nullopt;
 }
 
+/// One matrix cell's sums over its seeds.
 struct CellResult {
-  std::string scheme;
-  std::string plan;
-  std::size_t seeds = 0;
   std::size_t failures = 0;
   std::uint64_t tampered = 0;
   std::uint64_t drops = 0;
@@ -176,35 +172,6 @@ struct CellResult {
   std::uint64_t violations = 0;
   std::string first_failure;  // replay command of the first failing seed
 };
-
-void write_json(const std::vector<CellResult>& cells, std::size_t combos,
-                std::size_t failures, bool quick, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "could not open " << path << " for writing\n";
-    return;
-  }
-  out << "{\n  \"benchmark\": \"bench_stress\",\n"
-      << "  \"provenance\": " << core::provenance_json("  ") << ",\n"
-      << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-      << "  \"combos\": " << combos << ",\n"
-      << "  \"failures\": " << failures << ",\n"
-      << "  \"results\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const auto& c = cells[i];
-    out << "    {\"scheme\": \"" << c.scheme << "\", \"plan\": \"" << c.plan
-        << "\", \"seeds\": " << c.seeds << ", \"failures\": " << c.failures
-        << ", \"tampered_frames\": " << c.tampered
-        << ", \"fault_drops\": " << c.drops << ", \"reboots\": " << c.reboots
-        << ", \"invariant_checks\": " << c.checks
-        << ", \"invariant_violations\": " << c.violations
-        << ", \"first_failure\": \"" << c.first_failure << "\"}"
-        << (i + 1 < cells.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::cout << "wrote " << cells.size() << " matrix cells to " << path
-            << "\n";
-}
 
 int replay(const std::string& spec, const sim::TraceExportConfig& trace) {
   // --replay=<scheme>:<plan>:<seed>
@@ -261,41 +228,18 @@ int run_sweep(int argc, char** argv) {
   const std::string only_scheme = args.get("scheme", "");
   const long seeds_flag = args.get_int("seeds", quick ? 20 : 50);
   const long jobs_flag = args.get_int("jobs", 0);
-  sim::TraceExportConfig trace;
-  trace.events_path = args.get("trace", "");
-  if (!trace.events_path.empty()) {
-    trace.chrome_path = bench::chrome_trace_path(trace.events_path);
-  }
-  trace.timeseries_path = args.get("timeseries", "");
-  const std::string metrics = args.get("metrics", "");
-  const double metrics_heartbeat = args.get_double("metrics-heartbeat", 0.0);
+  const sim::TraceExportConfig trace =
+      bench::trace_config(args.get("trace", ""), args.get("timeseries", ""));
   bool bad = seeds_flag < 1 || jobs_flag < 0;
   if (!only_scheme.empty() && !parse_scheme(only_scheme)) {
     std::cerr << "error: unknown scheme '" << only_scheme << "'\n";
     bad = true;
   }
-  if (metrics_heartbeat < 0 || (metrics_heartbeat > 0 && metrics.empty())) {
-    std::cerr << "error: --metrics-heartbeat needs --metrics=FILE and a"
-                 " positive period\n";
-    bad = true;
-  }
-  for (const auto& e : args.errors()) {
-    std::cerr << "error: " << e << "\n";
-    bad = true;
-  }
-  for (const auto& u : args.unknown()) {
-    std::cerr << "error: unknown flag " << u << "\n";
-    bad = true;
-  }
-  if (bad) {
-    std::cerr << "usage: " << argv[0]
-              << " [--seeds=N] [--jobs=J] [--quick] [--scheme=S]"
-              << " [--replay=<scheme>:<plan>:<seed>]"
-              << " [--trace=T.jsonl] [--timeseries=TS.json]"
-              << " [--metrics=M.json] [--metrics-heartbeat=S]\n";
-    return 2;
-  }
-  bench::arm_metrics_export(metrics, metrics_heartbeat);
+  bench::finish_flags(args, bad, argv[0],
+                      "[--seeds=N] [--jobs=J] [--quick] [--scheme=S]"
+                      " [--replay=<scheme>:<plan>:<seed>]"
+                      " [--trace=T.jsonl] [--timeseries=TS.json]"
+                      " [--metrics=M.json] [--metrics-heartbeat=S]");
   if (!replay_spec.empty()) return replay(replay_spec, trace);
 
   const std::size_t seeds = static_cast<std::size_t>(seeds_flag);
@@ -311,10 +255,9 @@ int run_sweep(int argc, char** argv) {
   }
 
   const auto matrix = fault_matrix();
-  std::vector<CellResult> cells;
   std::size_t combos = 0, failures = 0;
   Table table({"scheme", "plan", "seeds", "fail", "tampered", "drops",
-               "reboots", "inv_checks", "inv_viol"});
+               "reboots", "inv_checks", "inv_viol", "first_failure"});
 
   for (const Scheme scheme : schemes) {
     const bool authenticated =
@@ -324,13 +267,11 @@ int run_sweep(int argc, char** argv) {
       auto base = stress_config(scheme, np.plan, 1);
       // The trace flags record the first matrix cell (seed routing — first
       // trial only, or every seed under all_trials — is run_trials').
-      if (cells.empty()) base.trace = trace;
+      if (table.rows() == 0) base.trace = trace;
       const auto trials = core::run_trials(base, seeds, jobs);
+      const std::string scheme_name = core::scheme_name(scheme);
 
       CellResult cell;
-      cell.scheme = core::scheme_name(scheme);
-      cell.plan = np.name;
-      cell.seeds = seeds;
       for (std::size_t i = 0; i < trials.size(); ++i) {
         const auto& r = trials[i];
         ++combos;
@@ -343,23 +284,22 @@ int run_sweep(int argc, char** argv) {
           ++failures;
           ++cell.failures;
           std::ostringstream os;
-          os << "--replay=" << cell.scheme << ":" << np.name << ":"
+          os << "--replay=" << scheme_name << ":" << np.name << ":"
              << base.seed + i;
           if (cell.first_failure.empty()) {
             cell.first_failure = os.str();
-            std::cerr << "FAIL " << cell.scheme << "/" << np.name << " seed "
+            std::cerr << "FAIL " << scheme_name << "/" << np.name << " seed "
                       << base.seed + i << " (" << diagnose(r)
                       << "); replay with: " << argv[0] << " " << os.str()
                       << "\n";
           }
         }
       }
-      table.add_row({cell.scheme, cell.plan, std::to_string(cell.seeds),
+      table.add_row({scheme_name, np.name, std::to_string(seeds),
                      std::to_string(cell.failures),
                      std::to_string(cell.tampered), std::to_string(cell.drops),
                      std::to_string(cell.reboots), std::to_string(cell.checks),
-                     std::to_string(cell.violations)});
-      cells.push_back(std::move(cell));
+                     std::to_string(cell.violations), cell.first_failure});
     }
   }
 
@@ -370,10 +310,8 @@ int run_sweep(int argc, char** argv) {
   table.print_csv(std::cout);
   std::cout.flush();
 
-  const char* env = std::getenv("LRS_BENCH_JSON");
-  const std::string path =
-      env != nullptr && env[0] != '\0' ? env : "BENCH_stress.json";
-  if (path != "none") write_json(cells, combos, failures, quick, path);
+  bench::write_bench_json("stress", table,
+                          {{"quick", quick ? "true" : "false"}});
 
   return failures == 0 ? 0 : 1;
 }

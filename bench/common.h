@@ -4,10 +4,14 @@
 // provenance-stamped BENCH_<name>.json artifact for cross-PR comparison.
 #pragma once
 
+#include <sys/resource.h>
+
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,8 +58,6 @@ struct BenchOptions {
   std::string timeseries;  // progress time-series path; empty = none
   bool trace_all = false;
   std::string scenario;    // .scn file overriding the deployment; empty = none
-  std::string metrics;     // metrics JSON export path; empty = disabled
-  double metrics_heartbeat = 0.0;  // stderr heartbeat period, 0 = off
 };
 
 /// "t.jsonl" -> "t.chrome.json" (tag appended when there is no extension).
@@ -70,15 +72,21 @@ inline std::string chrome_trace_path(const std::string& events_path) {
 }
 
 /// The sim-layer export destinations encoded by the --trace/--timeseries
-/// flags. Empty (disabled — the null-recorder fast path) when neither flag
-/// was given.
-inline sim::TraceExportConfig trace_config(const BenchOptions& opt) {
+/// (and --trace-all) flags. Empty (disabled — the null-recorder fast path)
+/// when neither path was given.
+inline sim::TraceExportConfig trace_config(const std::string& trace,
+                                           const std::string& timeseries,
+                                           bool all_trials = false) {
   sim::TraceExportConfig t;
-  t.events_path = opt.trace;
-  if (!opt.trace.empty()) t.chrome_path = chrome_trace_path(opt.trace);
-  t.timeseries_path = opt.timeseries;
-  t.all_trials = opt.trace_all;
+  t.events_path = trace;
+  if (!trace.empty()) t.chrome_path = chrome_trace_path(trace);
+  t.timeseries_path = timeseries;
+  t.all_trials = all_trials;
   return t;
+}
+
+inline sim::TraceExportConfig trace_config(const BenchOptions& opt) {
+  return trace_config(opt.trace, opt.timeseries, opt.trace_all);
 }
 
 /// Arms the metrics registry per --metrics/--metrics-heartbeat: enables
@@ -99,28 +107,17 @@ inline void arm_metrics_export(const std::string& path,
   });
 }
 
-inline BenchOptions parse_bench_options(int argc, const char* const* argv,
-                                        std::size_t default_repeats) {
-  Args args(argc, argv);
-  BenchOptions opt;
-  opt.quick = args.get_bool("quick", false);
-  const long repeats =
-      args.get_int("repeats",
-                   static_cast<long>(opt.quick ? 1 : default_repeats));
-  const long jobs = args.get_int("jobs", 0);
-  opt.trace = args.get("trace", "");
-  opt.timeseries = args.get("timeseries", "");
-  opt.trace_all = args.get_bool("trace-all", false);
-  opt.scenario = args.get("scenario", "");
-  opt.metrics = args.get("metrics", "");
-  opt.metrics_heartbeat = args.get_double("metrics-heartbeat", 0.0);
-  bool bad = repeats < 1 || jobs < 0;
-  if (opt.trace_all && opt.trace.empty() && opt.timeseries.empty()) {
-    std::cerr << "error: --trace-all needs --trace and/or --timeseries\n";
-    bad = true;
-  }
-  if (opt.metrics_heartbeat < 0 ||
-      (opt.metrics_heartbeat > 0 && opt.metrics.empty())) {
+/// The flag checks every harness ends with. Reads --metrics and
+/// --metrics-heartbeat, then rejects a heartbeat without a metrics file,
+/// every parse error and every unknown flag. When any of those, or the
+/// harness's own checks (`bad`), failed, prints
+/// "usage: <argv0> <flags>" and exits 2; otherwise arms the metrics
+/// export.
+inline void finish_flags(Args& args, bool bad, const char* argv0,
+                         const std::string& flags) {
+  const std::string metrics = args.get("metrics", "");
+  const double heartbeat = args.get_double("metrics-heartbeat", 0.0);
+  if (heartbeat < 0 || (heartbeat > 0 && metrics.empty())) {
     std::cerr << "error: --metrics-heartbeat needs --metrics=FILE and a"
                  " positive period\n";
     bad = true;
@@ -134,16 +131,43 @@ inline BenchOptions parse_bench_options(int argc, const char* const* argv,
     bad = true;
   }
   if (bad) {
-    std::cerr << "usage: " << argv[0]
-              << " [--repeats=R] [--jobs=J] [--quick] [--trace=T.jsonl]"
-                 " [--timeseries=TS.json] [--trace-all]"
-                 " [--scenario=F.scn] [--metrics=M.json]"
-                 " [--metrics-heartbeat=S]\n";
+    std::cerr << "usage: " << argv0 << " " << flags << "\n";
     std::exit(2);
   }
+  arm_metrics_export(metrics, heartbeat);
+}
+
+/// True (after printing the error) when --trace-all was given without a
+/// trace or time-series path to apply it to.
+inline bool trace_all_without_paths(const sim::TraceExportConfig& t) {
+  if (!t.all_trials || !t.events_path.empty() || !t.timeseries_path.empty())
+    return false;
+  std::cerr << "error: --trace-all needs --trace and/or --timeseries\n";
+  return true;
+}
+
+inline BenchOptions parse_bench_options(int argc, const char* const* argv,
+                                        std::size_t default_repeats) {
+  Args args(argc, argv);
+  BenchOptions opt;
+  opt.quick = args.get_bool("quick", false);
+  const long repeats =
+      args.get_int("repeats",
+                   static_cast<long>(opt.quick ? 1 : default_repeats));
+  const long jobs = args.get_int("jobs", 0);
+  opt.trace = args.get("trace", "");
+  opt.timeseries = args.get("timeseries", "");
+  opt.trace_all = args.get_bool("trace-all", false);
+  opt.scenario = args.get("scenario", "");
+  const bool bad = repeats < 1 || jobs < 0 ||
+                   trace_all_without_paths(trace_config(opt));
+  finish_flags(args, bad, argv[0],
+               "[--repeats=R] [--jobs=J] [--quick] [--trace=T.jsonl]"
+               " [--timeseries=TS.json] [--trace-all]"
+               " [--scenario=F.scn] [--metrics=M.json]"
+               " [--metrics-heartbeat=S]");
   opt.repeats = static_cast<std::size_t>(repeats);
   opt.jobs = static_cast<std::size_t>(jobs);
-  arm_metrics_export(opt.metrics, opt.metrics_heartbeat);
   return opt;
 }
 
@@ -237,64 +261,30 @@ inline void print_table(const std::string& title, const Table& table) {
   std::cout.flush();
 }
 
-/// True when a CSV cell can be emitted as a bare JSON token (number or
-/// boolean) rather than a quoted string.
-inline bool json_bare_cell(const std::string& s) {
-  if (s == "true" || s == "false") return true;
-  if (s.empty()) return false;
-  std::size_t i = s[0] == '-' ? 1 : 0;
-  if (i >= s.size()) return false;
-  bool digit = false, dot = false;
-  for (; i < s.size(); ++i) {
-    if (s[i] >= '0' && s[i] <= '9') {
-      digit = true;
-    } else if (s[i] == '.' && !dot) {
-      dot = true;
-    } else {
-      return false;
-    }
-  }
-  return digit;
-}
-
-/// Writes the harness result table as BENCH_<name>.json, stamped with the
-/// run-provenance manifest (core/provenance.h) plus harness-level facts
-/// (repeats, sweep shape). Honors the LRS_BENCH_JSON convention shared
-/// with the microbenchmarks: a path overrides the default, "none" skips.
-inline void write_bench_json(
-    const std::string& name, const Table& table,
-    const std::vector<std::pair<std::string, std::string>>& extra = {}) {
+/// Where BENCH_<name>.json goes: the LRS_BENCH_JSON path when set, else
+/// BENCH_<name>.json in the working directory. Empty when LRS_BENCH_JSON is
+/// "none" (skip the artifact).
+inline std::string bench_json_path(const std::string& name) {
   const char* env = std::getenv("LRS_BENCH_JSON");
   const std::string path =
       env != nullptr && env[0] != '\0' ? env : "BENCH_" + name + ".json";
-  if (path == "none") return;
+  return path == "none" ? "" : path;
+}
+
+/// Writes the harness result table as BENCH_<name>.json (core::bench_json:
+/// the run-provenance manifest plus harness-level `extra` facts such as
+/// repeats and sweep shape) to bench_json_path(name).
+inline void write_bench_json(
+    const std::string& name, const Table& table,
+    const std::vector<std::pair<std::string, std::string>>& extra = {}) {
+  const std::string path = bench_json_path(name);
+  if (path.empty()) return;
   std::ofstream out(path, std::ios::binary);
   if (!out) {
     std::cerr << "warning: cannot write " << path << "\n";
     return;
   }
-  out << "{\n  \"bench\": \"" << name << "\",\n";
-  out << "  \"provenance\": " << core::provenance_json("  ", extra) << ",\n";
-  out << "  \"columns\": [";
-  const auto& header = table.header();
-  for (std::size_t c = 0; c < header.size(); ++c) {
-    out << (c ? ", " : "") << "\"" << header[c] << "\"";
-  }
-  out << "],\n  \"rows\": [\n";
-  const auto& rows = table.row_data();
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    out << "    [";
-    for (std::size_t c = 0; c < rows[r].size(); ++c) {
-      if (c) out << ", ";
-      if (json_bare_cell(rows[r][c])) {
-        out << rows[r][c];
-      } else {
-        out << "\"" << rows[r][c] << "\"";
-      }
-    }
-    out << "]" << (r + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
+  out << core::bench_json(name, table, extra);
   std::cout << "wrote " << path << "\n";
 }
 
@@ -304,6 +294,110 @@ inline std::vector<std::pair<std::string, std::string>> sweep_extras(
   return {{"seed_base", std::to_string(seed_base)},
           {"repeats", std::to_string(opt.repeats)},
           {"quick", opt.quick ? "true" : "false"}};
+}
+
+/// Resets the kernel's RSS high-water mark ("5" into /proc/self/clear_refs,
+/// proc(5)) so the next peak_rss_mb() call reports this rung's own peak
+/// rather than the process-lifetime maximum. Best-effort: a no-op on
+/// kernels without the file, where rows fall back to the monotonic maximum.
+inline void reset_peak_rss() {
+  std::ofstream f("/proc/self/clear_refs");
+  if (f) f << "5";
+}
+
+/// Peak RSS in MiB at KiB resolution: VmHWM from /proc/self/status (the
+/// value reset_peak_rss clears), falling back to getrusage's ru_maxrss.
+inline double peak_rss_mb() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      try {
+        return std::stod(line.substr(6)) / 1024.0;  // KiB -> MiB
+      } catch (...) {
+        break;
+      }
+    }
+  }
+  struct rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux: KiB
+}
+
+// ---------------------------------------------------------------------------
+// Self-timed micro-benchmark sweeps (bench_micro_crypto, bench_micro_erasure)
+// ---------------------------------------------------------------------------
+
+/// One timed operation. Speedup rows ("/speedup/" in the name) carry the
+/// ratio in mb_per_s; Monte Carlo rate rows ("_rate/") carry the rate in
+/// mb_per_s and the sample count in ns_per_op; latency-only rows have
+/// mb_per_s == 0.
+struct SweepResult {
+  std::string name;
+  double mb_per_s;
+  double ns_per_op;
+};
+
+/// Times fn (which processes `bytes` payload bytes per call): three
+/// repetitions of ~150 ms each after a calibration warmup, keeping the
+/// fastest — the standard defense against scheduler/steal-time noise on
+/// shared CI machines. Returns {MB/s, ns/op}.
+template <typename Fn>
+SweepResult time_op(const std::string& name, std::size_t bytes, Fn&& fn) {
+  using Clock = std::chrono::steady_clock;
+  // Warmup + iteration calibration.
+  std::size_t iters = 1;
+  for (;;) {
+    const auto t0 = Clock::now();
+    for (std::size_t i = 0; i < iters; ++i) fn();
+    const double elapsed =
+        std::chrono::duration<double>(Clock::now() - t0).count();
+    if (elapsed > 0.02 || iters > (1u << 24)) break;
+    iters *= 4;
+  }
+  double best_ns_per_op = 0;
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto t0 = Clock::now();
+    std::size_t done = 0;
+    double elapsed = 0;
+    do {
+      for (std::size_t i = 0; i < iters; ++i) fn();
+      done += iters;
+      elapsed = std::chrono::duration<double>(Clock::now() - t0).count();
+    } while (elapsed < 0.15);
+    const double ns_per_op = elapsed * 1e9 / static_cast<double>(done);
+    if (rep == 0 || ns_per_op < best_ns_per_op) best_ns_per_op = ns_per_op;
+  }
+  const double mb_per_s =
+      static_cast<double>(bytes) * 1e3 / best_ns_per_op;
+  return {name, mb_per_s, best_ns_per_op};
+}
+
+/// The sweep in long form: one (name, metric, value) row per measured
+/// number, metric one of mb_per_s, ns_per_op, speedup, rate, decodes.
+/// Values keep the ostream default precision (6 significant digits).
+inline Table sweep_table(const std::vector<SweepResult>& results) {
+  Table table({"name", "metric", "value"});
+  const auto sig6 = [](double v) {
+    std::ostringstream os;
+    os << v;
+    return os.str();
+  };
+  for (const auto& r : results) {
+    if (r.name.find("/speedup/") != std::string::npos) {
+      table.add_row({r.name, "speedup", sig6(r.mb_per_s)});
+    } else if (r.name.find("_rate/") != std::string::npos) {
+      table.add_row({r.name, "rate", sig6(r.mb_per_s)});
+      table.add_row({r.name, "decodes",
+                     std::to_string(static_cast<std::size_t>(r.ns_per_op))});
+    } else {
+      if (r.mb_per_s != 0) {
+        table.add_row({r.name, "mb_per_s", sig6(r.mb_per_s)});
+      }
+      table.add_row({r.name, "ns_per_op", sig6(r.ns_per_op)});
+    }
+  }
+  return table;
 }
 
 }  // namespace lrs::bench

@@ -26,26 +26,29 @@
 //
 //   ./bench/trace_analyze --metrics-check=m.json [t.jsonl]
 //
-// --fleet-check=BENCH_fleet.json validates a bench_fleet export: the
-// pinned 21-column schema, u64 exactness for every integer column,
-// "X/Y" convergence ratios, imbalance >= 1, at least one delta tenant,
-// timing columns confined to ALL rows, and per-rung ALL rows that are
-// exact folds (sum/max) of their tenant rows:
+// --bench-check=BENCH_x.json validates any BENCH_*.json artifact against
+// the one schema every harness writes (core::bench_json): exactly the
+// top-level keys bench (string), provenance (object), columns (strings)
+// and rows, every row holding exactly one scalar cell per column. For
+// bench == "fleet" it also checks the bench_fleet export: the pinned
+// 21-column schema, u64 exactness for every integer column, "X/Y"
+// convergence ratios, imbalance >= 1, at least one delta tenant, timing
+// columns confined to ALL rows, and per-rung ALL rows that are exact folds
+// (sum/max) of their tenant rows:
 //
-//   ./bench/trace_analyze --fleet-check=BENCH_fleet.json
+//   ./bench/trace_analyze --bench-check=BENCH_fleet.json
 #include <algorithm>
 #include <array>
-#include <cctype>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/json.h"
 #include "sim/stats/stats.h"
 #include "sim/trace.h"
 #include "util/args.h"
@@ -54,6 +57,7 @@
 namespace lrs {
 namespace {
 
+using bench::Json;
 using sim::TraceEvent;
 using sim::TraceEventType;
 
@@ -86,198 +90,6 @@ int check(const std::string& path, const std::vector<std::string>& lines) {
   std::cout << "OK: " << n << " events, schema-valid, time-ordered\n";
   return 0;
 }
-
-// ---------------------------------------------------------------------------
-// --metrics-check: minimal JSON model + recursive-descent parser. Only what
-// the metrics schema needs — no surrogate pairs, no extension syntax — but
-// strict about structure so a truncated or hand-edited file fails loudly.
-// ---------------------------------------------------------------------------
-
-struct Json {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string raw;  // number token verbatim: counters need u64 exactness
-  std::string str;
-  std::vector<Json> array;
-  std::vector<std::pair<std::string, Json>> object;  // insertion order
-
-  const Json* find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-  bool is(Kind k) const { return kind == k; }
-  /// The number token as an exact u64; nullopt for signs/fractions/overflow.
-  std::optional<std::uint64_t> as_u64() const {
-    if (kind != Kind::kNumber || raw.empty()) return std::nullopt;
-    for (char c : raw) {
-      if (c < '0' || c > '9') return std::nullopt;
-    }
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(raw.c_str(), &end, 10);
-    if (errno != 0 || end != raw.c_str() + raw.size()) return std::nullopt;
-    return static_cast<std::uint64_t>(v);
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  std::optional<Json> parse() {
-    auto v = value();
-    skip_ws();
-    if (!v || pos_ != s_.size()) return std::nullopt;
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-            s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  bool eat(char c) {
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::optional<std::string> string_token() {
-    if (!eat('"')) return std::nullopt;
-    std::string out;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= s_.size()) return std::nullopt;
-        const char e = s_[pos_++];
-        switch (e) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'n': out.push_back('\n'); break;
-          case 'r': out.push_back('\r'); break;
-          case 't': out.push_back('\t'); break;
-          case 'u': {
-            if (pos_ + 4 > s_.size()) return std::nullopt;
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = s_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else return std::nullopt;
-            }
-            // ASCII only; anything else degrades to '?' (names are ASCII).
-            out.push_back(code < 0x80 ? static_cast<char>(code) : '?');
-            break;
-          }
-          default: return std::nullopt;
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-    return std::nullopt;  // unterminated
-  }
-
-  std::optional<Json> value() {
-    skip_ws();
-    if (pos_ >= s_.size()) return std::nullopt;
-    const char c = s_[pos_];
-    Json v;
-    if (c == '{') {
-      ++pos_;
-      v.kind = Json::Kind::kObject;
-      skip_ws();
-      if (eat('}')) return v;
-      while (true) {
-        auto key = string_token();
-        if (!key || !eat(':')) return std::nullopt;
-        auto child = value();
-        if (!child) return std::nullopt;
-        v.object.emplace_back(std::move(*key), std::move(*child));
-        if (eat(',')) continue;
-        if (eat('}')) return v;
-        return std::nullopt;
-      }
-    }
-    if (c == '[') {
-      ++pos_;
-      v.kind = Json::Kind::kArray;
-      skip_ws();
-      if (eat(']')) return v;
-      while (true) {
-        auto child = value();
-        if (!child) return std::nullopt;
-        v.array.push_back(std::move(*child));
-        if (eat(',')) continue;
-        if (eat(']')) return v;
-        return std::nullopt;
-      }
-    }
-    if (c == '"') {
-      auto s = string_token();
-      if (!s) return std::nullopt;
-      v.kind = Json::Kind::kString;
-      v.str = std::move(*s);
-      return v;
-    }
-    if (s_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      v.kind = Json::Kind::kBool;
-      v.boolean = true;
-      return v;
-    }
-    if (s_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      v.kind = Json::Kind::kBool;
-      return v;
-    }
-    if (s_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return v;  // kNull
-    }
-    // Number: [-]digits[.digits][(e|E)[+-]digits]
-    const std::size_t start = pos_;
-    if (c == '-') ++pos_;
-    while (pos_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[pos_]))) ++pos_;
-    if (pos_ < s_.size() && s_[pos_] == '.') {
-      ++pos_;
-      while (pos_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[pos_]))) ++pos_;
-    }
-    if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < s_.size() && (s_[pos_] == '+' || s_[pos_] == '-')) ++pos_;
-      while (pos_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[pos_]))) ++pos_;
-    }
-    if (pos_ == start || (pos_ == start + 1 && c == '-')) return std::nullopt;
-    v.kind = Json::Kind::kNumber;
-    v.raw = s_.substr(start, pos_ - start);
-    try {
-      v.number = std::stod(v.raw);
-    } catch (...) {
-      return std::nullopt;
-    }
-    return v;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
 
 /// One validation failure: prints and counts. Returns false for use in
 /// early-out expressions.
@@ -362,19 +174,10 @@ bool check_histogram(MetricsCheck& mc, const std::string& name,
 }
 
 int metrics_check(const std::string& path, const std::string& trace_path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::cerr << "cannot open " << path << "\n";
-    return 1;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-
-  const auto doc = JsonParser(text).parse();
+  const auto doc = bench::parse_json_file(path);
   MetricsCheck mc{path};
   if (!doc || !doc->is(Json::Kind::kObject)) {
-    mc.fail("not a JSON object");
+    mc.fail("not a readable JSON object");
     return 1;
   }
 
@@ -510,12 +313,12 @@ int metrics_check(const std::string& path, const std::string& trace_path) {
 }
 
 // ---------------------------------------------------------------------------
-// --fleet-check: validates a bench_fleet export (BENCH_fleet.json). The
-// column list is pinned verbatim — a drive-by reorder of the bench table is
-// a schema break for downstream tooling, not a cosmetic change. Integer
-// columns must be exact u64 tokens (no floats, no signs); per-rung ALL rows
-// must be consistent folds of their tenant rows, which doubles as CI's
-// cross-check that the engine's per-tenant aggregation didn't drift.
+// --bench-check: the shared BENCH_*.json schema, plus the bench_fleet folds.
+// The fleet column list is pinned verbatim — a drive-by reorder of the bench
+// table is a schema break for downstream tooling, not a cosmetic change.
+// Integer columns must be exact u64 tokens (no floats, no signs); per-rung
+// ALL rows must be consistent folds of their tenant rows, which doubles as
+// CI's cross-check that the engine's per-tenant aggregation didn't drift.
 // ---------------------------------------------------------------------------
 
 /// "X/Y" -> (X, Y); nullopt unless both are exact u64 tokens.
@@ -533,30 +336,10 @@ std::optional<std::pair<std::uint64_t, std::uint64_t>> parse_ratio(
   return std::make_pair(*x, *y);
 }
 
-int fleet_check(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::cerr << "cannot open " << path << "\n";
-    return 1;
-  }
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  MetricsCheck mc{path};
-
-  const auto doc = JsonParser(text).parse();
-  if (!doc || !doc->is(Json::Kind::kObject)) {
-    mc.fail("not a JSON object");
-    return 1;
-  }
-  const Json* bench = doc->find("bench");
-  if (!bench || !bench->is(Json::Kind::kString) || bench->str != "fleet") {
-    mc.fail("\"bench\" must be \"fleet\"");
-  }
-  const Json* prov = doc->find("provenance");
-  if (!prov || !prov->is(Json::Kind::kObject)) {
-    mc.fail("\"provenance\" object missing");
-  }
-
+/// The bench_fleet checks over a document that has `columns` and `rows`
+/// arrays. Returns the rung and delta-row summary for the OK line.
+std::string fleet_folds(MetricsCheck& mc, const Json& columns,
+                        const Json& rows) {
   // The pinned schema. Everything up to and including images_ok is the
   // deterministic prefix (byte-identical for any LRS_JOBS); the trailing
   // four are timing columns, present only on ALL rows.
@@ -565,19 +348,13 @@ int fleet_check(const std::string& path) {
       "receivers", "converged", "events", "max_cell_events", "imbalance",
       "data_pkts", "snack_pkts", "total_bytes", "latency_s", "images_ok",
       "wall_s", "events_per_sec", "peak_rss_mb", "steals"};
-  const Json* columns = doc->find("columns");
-  if (!columns || !columns->is(Json::Kind::kArray)) {
-    mc.fail("\"columns\" array missing");
-    return 1;
-  }
-  if (columns->array.size() != kColumns.size()) {
+  if (columns.array.size() != kColumns.size()) {
     mc.fail("expected " + std::to_string(kColumns.size()) + " columns, got " +
-            std::to_string(columns->array.size()));
-    return 1;
+            std::to_string(columns.array.size()));
+    return "";
   }
   for (std::size_t c = 0; c < kColumns.size(); ++c) {
-    if (!columns->array[c].is(Json::Kind::kString) ||
-        columns->array[c].str != kColumns[c]) {
+    if (columns.array[c].str != kColumns[c]) {
       mc.fail("column " + std::to_string(c) + " must be \"" + kColumns[c] +
               "\"");
     }
@@ -589,10 +366,9 @@ int fleet_check(const std::string& path) {
     return kColumns.size();
   };
 
-  const Json* rows = doc->find("rows");
-  if (!rows || !rows->is(Json::Kind::kArray) || rows->array.empty()) {
-    mc.fail("\"rows\" missing or empty");
-    return 1;
+  if (rows.array.empty()) {
+    mc.fail("\"rows\" empty");
+    return "";
   }
 
   /// Accumulated per rung while walking rows, then checked against ALL.
@@ -610,9 +386,9 @@ int fleet_check(const std::string& path) {
   std::map<std::string, RungFold> rungs;
   std::uint64_t delta_rows = 0;
 
-  for (std::size_t r = 0; r < rows->array.size(); ++r) {
+  for (std::size_t r = 0; r < rows.array.size(); ++r) {
     const std::string at = "row " + std::to_string(r);
-    const Json& row = rows->array[r];
+    const Json& row = rows.array[r];
     if (!row.is(Json::Kind::kArray) || row.array.size() != kColumns.size()) {
       mc.fail(at + ": expected " + std::to_string(kColumns.size()) +
               " cells");
@@ -752,13 +528,71 @@ int fleet_check(const std::string& path) {
     mc.fail("no delta tenant rows: every rung mixes in delta images");
   }
 
-  if (mc.failures > 0) {
-    std::cerr << path << ": " << mc.failures << " fleet-check failure(s)\n";
+  return "; " + std::to_string(rungs.size()) + " rung(s), " +
+         std::to_string(delta_rows) + " delta tenant row(s)";
+}
+
+int bench_check(const std::string& path) {
+  MetricsCheck mc{path};
+  const auto doc = bench::parse_json_file(path);
+  if (!doc || !doc->is(Json::Kind::kObject)) {
+    mc.fail("not a readable JSON object");
     return 1;
   }
-  std::cout << "OK: fleet schema valid (" << rungs.size() << " rung(s), "
-            << rows->array.size() << " rows, " << delta_rows
-            << " delta tenant row(s))\n";
+  for (const auto& [key, value] : doc->object) {
+    if (key != "bench" && key != "provenance" && key != "columns" &&
+        key != "rows") {
+      mc.fail("unexpected top-level key \"" + key + "\"");
+    }
+  }
+  const Json* tag = doc->find("bench");
+  if (!tag || !tag->is(Json::Kind::kString) || tag->str.empty()) {
+    mc.fail("\"bench\" must be a non-empty string");
+  }
+  const Json* prov = doc->find("provenance");
+  if (!prov || !prov->is(Json::Kind::kObject)) {
+    mc.fail("\"provenance\" object missing");
+  }
+  const Json* columns = doc->find("columns");
+  const Json* rows = doc->find("rows");
+  if (!columns || !columns->is(Json::Kind::kArray) || !rows ||
+      !rows->is(Json::Kind::kArray)) {
+    mc.fail("\"columns\" and \"rows\" arrays required");
+    return 1;
+  }
+  const std::size_t width = columns->array.size();
+  for (std::size_t c = 0; c < width; ++c) {
+    if (!columns->array[c].is(Json::Kind::kString)) {
+      mc.fail("column " + std::to_string(c) + " must be a string");
+    }
+  }
+  for (std::size_t r = 0; r < rows->array.size(); ++r) {
+    const Json& row = rows->array[r];
+    if (!row.is(Json::Kind::kArray) || row.array.size() != width) {
+      mc.fail("row " + std::to_string(r) + ": expected " +
+              std::to_string(width) + " cells");
+      continue;
+    }
+    for (std::size_t c = 0; c < width; ++c) {
+      const Json& cell = row.array[c];
+      if (!cell.is(Json::Kind::kString) && !cell.is(Json::Kind::kNumber) &&
+          !cell.is(Json::Kind::kBool)) {
+        mc.fail("row " + std::to_string(r) + ", column " +
+                std::to_string(c) + ": cell must be a string, number or bool");
+      }
+    }
+  }
+  std::string fleet;
+  if (mc.failures == 0 && tag->str == "fleet") {
+    fleet = fleet_folds(mc, *columns, *rows);
+  }
+  if (mc.failures > 0) {
+    std::cerr << path << ": " << mc.failures << " bench-check failure(s)\n";
+    return 1;
+  }
+  std::cout << "OK: " << tag->str << " schema valid (" << width
+            << " columns, " << rows->array.size() << " rows" << fleet
+            << ")\n";
   return 0;
 }
 
@@ -906,9 +740,9 @@ int run(int argc, char** argv) {
   const bool do_metrics =
       !metrics_path.empty() && metrics_path != "true" &&
       metrics_path != "false";
-  const std::string fleet_path = args.get("fleet-check", "");
-  const bool do_fleet =
-      !fleet_path.empty() && fleet_path != "true" && fleet_path != "false";
+  const std::string bench_path = args.get("bench-check", "");
+  const bool do_bench =
+      !bench_path.empty() && bench_path != "true" && bench_path != "false";
   std::string path;
   if (args.positional().size() == 1) {
     path = args.positional()[0];
@@ -919,27 +753,27 @@ int run(int argc, char** argv) {
   const long top_k = args.get_int("top", 10);
   const double bucket_s = args.get_double("bucket", 10.0);
   // In metrics mode the trace path is optional (it only adds the event
-  // cross-check); fleet mode takes no trace at all; every other mode needs
+  // cross-check); bench mode takes no trace at all; every other mode needs
   // it.
   bool bad = top_k < 1 || bucket_s <= 0 ||
-             (path.empty() && !do_metrics && !do_fleet);
+             (path.empty() && !do_metrics && !do_bench);
   if (!metrics_path.empty() && !do_metrics) {
     std::cerr << "error: --metrics-check needs a file argument\n";
     bad = true;
   }
-  if (!fleet_path.empty() && !do_fleet) {
-    std::cerr << "error: --fleet-check needs a file argument\n";
+  if (!bench_path.empty() && !do_bench) {
+    std::cerr << "error: --bench-check needs a file argument\n";
     bad = true;
   }
   if (static_cast<int>(do_metrics) + static_cast<int>(do_check) +
-          static_cast<int>(do_fleet) >
+          static_cast<int>(do_bench) >
       1) {
-    std::cerr << "error: --check, --metrics-check and --fleet-check are"
+    std::cerr << "error: --check, --metrics-check and --bench-check are"
                  " exclusive\n";
     bad = true;
   }
-  if (do_fleet && !path.empty()) {
-    std::cerr << "error: --fleet-check takes no trace argument\n";
+  if (do_bench && !path.empty()) {
+    std::cerr << "error: --bench-check takes no trace argument\n";
     bad = true;
   }
   for (const auto& e : args.errors()) {
@@ -956,12 +790,12 @@ int run(int argc, char** argv) {
                  "       "
               << argv[0] << " --metrics-check=metrics.json [trace.jsonl]\n"
                  "       "
-              << argv[0] << " --fleet-check=BENCH_fleet.json\n";
+              << argv[0] << " --bench-check=BENCH_x.json\n";
     return 2;
   }
 
   if (do_metrics) return metrics_check(metrics_path, path);
-  if (do_fleet) return fleet_check(fleet_path);
+  if (do_bench) return bench_check(bench_path);
 
   std::ifstream in(path, std::ios::binary);
   if (!in) {

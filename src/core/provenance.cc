@@ -5,6 +5,7 @@
 #include "crypto/sha256_kernels.h"
 #include "erasure/gf256_kernels.h"
 #include "sim/stats/stats.h"
+#include "util/csv.h"
 
 // Baked in by CMake (execute_process over git rev-parse at configure time);
 // falls back to "unknown" for tarball builds without a .git directory.
@@ -20,13 +21,32 @@ namespace {
 
 using stats::json_escape;
 
-std::string json_string_array(const std::vector<std::string>& items) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i) out += ", ";
-    out += "\"" + json_escape(items[i]) + "\"";
+/// True when `s` is a JSON number or boolean token, so it can be emitted
+/// bare rather than as a quoted string.
+bool json_bare_cell(const std::string& s) {
+  if (s == "true" || s == "false") return true;
+  std::size_t i = 0;
+  const auto digits = [&] {
+    const std::size_t start = i;
+    while (i < s.size() && s[i] >= '0' && s[i] <= '9') ++i;
+    return i > start;
+  };
+  if (i < s.size() && s[i] == '-') ++i;
+  if (i < s.size() && s[i] == '0') {
+    ++i;
+  } else if (!digits()) {
+    return false;
   }
-  return out + "]";
+  if (i < s.size() && s[i] == '.') {
+    ++i;
+    if (!digits()) return false;
+  }
+  if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
+    ++i;
+    if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
+    if (!digits()) return false;
+  }
+  return i == s.size();
 }
 
 std::string compiler_id() {
@@ -46,6 +66,15 @@ std::string cxx_standard() {
 }
 
 }  // namespace
+
+std::string json_string_array(const std::vector<std::string>& items) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (i) out += ", ";
+    out += "\"" + json_escape(items[i]) + "\"";
+  }
+  return out + "]";
+}
 
 Provenance collect_provenance() {
   Provenance p;
@@ -88,6 +117,31 @@ std::string provenance_json(
     os << ",\n" << in2 << "\"" << json_escape(key) << "\": " << value;
   }
   os << "\n" << indent << "}";
+  return os.str();
+}
+
+std::string bench_json(
+    const std::string& name, const Table& table,
+    const std::vector<std::pair<std::string, std::string>>& extra) {
+  std::ostringstream os;
+  os << "{\n  \"bench\": \"" << json_escape(name) << "\",\n";
+  os << "  \"provenance\": " << provenance_json("  ", extra) << ",\n";
+  os << "  \"columns\": " << json_string_array(table.header()) << ",\n";
+  os << "  \"rows\": [\n";
+  const auto& rows = table.row_data();
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    os << "    [";
+    for (std::size_t c = 0; c < rows[r].size(); ++c) {
+      if (c) os << ", ";
+      if (json_bare_cell(rows[r][c])) {
+        os << rows[r][c];
+      } else {
+        os << "\"" << json_escape(rows[r][c]) << "\"";
+      }
+    }
+    os << "]" << (r + 1 < rows.size() ? "," : "") << "\n";
+  }
+  os << "  ]\n}\n";
   return os.str();
 }
 

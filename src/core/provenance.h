@@ -9,6 +9,10 @@
 #include <utility>
 #include <vector>
 
+namespace lrs {
+class Table;
+}
+
 namespace lrs::core {
 
 struct Provenance {
@@ -27,6 +31,9 @@ struct Provenance {
 /// yet) and the baked-in build facts.
 Provenance collect_provenance();
 
+/// `["a", "b"]` with every item escaped: a provenance extra value.
+std::string json_string_array(const std::vector<std::string>& items);
+
 /// The manifest as one JSON object, each line prefixed with `indent`.
 /// `extra` appends caller-supplied key/value pairs (values emitted
 /// verbatim, so pass pre-quoted strings or raw numbers). Typical use:
@@ -35,6 +42,17 @@ Provenance collect_provenance();
 ///       << provenance_json("  ", {{"seed_base", "1"}, {"repeats", "3"}});
 std::string provenance_json(
     const std::string& indent = "  ",
+    const std::vector<std::pair<std::string, std::string>>& extra = {});
+
+/// The one BENCH_*.json document shape every harness writes:
+///
+///   {"bench": name, "provenance": {...}, "columns": [...], "rows": [[...]]}
+///
+/// stamped with provenance_json(extra). A cell that reads as a JSON number
+/// or boolean is emitted bare; every other cell and every column name is
+/// an escaped JSON string. `trace_analyze --bench-check` validates it.
+std::string bench_json(
+    const std::string& name, const Table& table,
     const std::vector<std::pair<std::string, std::string>>& extra = {});
 
 }  // namespace lrs::core

@@ -12,8 +12,10 @@
 #include <vector>
 
 #include "core/experiment.h"
+#include "core/provenance.h"
 #include "core/run_trials.h"
 #include "sim/stats/stats.h"
+#include "util/csv.h"
 
 namespace lrs {
 namespace {
@@ -209,6 +211,28 @@ TEST(StatsJsonEscape, QuoteBackslashAndControlCharacters) {
   EXPECT_EQ(stats::json_escape("a\\b"), "a\\\\b");
   EXPECT_EQ(stats::json_escape(std::string("a\nb\x01", 4)),
             "a\\u000ab\\u0001");
+}
+
+// The BENCH_*.json writer escapes column names and string cells through
+// json_escape (a scenario named `a"b` must not break the artifact) and
+// emits only JSON number and boolean tokens bare.
+TEST(StatsJsonEscape, BenchJsonEscapesColumnNamesAndCells) {
+  Table t({"a\"b", "c\\d", std::string("e\x01", 2), "n", "flag", "id"});
+  t.add_row({"x\"y", "z\\w", std::string("tab\t", 4), "-1.5e+06", "true",
+             "007"});
+  const std::string doc = core::bench_json("esc\"ape", t);
+  EXPECT_EQ(
+      doc.rfind("{\n  \"bench\": \"esc\\\"ape\",\n  \"provenance\": {", 0),
+      0u);
+  const auto at = doc.find("  \"columns\"");
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_EQ(doc.substr(at),
+            "  \"columns\": [\"a\\\"b\", \"c\\\\d\", \"e\\u0001\", \"n\", "
+            "\"flag\", \"id\"],\n"
+            "  \"rows\": [\n"
+            "    [\"x\\\"y\", \"z\\\\w\", \"tab\\u0009\", -1.5e+06, true, "
+            "\"007\"]\n"
+            "  ]\n}\n");
 }
 
 // ---------------------------------------------------------------------------
