@@ -2,6 +2,7 @@
 
 #include "crypto/puzzle.h"
 #include "crypto/wots.h"
+#include "proto/auth.h"
 
 namespace lrs::attack {
 
@@ -74,8 +75,8 @@ void DenialOfReceiptNode::send_snack() {
   s.target = cfg_.victim;
   s.page = cfg_.page;
   s.requested = BitVec(cfg_.packets_in_page, true);
-  env().broadcast(sim::PacketClass::kSnack,
-                  s.serialize(view(cfg_.cluster_key)));
+  const proto::ControlKeys keys(view(cfg_.cluster_key), false, {});
+  env().broadcast(sim::PacketClass::kSnack, s.serialize(keys.cluster()));
   ++snacks_sent_;
   env().schedule(cfg_.period, [this] { send_snack(); });
 }

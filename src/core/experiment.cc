@@ -11,6 +11,7 @@
 #include "core/lr_image.h"
 #include "core/parallel.h"
 #include "crypto/wots.h"
+#include "proto/auth.h"
 #include "proto/deluge.h"
 #include "proto/engine.h"
 #include "proto/rateless.h"
@@ -163,20 +164,14 @@ ExperimentResult run_cell(const ExperimentConfig& config, const Bytes& image,
     ic.check_tamper_rejection = authenticated;
     ic.check_greedy_bound = config.scheme == Scheme::kLrSeluge &&
                             config.params.lr_greedy_scheduler;
-    // Parse wire frames exactly the way the engine does (same keys), so
-    // forged SNACKs earn a server no send allowance.
-    ic.parse_snack = [key = cluster_key, leap = engine.leap_snack_auth,
-                      master = engine.leap_master](
-                         ByteView frame) -> std::optional<sim::SnackView> {
-      std::optional<proto::Snack> s;
-      if (leap) {
-        const auto sender = proto::Snack::peek_sender(frame);
-        if (!sender) return std::nullopt;
-        const Bytes source_key = proto::leap_source_key(view(master), *sender);
-        s = proto::Snack::parse(frame, view(source_key));
-      } else {
-        s = proto::Snack::parse(frame, view(key));
-      }
+    // Parse wire frames through the engine's own key selection, so forged
+    // SNACKs earn a server no send allowance.
+    ic.parse_snack = [keys = proto::ControlKeys(view(cluster_key),
+                                                engine.leap_snack_auth,
+                                                view(engine.leap_master))](
+                         ByteView frame) mutable
+        -> std::optional<sim::SnackView> {
+      const auto s = keys.parse_snack(frame);
       if (!s) return std::nullopt;
       sim::SnackView v;
       v.sender = s->sender;

@@ -1,16 +1,14 @@
 #include "core/lr_image.h"
 
 #include <algorithm>
-#include <array>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "core/greedy_scheduler.h"
 #include "crypto/merkle.h"
-#include "crypto/puzzle.h"
 #include "erasure/code.h"
+#include "proto/auth.h"
 #include "proto/layout.h"
 #include "proto/packet.h"
 #include "util/check.h"
@@ -27,12 +25,11 @@ using proto::page_slice;
 using proto::place_slice;
 using proto::SignedMeta;
 
-class LrSelugeState final : public proto::SchemeState {
+class LrSelugeState final : public proto::SignedImageState {
  public:
   /// Receiver: empty until the signature packet verifies.
   LrSelugeState(const CommonParams& params, const crypto::PacketHash& root_pk)
-      : params_(params),
-        root_pk_(root_pk),
+      : SignedImageState(params, root_pk),
         // Cached: every node of a simulation (and every Monte Carlo trial)
         // shares one generator matrix per (codec, geometry, seed) instead of
         // rebuilding it per LrSelugeState.
@@ -53,8 +50,6 @@ class LrSelugeState final : public proto::SchemeState {
   }
 
   // --- geometry --------------------------------------------------------------
-
-  Version version() const override { return params_.version; }
 
   /// Every member is value-copyable and the codec instances are shared
   /// through the process-wide cache, so the default copy constructor IS the
@@ -90,7 +85,7 @@ class LrSelugeState final : public proto::SchemeState {
 
   Bytes assemble_image() const override {
     LRS_CHECK_MSG(image_complete(), "image not complete yet");
-    const PageLayout layout = current_layout();
+    const PageLayout layout = signed_layout(mid_capacity(), last_capacity());
     Bytes image(layout.image_size, 0);
     const std::size_t g = meta_->content_pages;
     for (std::size_t p = 1; p <= g; ++p) {
@@ -153,8 +148,8 @@ class LrSelugeState final : public proto::SchemeState {
     } else {
       m.hash_verifications += 1;
       if (payload.size() != params_.payload_size ||
-          !crypto::equal(content_digest(page, index, payload, dig),
-                         hash_image(page, index))) {
+          !proto::packet_hash_matches(params_.version, page, index, payload,
+                                      hash_image(page, index), dig)) {
         m.auth_failures += 1;
         return DataStatus::kRejected;
       }
@@ -180,8 +175,6 @@ class LrSelugeState final : public proto::SchemeState {
     return DataStatus::kStored;
   }
 
-  // --- signature --------------------------------------------------------------
-
   bool verify_stored_packet(std::uint32_t page, std::uint32_t index,
                             ByteView payload,
                             sim::NodeMetrics& m) const override {
@@ -196,58 +189,8 @@ class LrSelugeState final : public proto::SchemeState {
     if (page == 0) return verify_page0_packet(index, payload, m, dig);
     if (payload.size() != params_.payload_size) return false;
     m.hash_verifications += 1;
-    return crypto::equal(content_digest(page, index, payload, dig),
-                         hash_image(page, index));
-  }
-
-  /// Packet-content digest with the cross-receiver memo: the preimage is
-  /// identical for every receiver of one delivery, so the first computation
-  /// is shared. Accounting (hash_verifications) stays with the caller.
-  crypto::PacketHash content_digest(std::uint32_t page, std::uint32_t index,
-                                    ByteView payload,
-                                    proto::RxDigestMemo* dig) const {
-    if (dig && dig->valid) return dig->digest;
-    crypto::PacketHash h =
-        proto::data_packet_hash(params_.version, page, index, payload);
-    if (dig) {
-      dig->digest = h;
-      dig->valid = true;
-    }
-    return h;
-  }
-
-  bool needs_signature() const override { return true; }
-  bool bootstrapped() const override { return meta_.has_value(); }
-
-  bool on_signature(ByteView frame, sim::NodeMetrics& m) override {
-    if (meta_) return false;
-    auto packet = proto::SignaturePacket::parse(frame);
-    if (!packet || packet->meta.version != params_.version) {
-      m.auth_failures += 1;
-      return false;
-    }
-    const Bytes msg = packet->signed_message();
-    // Enforce the preloaded puzzle strength: the packet's own strength
-    // field is attacker-controlled and must not weaken the gate.
-    if (packet->puzzle.strength < params_.puzzle_strength ||
-        !crypto::verify_puzzle(view(msg), packet->puzzle)) {
-      m.puzzle_rejections += 1;
-      return false;
-    }
-    auto cert =
-        crypto::CertifiedSignature::deserialize(view(packet->signature));
-    m.signature_verifications += 1;
-    if (!cert || !crypto::verify_certified_cached(root_pk_, view(msg), *cert)) {
-      m.auth_failures += 1;
-      return false;
-    }
-    adopt_meta(packet->meta, packet->root);
-    signature_frame_ = Bytes(frame.begin(), frame.end());
-    return true;
-  }
-
-  std::optional<Bytes> signature_frame() const override {
-    return signature_frame_;
+    return proto::packet_hash_matches(params_.version, page, index, payload,
+                                      hash_image(page, index), dig);
   }
 
   // --- sender ----------------------------------------------------------------
@@ -285,15 +228,6 @@ class LrSelugeState final : public proto::SchemeState {
     return d;
   }
 
-  PageLayout current_layout() const {
-    LRS_CHECK(meta_.has_value());
-    PageLayout l = compute_layout(meta_->image_size, mid_capacity(),
-                                  last_capacity());
-    LRS_CHECK_MSG(l.content_pages == meta_->content_pages,
-                  "signed geometry disagrees with preloaded parameters");
-    return l;
-  }
-
   std::size_t mid_capacity() const {
     return params_.k * params_.payload_size - hash_block_bytes();
   }
@@ -301,7 +235,8 @@ class LrSelugeState final : public proto::SchemeState {
     return params_.k * params_.payload_size;
   }
 
-  void adopt_meta(const SignedMeta& meta, const crypto::PacketHash& root) {
+  void adopt_meta(const SignedMeta& meta,
+                  const crypto::PacketHash& root) override {
     LRS_CHECK(meta.content_pages >= 1 && meta.image_size >= 1);
     meta_ = meta;
     root_ = root;
@@ -329,11 +264,9 @@ class LrSelugeState final : public proto::SchemeState {
 
   // --- verification helpers ----------------------------------------------------
 
-  /// Merkle-path check of a page-0 packet against this node's root. The
-  /// root a packet implies is the same for every receiver of one delivery,
-  /// so `dig` shares it (the computed root, never the verdict); each
-  /// receiver still charges depth + 1 hash verifications and compares
-  /// against its own root_.
+  /// Merkle-path check of a page-0 packet against this node's root; each
+  /// receiver charges depth + 1 hash verifications (`dig` shares only the
+  /// implied root, never the verdict).
   bool verify_page0_packet(std::uint32_t index, ByteView payload,
                            sim::NodeMetrics& m,
                            proto::RxDigestMemo* dig) const {
@@ -342,21 +275,7 @@ class LrSelugeState final : public proto::SchemeState {
     if (payload.size() != block + depth * crypto::kPacketHashSize)
       return false;
     m.hash_verifications += depth + 1;
-    if (dig && dig->valid) return crypto::equal(dig->digest, root_);
-    // n0 is a power of two that fits a packet index, so depth < 32.
-    std::array<crypto::PacketHash, 32> path{};
-    LRS_CHECK(depth < path.size());
-    for (std::size_t lvl = 0; lvl < depth; ++lvl) {
-      path[lvl] = crypto::read_packet_hash(
-          payload, block + lvl * crypto::kPacketHashSize);
-    }
-    const crypto::PacketHash root = crypto::MerkleTree::compute_root(
-        payload.subspan(0, block), index, std::span(path.data(), depth));
-    if (dig) {
-      dig->digest = root;
-      dig->valid = true;
-    }
-    return crypto::equal(root, root_);
+    return proto::merkle_path_matches(payload, block, index, root_, dig);
   }
 
   // --- page completion -----------------------------------------------------------
@@ -425,11 +344,6 @@ class LrSelugeState final : public proto::SchemeState {
         compute_layout(image.size(), mid_capacity(), last_capacity());
     const std::size_t g = layout.content_pages;
 
-    SignedMeta meta;
-    meta.version = params_.version;
-    meta.content_pages = static_cast<std::uint32_t>(g);
-    meta.image_size = static_cast<std::uint32_t>(image.size());
-
     std::vector<Bytes> inputs(g);
     Bytes encoded(params_.n * params_.payload_size);
     std::vector<crypto::PacketHash> next_hashes;  // of page p+1's packets
@@ -440,26 +354,14 @@ class LrSelugeState final : public proto::SchemeState {
       }
       LRS_CHECK(input.size() == params_.k * params_.payload_size);
       code_->encode(view(input), encoded);
-      // All n preimages share one length, so the whole page hashes as a
-      // single multi-buffer batch (crypto/hash.h).
-      std::vector<Bytes> preimages(params_.n);
-      std::vector<ByteView> preimage_views(params_.n);
+      std::vector<ByteView> payloads(params_.n);
       for (std::size_t j = 0; j < params_.n; ++j) {
-        proto::DataPacket probe;
-        probe.version = params_.version;
-        probe.page = static_cast<std::uint32_t>(p);
-        probe.index = static_cast<std::uint32_t>(j);
-        const ByteView payload = view(encoded).subspan(
-            j * params_.payload_size, params_.payload_size);
-        probe.payload.assign(payload.begin(), payload.end());
-        preimages[j] = probe.hash_preimage();
-        preimage_views[j] = view(preimages[j]);
+        payloads[j] = view(encoded).subspan(j * params_.payload_size,
+                                            params_.payload_size);
       }
-      std::vector<crypto::PacketHash> hashes(params_.n);
-      crypto::packet_hash_batch(preimage_views.data(), params_.n,
-                                hashes.data());
+      next_hashes = proto::page_packet_hashes(
+          params_.version, static_cast<std::uint32_t>(p), payloads);
       inputs[p - 1] = std::move(input);
-      next_hashes = std::move(hashes);
     }
 
     // Hash page: M0 = h_{1,1} || ... || h_{1,n}, zero-padded to k0 blocks,
@@ -471,31 +373,19 @@ class LrSelugeState final : public proto::SchemeState {
     code0_->encode(view(m0), encoded0);
     const auto tree = crypto::MerkleTree::build(view(encoded0), params_.n0);
 
-    proto::SignaturePacket sig;
-    sig.meta = meta;
-    sig.root = tree.root();
-    const Bytes msg = sig.signed_message();
-    sig.puzzle = crypto::solve_puzzle(view(msg), params_.puzzle_strength);
-    sig.signature = signer.sign(view(msg)).serialize();
-
-    // Adopt as fully complete.
-    adopt_meta(meta, tree.root());
+    // Sign, and adopt as fully complete.
+    sign(g, image.size(), tree.root(), signer);
     m0_ = std::move(m0);
     pages_ = std::move(inputs);
     complete_pages_ = static_cast<std::uint32_t>(g + 1);
-    signature_frame_ = sig.serialize();
     shares_.clear();
     have_ = BitVec();
   }
 
-  CommonParams params_;
-  crypto::PacketHash root_pk_;
   std::shared_ptr<const erasure::ErasureCode> code_;   // k -> n, cached
   std::shared_ptr<const erasure::ErasureCode> code0_;  // k0 -> n0, cached
 
-  std::optional<SignedMeta> meta_;
   crypto::PacketHash root_{};
-  std::optional<Bytes> signature_frame_;
 
   // Decoded pages, each one contiguous buffer of k0 (M0) or k (content
   // page p at pages_[p - 1]) blocks, written by decode in place. They also

@@ -25,45 +25,6 @@ namespace lrs::core {
 /// std::thread::hardware_concurrency() (minimum 1).
 std::size_t default_jobs();
 
-/// Runs `count` index-addressed tasks on up to `jobs` threads. Work is
-/// handed out through an atomic counter, so scheduling is dynamic but the
-/// task for index i is fixed; the first exception (by whichever worker
-/// hits one) is rethrown on the caller's thread after all workers join.
-template <typename Fn>
-void parallel_for(std::size_t count, std::size_t jobs, const Fn& fn) {
-  if (count == 0) return;
-  const std::size_t workers = jobs < count ? jobs : count;
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::mutex err_mu;
-  std::exception_ptr err;
-
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(err_mu);
-        if (!err) err = std::current_exception();
-        return;
-      }
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(workers - 1);
-  for (std::size_t t = 1; t < workers; ++t) threads.emplace_back(worker);
-  worker();
-  for (auto& t : threads) t.join();
-  if (err) std::rethrow_exception(err);
-}
-
 namespace detail {
 
 /// Fixed per-worker victim visiting order: the other workers permuted by a
@@ -88,10 +49,10 @@ inline std::vector<std::size_t> steal_victim_order(std::size_t worker,
 
 }  // namespace detail
 
-/// Work-stealing variant of parallel_for for heterogeneous task sizes (a
-/// fleet of network cells whose simulations differ by orders of magnitude,
-/// a trial sweep mixing cheap and expensive configs). Same determinism
-/// contract: the task for index i is fixed and results go into
+/// Runs `count` index-addressed tasks on up to `jobs` threads, sized for
+/// heterogeneous tasks (a fleet of network cells whose simulations differ
+/// by orders of magnitude, a trial sweep mixing cheap and expensive
+/// configs). The task for index i is fixed and results go into
 /// index-addressed slots, so serial and any-jobs runs stay byte-identical.
 ///
 /// Scheduling: indices are dealt out as contiguous blocks, one deque per
@@ -99,9 +60,9 @@ inline std::vector<std::size_t> steal_victim_order(std::size_t worker,
 /// serial loop); an idle worker steals one task from the BACK of a victim's
 /// deque (LIFO steal — the work its owner would reach last), visiting
 /// victims in a seeded per-worker permutation so thieves spread instead of
-/// convoying on worker 0. Exceptions behave like parallel_for: the first
-/// one is rethrown on the caller's thread after all workers finish; the
-/// failed worker's leftover tasks are stolen and still run.
+/// convoying on worker 0. The first exception is rethrown on the caller's
+/// thread after all workers finish; the failed worker's leftover tasks are
+/// stolen and still run.
 ///
 /// Returns the number of successful steals — schedule-dependent, so callers
 /// must report it as timing-only (a stats Gauge, never a Counter).

@@ -7,11 +7,10 @@
 #include "sim/stats/stats.h"
 #include "util/csv.h"
 
-// Baked in by CMake (execute_process over git rev-parse at configure time);
-// falls back to "unknown" for tarball builds without a .git directory.
-#ifndef LRS_GIT_SHA
-#define LRS_GIT_SHA "unknown"
-#endif
+// LRS_GIT_SHA / LRS_GIT_DIRTY, regenerated on every build by
+// src/core/git_rev.cmake.
+#include "git_rev.h"
+
 #ifndef LRS_BUILD_TYPE
 #define LRS_BUILD_TYPE ""
 #endif
@@ -79,6 +78,7 @@ std::string json_string_array(const std::vector<std::string>& items) {
 Provenance collect_provenance() {
   Provenance p;
   p.git_sha = LRS_GIT_SHA;
+  p.git_dirty = LRS_GIT_DIRTY;
   p.build_type = LRS_BUILD_TYPE;
   p.compiler = compiler_id();
   p.cxx_standard = cxx_standard();
@@ -99,6 +99,8 @@ std::string provenance_json(
   const std::string in2 = indent + "  ";
   os << "{\n";
   os << in2 << "\"git_sha\": \"" << json_escape(p.git_sha) << "\",\n";
+  os << in2 << "\"git_dirty\": " << (p.git_dirty ? "true" : "false")
+     << ",\n";
   os << in2 << "\"build_type\": \"" << json_escape(p.build_type) << "\",\n";
   os << in2 << "\"compiler\": \"" << json_escape(p.compiler) << "\",\n";
   os << in2 << "\"cxx_standard\": \"" << json_escape(p.cxx_standard)

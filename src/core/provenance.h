@@ -16,7 +16,8 @@ class Table;
 namespace lrs::core {
 
 struct Provenance {
-  std::string git_sha;        // short commit hash at configure time
+  std::string git_sha;        // short commit hash at build time
+  bool git_dirty = false;     // working tree differed from git_sha
   std::string build_type;     // CMAKE_BUILD_TYPE
   std::string compiler;       // e.g. "g++ 13.2.0" (from __VERSION__)
   std::string cxx_standard;   // e.g. "c++20"

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "core/experiment.h"
-#include "core/parallel.h"  // parallel_for + default_jobs
+#include "core/parallel.h"  // parallel_for_ws + default_jobs
 
 namespace lrs::core {
 

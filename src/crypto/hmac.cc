@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "crypto/hash.h"
 #include "sim/stats/stats.h"
 
 namespace lrs::crypto {
@@ -50,21 +51,9 @@ ControlMac control_mac(const HmacKey& key, ByteView message) {
   return mac;
 }
 
-ControlMac control_mac(ByteView key, ByteView message) {
-  return control_mac(HmacKey(key), message);
-}
-
 bool verify_control_mac(const HmacKey& key, ByteView message,
                         const ControlMac& mac) {
-  const ControlMac expect = control_mac(key, message);
-  std::uint8_t acc = 0;
-  for (std::size_t i = 0; i < kControlMacSize; ++i) acc |= expect[i] ^ mac[i];
-  return acc == 0;
-}
-
-bool verify_control_mac(ByteView key, ByteView message,
-                        const ControlMac& mac) {
-  return verify_control_mac(HmacKey(key), message, mac);
+  return equal(control_mac(key, message), mac);
 }
 
 }  // namespace lrs::crypto

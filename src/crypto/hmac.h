@@ -36,8 +36,6 @@ Sha256Digest hmac_sha256(const HmacKey& key, ByteView message);
 inline constexpr std::size_t kControlMacSize = 4;
 using ControlMac = std::array<std::uint8_t, kControlMacSize>;
 
-ControlMac control_mac(ByteView key, ByteView message);
-bool verify_control_mac(ByteView key, ByteView message, const ControlMac& mac);
 ControlMac control_mac(const HmacKey& key, ByteView message);
 bool verify_control_mac(const HmacKey& key, ByteView message,
                         const ControlMac& mac);

@@ -109,8 +109,19 @@ std::vector<PacketHash> MerkleTree::auth_path(std::size_t index) const {
 
 PacketHash MerkleTree::compute_root(ByteView leaf_data, std::size_t index,
                                     std::span<const PacketHash> path) {
+  static_assert(sizeof(PacketHash) == kPacketHashSize);
+  return compute_root(
+      leaf_data, index,
+      ByteView(path.empty() ? nullptr : path.front().data(),
+               path.size() * kPacketHashSize));
+}
+
+PacketHash MerkleTree::compute_root(ByteView leaf_data, std::size_t index,
+                                    ByteView path) {
+  LRS_CHECK(path.size() % kPacketHashSize == 0);
   PacketHash h = leaf_hash(leaf_data);
-  for (const auto& sib : path) {
+  for (std::size_t off = 0; off < path.size(); off += kPacketHashSize) {
+    const PacketHash sib = read_packet_hash(path, off);
     h = (index & 1) ? node_hash(sib, h) : node_hash(h, sib);
     index >>= 1;
   }

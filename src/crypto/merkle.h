@@ -42,6 +42,10 @@ class MerkleTree {
   /// A packet is authentic iff this equals the signed root.
   static PacketHash compute_root(ByteView leaf_data, std::size_t index,
                                  std::span<const PacketHash> path);
+  /// The same over a serialized path: sibling node values back to back,
+  /// leaf level first, as a page-0 packet carries them. Allocation-free.
+  static PacketHash compute_root(ByteView leaf_data, std::size_t index,
+                                 ByteView path);
 
   /// Hash of a leaf's content (domain-separated).
   static PacketHash leaf_hash(ByteView leaf_data);

@@ -10,6 +10,29 @@ namespace lrs::proto {
 
 using sim::SimTime;
 
+namespace {
+
+/// The receive fan-out step every frame kind shares: the first receiver of
+/// a delivery (serial != 0) runs `parse` and records the outcome in `slot`,
+/// the rest of the fan-out reuses it. Serial 0 never shares, and `slot`
+/// may then be null. Returns the frame, or nullptr when it did not parse
+/// or verify; `local` holds a result that is not in the slot.
+template <class T, class Parse>
+const T* parse_once(FanoutSlot<T>* slot, std::uint64_t serial,
+                    std::optional<T>& local, const Parse& parse) {
+  if (serial != 0 && slot->serial == serial)
+    return slot->ok ? &slot->value : nullptr;
+  local = parse();
+  if (serial != 0) {
+    slot->serial = serial;
+    slot->ok = local.has_value();
+    if (local) slot->value = *local;
+  }
+  return local ? &*local : nullptr;
+}
+
+}  // namespace
+
 DissemNode::DissemNode(sim::Env& env, std::unique_ptr<SchemeState> scheme,
                        EngineConfig config, Bytes cluster_key)
     : sim::Node(env),
@@ -17,10 +40,10 @@ DissemNode::DissemNode(sim::Env& env, std::unique_ptr<SchemeState> scheme,
       rx_memo_(config.rx_memo),
       trickle_(config.timing.trickle, &env.rng()),
       cfg_(std::move(config)),
-      cluster_key_(std::move(cluster_key)) {
+      keys_(view(cluster_key), cfg_.leap_snack_auth,
+            view(cfg_.leap_master)) {
   LRS_CHECK(scheme_ != nullptr);
   refresh_scheme_view();
-  if (!cluster_key_.empty()) cluster_mac_.emplace(view(cluster_key_));
 }
 
 void DissemNode::refresh_scheme_view() {
@@ -28,26 +51,6 @@ void DissemNode::refresh_scheme_view() {
   pages_complete_ = scheme_->pages_complete();
   bootstrapped_ = scheme_->bootstrapped();
   complete_ = scheme_->image_complete();
-}
-
-const crypto::HmacKey* DissemNode::snack_tx_mac() {
-  if (cfg_.leap_snack_auth) {
-    if (!leap_tx_mac_) {
-      leap_tx_mac_.emplace(
-          view(leap_source_key(view(cfg_.leap_master), env().id())));
-    }
-    return &*leap_tx_mac_;
-  }
-  return cluster_mac_ ? &*cluster_mac_ : nullptr;
-}
-
-const crypto::HmacKey& DissemNode::snack_rx_mac(NodeId sender) {
-  auto it = leap_rx_macs_.find(sender);
-  if (it == leap_rx_macs_.end()) {
-    const Bytes key = leap_source_key(view(cfg_.leap_master), sender);
-    it = leap_rx_macs_.emplace(sender, crypto::HmacKey(view(key))).first;
-  }
-  return it->second;
 }
 
 DissemNode::NeighborInfo& DissemNode::neighbor(NodeId id) {
@@ -176,8 +179,7 @@ void DissemNode::send_advertisement() {
       adv_cached_.pages_complete != adv.pages_complete ||
       adv_cached_.bootstrapped != adv.bootstrapped) {
     adv_cached_ = adv;
-    adv_frame_ = cluster_mac_ ? adv.serialize(*cluster_mac_)
-                              : adv.serialize(ByteView{});
+    adv_frame_ = adv.serialize(keys_.cluster());
   }
   env().broadcast(sim::PacketClass::kAdvertisement, adv_frame_);
 }
@@ -204,20 +206,11 @@ void DissemNode::on_receive(ByteView frame) {
   const std::uint64_t serial = memo ? env().delivery_serial() : 0;
   switch (*type) {
     case PacketType::kAdvertisement: {
-      const Advertisement* adv = nullptr;
       std::optional<Advertisement> parsed;
-      if (serial != 0 && memo->adv_serial == serial) {
-        if (memo->adv_ok) adv = &memo->adv;
-      } else {
-        parsed = cluster_mac_ ? Advertisement::parse(frame, *cluster_mac_)
-                              : Advertisement::parse(frame, ByteView{});
-        if (serial != 0) {
-          memo->adv_serial = serial;
-          memo->adv_ok = parsed.has_value();
-          if (parsed) memo->adv = *parsed;
-        }
-        if (parsed) adv = &*parsed;
-      }
+      const Advertisement* adv =
+          parse_once(serial ? &memo->adv : nullptr, serial, parsed, [&] {
+            return Advertisement::parse(frame, keys_.cluster());
+          });
       if (!adv) {
         env().metrics().auth_failures += 1;
         note_auth_failure(sim::PacketClass::kAdvertisement);
@@ -237,31 +230,15 @@ void DissemNode::on_receive(ByteView frame) {
       return;
     }
     case PacketType::kSnack: {
-      const Snack* snack = nullptr;
+      // Under LEAP-style auth the MAC key is the claimed sender's own key,
+      // so a verified SNACK also authenticates WHO sent it. The key is
+      // sender-derived either way, which is what makes the parse outcome
+      // shareable across receivers.
+      if (!keys_.snack_readable(frame)) return;
       std::optional<Snack> parsed;
-      if (serial != 0 && memo->snack_serial == serial) {
-        if (memo->snack_ok) snack = &memo->snack;
-      } else {
-        // Under LEAP-style auth the MAC key is the claimed sender's own
-        // key, so a verified SNACK also authenticates WHO sent it. The
-        // key schedule is sender-derived either way, which is what makes
-        // the parse outcome shareable across receivers.
-        if (cfg_.leap_snack_auth) {
-          const auto sender = Snack::peek_sender(frame);
-          if (!sender) return;
-          parsed = Snack::parse(frame, snack_rx_mac(*sender));
-        } else if (cluster_mac_) {
-          parsed = Snack::parse(frame, *cluster_mac_);
-        } else {
-          parsed = Snack::parse(frame, ByteView{});
-        }
-        if (serial != 0) {
-          memo->snack_serial = serial;
-          memo->snack_ok = parsed.has_value();
-          if (parsed) memo->snack = *parsed;
-        }
-        if (parsed) snack = &*parsed;
-      }
+      const Snack* snack =
+          parse_once(serial ? &memo->snack : nullptr, serial, parsed,
+                     [&] { return keys_.parse_snack(frame); });
       if (!snack || snack->version != version_) {
         if (!snack) {
           env().metrics().auth_failures += 1;
@@ -273,19 +250,10 @@ void DissemNode::on_receive(ByteView frame) {
       return;
     }
     case PacketType::kData: {
-      const DataPacket* data = nullptr;
       std::optional<DataPacket> parsed;
-      if (serial != 0 && memo->data_serial == serial) {
-        if (memo->data_ok) data = &memo->data;
-      } else {
-        parsed = DataPacket::parse(frame);
-        if (serial != 0) {
-          memo->data_serial = serial;
-          memo->data_ok = parsed.has_value();
-          if (parsed) memo->data = *parsed;
-        }
-        if (parsed) data = &*parsed;
-      }
+      const DataPacket* data =
+          parse_once(serial ? &memo->data : nullptr, serial, parsed,
+                     [&] { return DataPacket::parse(frame); });
       if (!data || data->version != version_) return;
       handle_data(*data, serial);
       return;
@@ -390,12 +358,10 @@ void DissemNode::send_snack() {
   s.target = rx_target_;
   s.page = page;
   s.requested = scheme_->request_bits(page);
-  const crypto::HmacKey* mac = snack_tx_mac();
   static stats::Counter& snacks =
       stats::Registry::instance().counter("proto.snack.sent");
   snacks.add();
-  env().broadcast(sim::PacketClass::kSnack,
-                  mac ? s.serialize(*mac) : s.serialize(ByteView{}));
+  broadcast_snack(s);
 
   rx_deadline_ = env().now() + cfg_.timing.max_snack_deferral;
   env().cancel(rx_token_);
@@ -735,10 +701,13 @@ void DissemNode::request_signature_from(NodeId target, Version version) {
         s.sender = env().id();
         s.target = target;
         s.page = kSignatureRequestPage;
-        const crypto::HmacKey* mac = snack_tx_mac();
-        env().broadcast(sim::PacketClass::kSnack,
-                        mac ? s.serialize(*mac) : s.serialize(ByteView{}));
+        broadcast_snack(s);
       });
+}
+
+void DissemNode::broadcast_snack(const Snack& s) {
+  env().broadcast(sim::PacketClass::kSnack,
+                  s.serialize(keys_.snack_key(env().id())));
 }
 
 void DissemNode::maybe_broadcast_signature() {

@@ -18,9 +18,9 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "proto/auth.h"
 #include "proto/packet.h"
 #include "proto/params.h"
 #include "proto/scheme.h"
@@ -29,6 +29,14 @@
 namespace lrs::proto {
 
 enum class NodeState { kMaintain, kRx, kTx };
+
+/// One frame kind's slot: the outcome of the delivery `serial`.
+template <class T>
+struct FanoutSlot {
+  std::uint64_t serial = 0;
+  bool ok = false;
+  T value{};
+};
 
 /// Receive-side verification memo, shared by every node of one simulator
 /// (wired through EngineConfig by the experiment harness). A broadcast
@@ -43,17 +51,9 @@ enum class NodeState { kMaintain, kRx, kTx };
 /// versions stay correct because key schedules are sender-derived and
 /// version checks remain per-receiver.
 struct RxFanoutMemo {
-  std::uint64_t adv_serial = 0;
-  bool adv_ok = false;
-  Advertisement adv{};
-
-  std::uint64_t snack_serial = 0;
-  bool snack_ok = false;
-  Snack snack{};
-
-  std::uint64_t data_serial = 0;
-  bool data_ok = false;
-  DataPacket data{};
+  FanoutSlot<Advertisement> adv;
+  FanoutSlot<Snack> snack;
+  FanoutSlot<DataPacket> data;
 
   // Digest of the data packet's (version, page, index, payload) preimage,
   // filled by the first receiver that actually hashes it (receivers that
@@ -119,14 +119,8 @@ class DissemNode : public sim::Node {
   void request_signature_from(NodeId target, Version version);
   void adopt_scheme(std::unique_ptr<SchemeState> next);
   void reset_protocol_state();
-  /// MAC key schedule for SNACKs this node sends: the LEAP per-source key
-  /// under LEAP auth (derived once, lazily — env().id() keyed), otherwise
-  /// the cluster key; nullptr when control traffic is unauthenticated.
-  const crypto::HmacKey* snack_tx_mac();
-  /// Verification key schedule for a SNACK claiming to come from `sender`
-  /// under LEAP auth. Derivation is deterministic in (master, sender), so
-  /// the cache is pure memoization.
-  const crypto::HmacKey& snack_rx_mac(NodeId sender);
+  /// Broadcasts a SNACK under this node's own SNACK key.
+  void broadcast_snack(const Snack& s);
   void maybe_broadcast_signature();
 
   // --- packet handlers -------------------------------------------------------
@@ -200,14 +194,9 @@ class DissemNode : public sim::Node {
 
   // --- cold state ------------------------------------------------------------
   EngineConfig cfg_;
-  Bytes cluster_key_;
-
-  // Precomputed HMAC pad midstates (crypto::HmacKey): every delivered
-  // control frame runs one MAC, so the per-key schedule is hoisted out of
-  // the hot path. nullopt when cluster_key_ is empty (insecure schemes).
-  std::optional<crypto::HmacKey> cluster_mac_;
-  std::optional<crypto::HmacKey> leap_tx_mac_;
-  std::unordered_map<NodeId, crypto::HmacKey> leap_rx_macs_;
+  // Control-frame keys (cluster key, LEAP per-source keys) as precomputed
+  // HMAC schedules; empty cluster key = insecure scheme, no MACs.
+  ControlKeys keys_;
 
   // TX state: one service session per requested page, flat and sorted by
   // page, always draining the lowest page first (Deluge priority). Sessions

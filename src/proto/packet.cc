@@ -9,37 +9,22 @@ namespace lrs::proto {
 
 namespace {
 
-void append_mac(Bytes& frame, ByteView cluster_key) {
-  if (cluster_key.empty()) return;
-  const crypto::ControlMac mac = crypto::control_mac(cluster_key, view(frame));
-  frame.insert(frame.end(), mac.begin(), mac.end());
-}
-
-void append_mac(Bytes& frame, const crypto::HmacKey& key) {
-  const crypto::ControlMac mac = crypto::control_mac(key, view(frame));
+void append_mac(Bytes& frame, const crypto::HmacKey* key) {
+  if (key == nullptr) return;
+  const crypto::ControlMac mac = crypto::control_mac(*key, view(frame));
   frame.insert(frame.end(), mac.begin(), mac.end());
 }
 
 /// Splits off and checks the trailing MAC; returns the covered prefix, or
-/// nullopt on failure. When the key is empty the whole frame is returned.
-std::optional<ByteView> strip_mac(ByteView frame, ByteView cluster_key) {
-  if (cluster_key.empty()) return frame;
+/// nullopt on failure. Without a key the whole frame is returned.
+std::optional<ByteView> strip_mac(ByteView frame, const crypto::HmacKey* key) {
+  if (key == nullptr) return frame;
   if (frame.size() < crypto::kControlMacSize) return std::nullopt;
   const std::size_t body_len = frame.size() - crypto::kControlMacSize;
   crypto::ControlMac mac;
   std::copy_n(frame.begin() + body_len, crypto::kControlMacSize, mac.begin());
   const ByteView body = frame.subspan(0, body_len);
-  if (!crypto::verify_control_mac(cluster_key, body, mac)) return std::nullopt;
-  return body;
-}
-
-std::optional<ByteView> strip_mac(ByteView frame, const crypto::HmacKey& key) {
-  if (frame.size() < crypto::kControlMacSize) return std::nullopt;
-  const std::size_t body_len = frame.size() - crypto::kControlMacSize;
-  crypto::ControlMac mac;
-  std::copy_n(frame.begin() + body_len, crypto::kControlMacSize, mac.begin());
-  const ByteView body = frame.subspan(0, body_len);
-  if (!crypto::verify_control_mac(key, body, mac)) return std::nullopt;
+  if (!crypto::verify_control_mac(*key, body, mac)) return std::nullopt;
   return body;
 }
 
@@ -90,28 +75,14 @@ std::optional<Advertisement> parse_adv_body(ByteView body) {
 
 }  // namespace
 
-Bytes Advertisement::serialize(ByteView cluster_key) const {
-  Bytes frame =
-      adv_body(*this, cluster_key.empty() ? 0 : crypto::kControlMacSize);
-  append_mac(frame, cluster_key);
-  return frame;
-}
-
-Bytes Advertisement::serialize(const crypto::HmacKey& key) const {
-  Bytes frame = adv_body(*this, crypto::kControlMacSize);
+Bytes Advertisement::serialize(const crypto::HmacKey* key) const {
+  Bytes frame = adv_body(*this, key ? crypto::kControlMacSize : 0);
   append_mac(frame, key);
   return frame;
 }
 
 std::optional<Advertisement> Advertisement::parse(ByteView frame,
-                                                  ByteView cluster_key) {
-  auto body = strip_mac(frame, cluster_key);
-  if (!body) return std::nullopt;
-  return parse_adv_body(*body);
-}
-
-std::optional<Advertisement> Advertisement::parse(ByteView frame,
-                                                  const crypto::HmacKey& key) {
+                                                  const crypto::HmacKey* key) {
   auto body = strip_mac(frame, key);
   if (!body) return std::nullopt;
   return parse_adv_body(*body);
@@ -157,26 +128,13 @@ std::optional<Snack> parse_snack_body(ByteView body) {
 
 }  // namespace
 
-Bytes Snack::serialize(ByteView cluster_key) const {
-  Bytes frame =
-      snack_body(*this, cluster_key.empty() ? 0 : crypto::kControlMacSize);
-  append_mac(frame, cluster_key);
-  return frame;
-}
-
-Bytes Snack::serialize(const crypto::HmacKey& key) const {
-  Bytes frame = snack_body(*this, crypto::kControlMacSize);
+Bytes Snack::serialize(const crypto::HmacKey* key) const {
+  Bytes frame = snack_body(*this, key ? crypto::kControlMacSize : 0);
   append_mac(frame, key);
   return frame;
 }
 
-std::optional<Snack> Snack::parse(ByteView frame, ByteView cluster_key) {
-  auto body = strip_mac(frame, cluster_key);
-  if (!body) return std::nullopt;
-  return parse_snack_body(*body);
-}
-
-std::optional<Snack> Snack::parse(ByteView frame, const crypto::HmacKey& key) {
+std::optional<Snack> Snack::parse(ByteView frame, const crypto::HmacKey* key) {
   auto body = strip_mac(frame, key);
   if (!body) return std::nullopt;
   return parse_snack_body(*body);
@@ -189,14 +147,6 @@ std::optional<NodeId> Snack::peek_sender(ByteView frame) {
     return std::nullopt;
   if (!r.try_u32()) return std::nullopt;  // version
   return r.try_u32();
-}
-
-Bytes leap_source_key(ByteView master, NodeId v) {
-  Writer w;
-  w.u8(0x4c);  // 'L' domain tag
-  w.u32(v);
-  const crypto::Sha256Digest d = crypto::hmac_sha256(master, view(w.data()));
-  return Bytes(d.begin(), d.begin() + 16);
 }
 
 Bytes DataPacket::serialize() const {
@@ -235,24 +185,6 @@ Bytes DataPacket::hash_preimage() const {
   w.u32(index);
   w.bytes(view(payload));
   return std::move(w).take();
-}
-
-crypto::PacketHash data_packet_hash(Version version, std::uint32_t page,
-                                    std::uint32_t index, ByteView payload) {
-  // Streamed equivalent of packet_hash(view(DataPacket::hash_preimage())):
-  // same little-endian header bytes, same digest, no heap traffic.
-  std::uint8_t header[12];
-  for (int i = 0; i < 4; ++i) {
-    header[i] = static_cast<std::uint8_t>(version >> (8 * i));
-    header[4 + i] = static_cast<std::uint8_t>(page >> (8 * i));
-    header[8 + i] = static_cast<std::uint8_t>(index >> (8 * i));
-  }
-  crypto::Sha256 ctx;
-  ctx.update(ByteView(header, sizeof(header))).update(payload);
-  const crypto::Sha256Digest full = ctx.finalize();
-  crypto::PacketHash out;
-  std::copy_n(full.begin(), crypto::kPacketHashSize, out.begin());
-  return out;
 }
 
 Bytes SignedMeta::serialize() const {

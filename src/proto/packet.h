@@ -1,9 +1,9 @@
 // Wire formats for the four packet kinds all three schemes share.
 //
 // Every frame starts with a one-byte type tag. Advertisements and SNACKs
-// optionally carry a truncated HMAC under the shared cluster key (Seluge and
-// LR-Seluge authenticate control traffic; Deluge does not). Parsers treat
-// malformed frames as hostile input and fail soft.
+// optionally carry a truncated HMAC (Seluge and LR-Seluge authenticate
+// control traffic; Deluge does not; proto/auth.h selects the key). Parsers
+// treat malformed frames as hostile input and fail soft.
 #pragma once
 
 #include <cstdint>
@@ -38,18 +38,13 @@ struct Advertisement {
   std::uint32_t pages_complete = 0;
   bool bootstrapped = false;  // holds a verified Merkle root
 
-  /// Serializes; when `cluster_key` is non-empty a control MAC is appended.
-  Bytes serialize(ByteView cluster_key) const;
-  /// Parses and, when `cluster_key` is non-empty, verifies the MAC.
+  /// Serializes; when `key` is non-null a control MAC is appended. The key
+  /// is a precomputed schedule (crypto::HmacKey): every delivered control
+  /// frame runs one MAC, so callers hold the pad midstates.
+  Bytes serialize(const crypto::HmacKey* key) const;
+  /// Parses and, when `key` is non-null, verifies the MAC.
   static std::optional<Advertisement> parse(ByteView frame,
-                                            ByteView cluster_key);
-
-  /// Precomputed-key variants, bit-identical to the ByteView overloads.
-  /// The engine MACs/verifies one control frame per delivery, so it holds
-  /// the pad midstates instead of redoing the HMAC key schedule each time.
-  Bytes serialize(const crypto::HmacKey& key) const;
-  static std::optional<Advertisement> parse(ByteView frame,
-                                            const crypto::HmacKey& key);
+                                            const crypto::HmacKey* key);
 };
 
 struct Snack {
@@ -59,23 +54,15 @@ struct Snack {
   std::uint32_t page = 0;  // or kSignatureRequestPage
   BitVec requested;        // empty for signature requests
 
-  Bytes serialize(ByteView cluster_key) const;
-  static std::optional<Snack> parse(ByteView frame, ByteView cluster_key);
-
-  /// Precomputed-key variants (see Advertisement).
-  Bytes serialize(const crypto::HmacKey& key) const;
+  /// MAC handling as for Advertisement.
+  Bytes serialize(const crypto::HmacKey* key) const;
   static std::optional<Snack> parse(ByteView frame,
-                                    const crypto::HmacKey& key);
+                                    const crypto::HmacKey* key);
 
   /// Reads the claimed sender without verifying anything — used to select
   /// the per-source verification key under LEAP-style SNACK auth.
   static std::optional<NodeId> peek_sender(ByteView frame);
 };
-
-/// LEAP-style per-source key: every node v MACs its SNACKs with
-/// HMAC(master, v); neighbors hold (here: derive) the key of each
-/// neighbor, so a valid MAC *proves* the sender identity.
-Bytes leap_source_key(ByteView master, NodeId v);
 
 struct DataPacket {
   Version version = 0;
@@ -90,12 +77,6 @@ struct DataPacket {
   /// and payload — binding position as well as content.
   Bytes hash_preimage() const;
 };
-
-/// packet_hash of the (version, page, index, payload) preimage, streamed
-/// straight into the hash context — the digest a receiver computes for
-/// every delivered data packet, without materializing hash_preimage().
-crypto::PacketHash data_packet_hash(Version version, std::uint32_t page,
-                                    std::uint32_t index, ByteView payload);
 
 /// Geometry and identity covered by the root signature. Signing these
 /// alongside the root stops an attacker from replaying a root with altered

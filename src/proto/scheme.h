@@ -32,8 +32,8 @@ enum class DataStatus {
 /// receivers of a single broadcast delivery (see RxFanoutMemo in engine.h).
 /// The engine resets `valid` whenever the delivery serial changes; schemes
 /// fill it the first time they hash the packet and reuse it afterwards.
-/// For an LR-Seluge page-0 packet the digest is the Merkle root its
-/// authentication path implies. Verification *decisions* and
+/// For a page-0 packet (Seluge, LR-Seluge) the digest is the Merkle root
+/// its authentication path implies (proto/auth.h). Verification *decisions* and
 /// hash_verifications accounting stay per-receiver — only the
 /// recomputation of an identical digest is elided.
 struct RxDigestMemo {

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "crypto/merkle.h"
-#include "crypto/puzzle.h"
+#include "proto/auth.h"
 #include "proto/layout.h"
 #include "proto/packet.h"
 #include "util/check.h"
@@ -13,16 +13,11 @@ namespace lrs::proto {
 
 namespace {
 
-/// Serialized byte length of a Merkle auth path of the given depth.
-std::size_t path_bytes(std::size_t depth) {
-  return depth * crypto::kPacketHashSize;
-}
-
-class SelugeState final : public SchemeState {
+class SelugeState final : public SignedImageState {
  public:
   /// Receiver: empty until the signature packet verifies.
   SelugeState(const CommonParams& params, const crypto::PacketHash& root_pk)
-      : params_(params), root_pk_(root_pk) {
+      : SignedImageState(params, root_pk) {
     LRS_CHECK_MSG(params_.payload_size > crypto::kPacketHashSize,
                   "payload must fit a block plus an embedded hash");
   }
@@ -35,8 +30,6 @@ class SelugeState final : public SchemeState {
   }
 
   // --- geometry --------------------------------------------------------------
-
-  Version version() const override { return params_.version; }
 
   std::uint32_t num_pages() const override {
     return meta_ ? meta_->content_pages + 1 : 0;
@@ -60,7 +53,7 @@ class SelugeState final : public SchemeState {
 
   Bytes assemble_image() const override {
     LRS_CHECK_MSG(image_complete(), "image not complete yet");
-    const PageLayout layout = current_layout();
+    const PageLayout layout = signed_layout(mid_capacity(), last_capacity());
     Bytes image(layout.image_size, 0);
     const std::size_t g = meta_->content_pages;
     for (std::size_t p = 1; p <= g; ++p) {
@@ -133,11 +126,9 @@ class SelugeState final : public SchemeState {
     if (page != complete_pages_ || page > meta_->content_pages) {
       return DataStatus::kStale;
     }
-    return page == 0 ? on_hash_page_data(index, payload, m)
+    return page == 0 ? on_hash_page_data(index, payload, m, dig)
                      : on_content_data(page, index, payload, m, dig);
   }
-
-  // --- signature --------------------------------------------------------------
 
   bool verify_stored_packet(std::uint32_t page, std::uint32_t index,
                             ByteView payload,
@@ -150,61 +141,18 @@ class SelugeState final : public SchemeState {
                             RxDigestMemo* dig) const override {
     if (!meta_ || page >= complete_pages_) return false;
     if (page == 0) {
-      const std::size_t depth = merkle_depth();
-      if (index >= hash_page_chunks() ||
-          payload.size() != params_.payload_size + path_bytes(depth)) {
+      if (index >= hash_page_chunks() || !hash_page_sized(payload)) {
         return false;
       }
-      std::vector<crypto::PacketHash> path;
-      for (std::size_t lvl = 0; lvl < depth; ++lvl) {
-        path.push_back(crypto::read_packet_hash(
-            payload, params_.payload_size + lvl * crypto::kPacketHashSize));
-      }
-      m.hash_verifications += depth + 1;
-      return crypto::equal(
-          crypto::MerkleTree::compute_root(
-              payload.subspan(0, params_.payload_size), index, path),
-          root_);
+      m.hash_verifications += merkle_depth() + 1;
+      return merkle_path_matches(payload, params_.payload_size, index, root_,
+                                 dig);
     }
     if (index >= params_.k || payload.size() != params_.payload_size)
       return false;
     m.hash_verifications += 1;
-    return crypto::equal(content_digest(page, index, payload, dig),
-                         expected_hashes_[page][index]);
-  }
-
-  bool needs_signature() const override { return true; }
-  bool bootstrapped() const override { return meta_.has_value(); }
-
-  bool on_signature(ByteView frame, sim::NodeMetrics& m) override {
-    if (meta_) return false;
-    auto packet = SignaturePacket::parse(frame);
-    if (!packet || packet->meta.version != params_.version) {
-      m.auth_failures += 1;
-      return false;
-    }
-    const Bytes msg = packet->signed_message();
-    // Weak authenticator first: one hash gates the expensive verification.
-    // The required strength is the preloaded one — the field in the packet
-    // is attacker-controlled and must not weaken the check.
-    if (packet->puzzle.strength < params_.puzzle_strength ||
-        !crypto::verify_puzzle(view(msg), packet->puzzle)) {
-      m.puzzle_rejections += 1;
-      return false;
-    }
-    auto cert = crypto::CertifiedSignature::deserialize(view(packet->signature));
-    m.signature_verifications += 1;
-    if (!cert || !crypto::verify_certified_cached(root_pk_, view(msg), *cert)) {
-      m.auth_failures += 1;
-      return false;
-    }
-    adopt_meta(packet->meta, packet->root);
-    signature_frame_ = Bytes(frame.begin(), frame.end());
-    return true;
-  }
-
-  std::optional<Bytes> signature_frame() const override {
-    return signature_frame_;
+    return packet_hash_matches(params_.version, page, index, payload,
+                               expected_hashes_[page][index], dig);
   }
 
   // --- sender ----------------------------------------------------------------
@@ -242,18 +190,20 @@ class SelugeState final : public SchemeState {
     return d;
   }
 
-  PageLayout current_layout() const {
-    LRS_CHECK(meta_.has_value());
-    const std::size_t mid =
-        params_.k * (params_.payload_size - crypto::kPacketHashSize);
-    const std::size_t last = params_.k * params_.payload_size;
-    PageLayout l = compute_layout(meta_->image_size, mid, last);
-    LRS_CHECK_MSG(l.content_pages == meta_->content_pages,
-                  "signed geometry disagrees with preloaded parameters");
-    return l;
+  /// Page-0 packets are a chunk plus its Merkle authentication path.
+  bool hash_page_sized(ByteView payload) const {
+    return payload.size() ==
+           params_.payload_size + merkle_depth() * crypto::kPacketHashSize;
+  }
+  std::size_t mid_capacity() const {
+    return params_.k * (params_.payload_size - crypto::kPacketHashSize);
+  }
+  std::size_t last_capacity() const {
+    return params_.k * params_.payload_size;
   }
 
-  void adopt_meta(const SignedMeta& meta, const crypto::PacketHash& root) {
+  void adopt_meta(const SignedMeta& meta,
+                  const crypto::PacketHash& root) override {
     LRS_CHECK(meta.content_pages >= 1 && meta.image_size >= 1);
     meta_ = meta;
     root_ = root;
@@ -267,26 +217,16 @@ class SelugeState final : public SchemeState {
   // --- receive paths ----------------------------------------------------------
 
   DataStatus on_hash_page_data(std::uint32_t index, ByteView payload,
-                               sim::NodeMetrics& m) {
-    const std::size_t chunks = hash_page_chunks();
-    const std::size_t depth = merkle_depth();
-    if (index >= chunks ||
-        payload.size() != params_.payload_size + path_bytes(depth)) {
+                               sim::NodeMetrics& m, RxDigestMemo* dig) {
+    if (index >= hash_page_chunks() || !hash_page_sized(payload)) {
       m.auth_failures += 1;
       return DataStatus::kRejected;
     }
     if (hash_page_packets_[index].has_value()) return DataStatus::kStale;
 
-    const ByteView chunk = payload.subspan(0, params_.payload_size);
-    std::vector<crypto::PacketHash> path;
-    path.reserve(depth);
-    for (std::size_t lvl = 0; lvl < depth; ++lvl) {
-      path.push_back(crypto::read_packet_hash(
-          payload, params_.payload_size + lvl * crypto::kPacketHashSize));
-    }
-    m.hash_verifications += depth + 1;
-    if (!crypto::equal(crypto::MerkleTree::compute_root(chunk, index, path),
-                       root_)) {
+    m.hash_verifications += merkle_depth() + 1;
+    if (!merkle_path_matches(payload, params_.payload_size, index, root_,
+                             dig)) {
       m.auth_failures += 1;
       return DataStatus::kRejected;
     }
@@ -327,8 +267,8 @@ class SelugeState final : public SchemeState {
     if (slot.has_value()) return DataStatus::kStale;
 
     m.hash_verifications += 1;
-    if (!crypto::equal(content_digest(page, index, payload, dig),
-                       expected_hashes_[page][index])) {
+    if (!packet_hash_matches(params_.version, page, index, payload,
+                             expected_hashes_[page][index], dig)) {
       m.auth_failures += 1;
       return DataStatus::kRejected;
     }
@@ -341,21 +281,6 @@ class SelugeState final : public SchemeState {
                               : DataStatus::kPageComplete;
     }
     return DataStatus::kStored;
-  }
-
-  /// Packet-content digest with the cross-receiver memo (see RxDigestMemo):
-  /// the preimage is identical for every receiver of one delivery, so only
-  /// the first receiver computes it. hash_verifications stays per-caller.
-  crypto::PacketHash content_digest(std::uint32_t page, std::uint32_t index,
-                                    ByteView payload, RxDigestMemo* dig) const {
-    if (dig && dig->valid) return dig->digest;
-    crypto::PacketHash h =
-        data_packet_hash(params_.version, page, index, payload);
-    if (dig) {
-      dig->digest = h;
-      dig->valid = true;
-    }
-    return h;
   }
 
   void extract_next_hashes(std::uint32_t page) {
@@ -372,16 +297,9 @@ class SelugeState final : public SchemeState {
   // --- build (base station) ----------------------------------------------------
 
   void build_from_image(const Bytes& image, crypto::MultiKeySigner& signer) {
-    const std::size_t mid =
-        params_.k * (params_.payload_size - crypto::kPacketHashSize);
-    const std::size_t last = params_.k * params_.payload_size;
-    const PageLayout layout = compute_layout(image.size(), mid, last);
+    const PageLayout layout =
+        compute_layout(image.size(), mid_capacity(), last_capacity());
     const std::size_t g = layout.content_pages;
-
-    SignedMeta meta;
-    meta.version = params_.version;
-    meta.content_pages = static_cast<std::uint32_t>(g);
-    meta.image_size = static_cast<std::uint32_t>(image.size());
 
     // Construct packets in reverse page order so hashes chain forward.
     std::vector<std::vector<Bytes>> payloads(g);
@@ -392,28 +310,15 @@ class SelugeState final : public SchemeState {
           p < g ? params_.payload_size - crypto::kPacketHashSize
                 : params_.payload_size;
       auto blocks = split_blocks(view(slice), params_.k);
-      std::vector<Bytes> page_payloads(params_.k);
-      std::vector<Bytes> preimages(params_.k);
-      std::vector<ByteView> preimage_views(params_.k);
+      std::vector<ByteView> views(params_.k);
       for (std::size_t j = 0; j < params_.k; ++j) {
         LRS_CHECK(blocks[j].size() == data_len);
-        Bytes payload = std::move(blocks[j]);
-        if (p < g) crypto::append(payload, next_hashes[j]);
-        DataPacket probe;
-        probe.version = params_.version;
-        probe.page = static_cast<std::uint32_t>(p);
-        probe.index = static_cast<std::uint32_t>(j);
-        probe.payload = std::move(payload);
-        preimages[j] = probe.hash_preimage();
-        preimage_views[j] = view(preimages[j]);
-        page_payloads[j] = std::move(probe.payload);
+        if (p < g) crypto::append(blocks[j], next_hashes[j]);
+        views[j] = view(blocks[j]);
       }
-      // One uniform-length batch per page (crypto/hash.h).
-      std::vector<crypto::PacketHash> page_hashes(params_.k);
-      crypto::packet_hash_batch(preimage_views.data(), params_.k,
-                                page_hashes.data());
-      payloads[p - 1] = std::move(page_payloads);
-      next_hashes = std::move(page_hashes);
+      next_hashes = page_packet_hashes(params_.version,
+                                       static_cast<std::uint32_t>(p), views);
+      payloads[p - 1] = std::move(blocks);
     }
 
     // Hash page: M0 = h_{1,1} || ... || h_{1,k}, chunked, Merkle tree.
@@ -433,16 +338,8 @@ class SelugeState final : public SchemeState {
       hash_page_payloads[j] = std::move(payload);
     }
 
-    // Signature packet.
-    SignaturePacket sig;
-    sig.meta = meta;
-    sig.root = tree.root();
-    const Bytes msg = sig.signed_message();
-    sig.puzzle = crypto::solve_puzzle(view(msg), params_.puzzle_strength);
-    sig.signature = signer.sign(view(msg)).serialize();
-
-    // Adopt as a fully-populated state.
-    adopt_meta(meta, tree.root());
+    // Sign, and adopt as a fully-populated state.
+    sign(g, image.size(), tree.root(), signer);
     for (std::size_t j = 0; j < chunks; ++j)
       hash_page_packets_[j] = std::move(hash_page_payloads[j]);
     finish_hash_page();
@@ -452,15 +349,9 @@ class SelugeState final : public SchemeState {
       if (p < g) extract_next_hashes(static_cast<std::uint32_t>(p));
     }
     complete_pages_ = static_cast<std::uint32_t>(g + 1);
-    signature_frame_ = sig.serialize();
   }
 
-  CommonParams params_;
-  crypto::PacketHash root_pk_;  // preloaded signer verification key
-
-  std::optional<SignedMeta> meta_;
   crypto::PacketHash root_{};
-  std::optional<Bytes> signature_frame_;
 
   // Received/held packet payloads (hash page keeps chunk || auth path).
   std::vector<std::optional<Bytes>> hash_page_packets_;

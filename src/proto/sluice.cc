@@ -3,7 +3,7 @@
 #include <optional>
 #include <vector>
 
-#include "crypto/puzzle.h"
+#include "proto/auth.h"
 #include "proto/layout.h"
 #include "proto/packet.h"
 #include "util/check.h"
@@ -12,10 +12,10 @@ namespace lrs::proto {
 
 namespace {
 
-class SluiceState final : public SchemeState {
+class SluiceState final : public SignedImageState {
  public:
   SluiceState(const CommonParams& params, const crypto::PacketHash& root_pk)
-      : params_(params), root_pk_(root_pk) {
+      : SignedImageState(params, root_pk) {
     LRS_CHECK_MSG(params_.k * params_.payload_size > crypto::kPacketHashSize,
                   "page too small to embed the next page's hash");
   }
@@ -28,7 +28,6 @@ class SluiceState final : public SchemeState {
 
   // --- geometry --------------------------------------------------------------
 
-  Version version() const override { return params_.version; }
   std::uint32_t num_pages() const override {
     return meta_ ? meta_->content_pages : 0;
   }
@@ -48,7 +47,7 @@ class SluiceState final : public SchemeState {
 
   Bytes assemble_image() const override {
     LRS_CHECK_MSG(image_complete(), "image not complete yet");
-    const PageLayout layout = current_layout();
+    const PageLayout layout = signed_layout(mid_capacity(), last_capacity());
     Bytes image(layout.image_size, 0);
     const std::size_t g = meta_->content_pages;
     for (std::size_t p = 1; p <= g; ++p) {
@@ -131,40 +130,6 @@ class SluiceState final : public SchemeState {
            std::equal(payload.begin(), payload.end(), slot->begin());
   }
 
-  // --- signature --------------------------------------------------------------
-
-  bool needs_signature() const override { return true; }
-  bool bootstrapped() const override { return meta_.has_value(); }
-
-  bool on_signature(ByteView frame, sim::NodeMetrics& m) override {
-    if (meta_) return false;
-    auto packet = SignaturePacket::parse(frame);
-    if (!packet || packet->meta.version != params_.version) {
-      m.auth_failures += 1;
-      return false;
-    }
-    const Bytes msg = packet->signed_message();
-    if (packet->puzzle.strength < params_.puzzle_strength ||
-        !crypto::verify_puzzle(view(msg), packet->puzzle)) {
-      m.puzzle_rejections += 1;
-      return false;
-    }
-    auto cert =
-        crypto::CertifiedSignature::deserialize(view(packet->signature));
-    m.signature_verifications += 1;
-    if (!cert || !crypto::verify_certified_cached(root_pk_, view(msg), *cert)) {
-      m.auth_failures += 1;
-      return false;
-    }
-    adopt_meta(packet->meta, packet->root);
-    signature_frame_ = Bytes(frame.begin(), frame.end());
-    return true;
-  }
-
-  std::optional<Bytes> signature_frame() const override {
-    return signature_frame_;
-  }
-
   // --- sender ----------------------------------------------------------------
 
   std::optional<Bytes> packet_payload(std::uint32_t page,
@@ -188,16 +153,8 @@ class SluiceState final : public SchemeState {
     return params_.k * params_.payload_size;
   }
 
-  PageLayout current_layout() const {
-    LRS_CHECK(meta_.has_value());
-    PageLayout l = compute_layout(meta_->image_size, mid_capacity(),
-                                  last_capacity());
-    LRS_CHECK_MSG(l.content_pages == meta_->content_pages,
-                  "signed geometry disagrees with preloaded parameters");
-    return l;
-  }
-
-  void adopt_meta(const SignedMeta& meta, const crypto::PacketHash& root) {
+  void adopt_meta(const SignedMeta& meta,
+                  const crypto::PacketHash& root) override {
     LRS_CHECK(meta.content_pages >= 1 && meta.image_size >= 1);
     meta_ = meta;
     pages_.assign(meta.content_pages, {});
@@ -231,11 +188,6 @@ class SluiceState final : public SchemeState {
         compute_layout(image.size(), mid_capacity(), last_capacity());
     const std::size_t g = layout.content_pages;
 
-    SignedMeta meta;
-    meta.version = params_.version;
-    meta.content_pages = static_cast<std::uint32_t>(g);
-    meta.image_size = static_cast<std::uint32_t>(image.size());
-
     // Build pages back to front: page p (p < g) = slice || H(page p+1).
     std::vector<Bytes> serialized(g);
     crypto::PacketHash next_hash{};
@@ -247,14 +199,7 @@ class SluiceState final : public SchemeState {
       next_hash = hash_page_bytes(content);
     }
 
-    SignaturePacket sig;
-    sig.meta = meta;
-    sig.root = next_hash;  // H(page 1)
-    const Bytes msg = sig.signed_message();
-    sig.puzzle = crypto::solve_puzzle(view(msg), params_.puzzle_strength);
-    sig.signature = signer.sign(view(msg)).serialize();
-
-    adopt_meta(meta, sig.root);
+    sign(g, image.size(), next_hash, signer);  // the root is H(page 1)
     for (std::size_t p = 1; p <= g; ++p) {
       auto blocks =
           split_fixed(view(serialized[p - 1]), params_.payload_size,
@@ -270,14 +215,7 @@ class SluiceState final : public SchemeState {
       }
     }
     complete_pages_ = static_cast<std::uint32_t>(g);
-    signature_frame_ = sig.serialize();
   }
-
-  CommonParams params_;
-  crypto::PacketHash root_pk_;
-
-  std::optional<SignedMeta> meta_;
-  std::optional<Bytes> signature_frame_;
 
   std::vector<std::vector<std::optional<Bytes>>> pages_;
   // expected_hashes_[e] = H(serialized content page e+1): entry 0 comes

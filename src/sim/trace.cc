@@ -9,8 +9,10 @@
 
 namespace lrs::sim {
 
+// docs/observability.md ("Cost model") quotes this per-event size.
+static_assert(sizeof(TraceEvent) == 32);
+
 void TraceRecorder::record(TraceEvent e) {
-  if (!enabled_) return;
   static stats::Counter& recorded =
       stats::Registry::instance().counter("sim.trace.events");
   recorded.add();
@@ -18,35 +20,6 @@ void TraceRecorder::record(TraceEvent e) {
 }
 
 namespace {
-
-void put_u32(Bytes& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void put_u64(Bytes& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint32_t get_u32(ByteView in, std::size_t at) {
-  return static_cast<std::uint32_t>(in[at]) |
-         static_cast<std::uint32_t>(in[at + 1]) << 8 |
-         static_cast<std::uint32_t>(in[at + 2]) << 16 |
-         static_cast<std::uint32_t>(in[at + 3]) << 24;
-}
-
-std::uint64_t get_u64(ByteView in, std::size_t at) {
-  return static_cast<std::uint64_t>(get_u32(in, at)) |
-         static_cast<std::uint64_t>(get_u32(in, at + 4)) << 32;
-}
-
-bool known_type(std::uint8_t t) {
-  return t >= static_cast<std::uint8_t>(TraceEventType::kSend) &&
-         t <= static_cast<std::uint8_t>(TraceEventType::kDataRx);
-}
 
 /// Extracts an unsigned integer field `"key":value` from a JSONL line.
 std::optional<std::uint64_t> json_uint(std::string_view line,
@@ -124,30 +97,6 @@ std::optional<TraceEventType> trace_event_type_from_name(std::string_view s) {
     }
   }
   return std::nullopt;
-}
-
-void TraceEvent::encode(Bytes& out) const {
-  put_u64(out, static_cast<std::uint64_t>(time));
-  out.push_back(static_cast<std::uint8_t>(type));
-  put_u32(out, node);
-  put_u32(out, peer);
-  out.push_back(cls);
-  put_u32(out, a);
-  put_u32(out, b);
-}
-
-std::optional<TraceEvent> TraceEvent::decode(ByteView in) {
-  if (in.size() < kTraceEventWireSize) return std::nullopt;
-  if (!known_type(in[8])) return std::nullopt;
-  TraceEvent e;
-  e.time = static_cast<SimTime>(get_u64(in, 0));
-  e.type = static_cast<TraceEventType>(in[8]);
-  e.node = get_u32(in, 9);
-  e.peer = get_u32(in, 13);
-  e.cls = in[17];
-  e.a = get_u32(in, 18);
-  e.b = get_u32(in, 22);
-  return e;
 }
 
 std::string TraceEvent::to_jsonl() const {
@@ -295,9 +244,7 @@ std::optional<TraceEvent> TraceEvent::from_jsonl(std::string_view line) {
   return e;
 }
 
-TraceRecorder::TraceRecorder(bool enabled) : enabled_(enabled) {
-  if (enabled_) events_.reserve(4096);
-}
+TraceRecorder::TraceRecorder() { events_.reserve(4096); }
 
 void TraceRecorder::on_send(SimTime now, NodeId sender, PacketClass cls,
                             ByteView frame) {

@@ -4,7 +4,7 @@
 // A TraceRecorder attaches to the simulator's SimObserver hook set and
 // captures every send, delivery, reboot, engine state transition, page
 // completion, node completion, auth failure and data serve/receive as a
-// compact fixed-width binary event (26 bytes in memory and on the wire).
+// fixed-width TraceEvent (32 bytes in memory, padding included).
 // Recording is append-only into one contiguous vector: no per-event
 // allocation beyond amortized growth, no formatting, no I/O until export.
 // When no recorder is attached the simulator's observer pointer stays null
@@ -58,9 +58,7 @@ const char* trace_event_type_name(TraceEventType t);
 /// Inverse of trace_event_type_name; nullopt for unknown tags.
 std::optional<TraceEventType> trace_event_type_from_name(std::string_view s);
 
-/// One trace record. The in-memory layout doubles as the binary wire
-/// format: encode() emits exactly kTraceEventWireSize little-endian bytes,
-/// decode() consumes them and fails soft on truncation or an unknown type.
+/// One trace record.
 struct TraceEvent {
   SimTime time = 0;              // microseconds since simulation start
   TraceEventType type = TraceEventType::kSend;
@@ -72,12 +70,6 @@ struct TraceEvent {
 
   bool operator==(const TraceEvent&) const = default;
 
-  /// Appends the fixed-width binary encoding to `out`.
-  void encode(Bytes& out) const;
-  /// Decodes one record from the front of `in`; nullopt when `in` is
-  /// shorter than kTraceEventWireSize or the type tag is unknown.
-  static std::optional<TraceEvent> decode(ByteView in);
-
   /// One JSONL line (no trailing newline): integer microsecond time,
   /// symbolic type/class names, type-specific field names.
   std::string to_jsonl() const;
@@ -85,17 +77,12 @@ struct TraceEvent {
   static std::optional<TraceEvent> from_jsonl(std::string_view line);
 };
 
-inline constexpr std::size_t kTraceEventWireSize = 8 + 1 + 4 + 4 + 1 + 4 + 4;
-
 /// Passive SimObserver that appends every hook invocation to an in-memory
-/// event log. Constructing with enabled=false turns every record call into
-/// an immediate return (and reserves nothing) so a shared code path can
-/// keep a recorder object around at zero cost.
+/// event log. Tracing is off when no recorder is built.
 class TraceRecorder final : public SimObserver {
  public:
-  explicit TraceRecorder(bool enabled = true);
+  TraceRecorder();
 
-  bool enabled() const { return enabled_; }
   const std::vector<TraceEvent>& events() const { return events_; }
 
   // SimObserver hooks (simulator side).
@@ -128,7 +115,6 @@ class TraceRecorder final : public SimObserver {
   // count) without pulling sim/stats into this header.
   void record(TraceEvent e);
 
-  bool enabled_;
   std::vector<TraceEvent> events_;
 };
 

@@ -56,14 +56,14 @@ TEST(Hmac, LongKeyIsHashedFirst) {
 }
 
 TEST(ControlMac, VerifiesAndRejectsTamper) {
-  const Bytes key{1, 2, 3};
+  const HmacKey key(view(Bytes{1, 2, 3}));
   const Bytes msg{9, 9, 9};
-  const ControlMac mac = control_mac(view(key), view(msg));
-  EXPECT_TRUE(verify_control_mac(view(key), view(msg), mac));
+  const ControlMac mac = control_mac(key, view(msg));
+  EXPECT_TRUE(verify_control_mac(key, view(msg), mac));
   Bytes other{9, 9, 8};
-  EXPECT_FALSE(verify_control_mac(view(key), view(other), mac));
-  const Bytes wrong_key{1, 2, 4};
-  EXPECT_FALSE(verify_control_mac(view(wrong_key), view(msg), mac));
+  EXPECT_FALSE(verify_control_mac(key, view(other), mac));
+  const HmacKey wrong_key(view(Bytes{1, 2, 4}));
+  EXPECT_FALSE(verify_control_mac(wrong_key, view(msg), mac));
 }
 
 // ---------------------------------------------------------------------------

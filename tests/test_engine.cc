@@ -193,7 +193,7 @@ struct Rig {
     a.sender = from;
     a.pages_complete = pages;
     a.bootstrapped = bootstrapped;
-    node->on_receive(view(a.serialize(view(params.cluster_key))));
+    node->on_receive(view(a.serialize(&mac)));
   }
 
   void deliver_signature() {
@@ -217,7 +217,7 @@ struct Rig {
     s.target = target;
     s.page = page;
     s.requested = bits;
-    node->on_receive(view(s.serialize(view(params.cluster_key))));
+    node->on_receive(view(s.serialize(&mac)));
   }
 
   /// Feeds pages 0..`through` completely.
@@ -233,6 +233,7 @@ struct Rig {
   }
 
   CommonParams params;
+  const crypto::HmacKey mac{view(params.cluster_key)};
   proto::EngineTiming timing;
   Bytes image;
   crypto::MultiKeySigner signer;
@@ -297,7 +298,7 @@ TEST(EngineAdvertising, AdvertisementCarriesProgress) {
   const auto advs = rig.env.take(PacketClass::kAdvertisement);
   ASSERT_FALSE(advs.empty());
   const auto parsed = Advertisement::parse(view(advs.back()),
-                                           view(rig.params.cluster_key));
+                                           &rig.mac);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->pages_complete, 1u);
   EXPECT_TRUE(parsed->bootstrapped);
@@ -313,7 +314,7 @@ TEST(EngineBootstrap, RequestsSignatureFromBootstrappedNeighbor) {
   rig.env.advance(200 * sim::kMillisecond);
   const auto snacks = rig.env.take(PacketClass::kSnack);
   ASSERT_FALSE(snacks.empty());
-  const auto s = Snack::parse(view(snacks[0]), view(rig.params.cluster_key));
+  const auto s = Snack::parse(view(snacks[0]), &rig.mac);
   ASSERT_TRUE(s.has_value());
   EXPECT_EQ(s->page, proto::kSignatureRequestPage);
   EXPECT_EQ(s->target, 7u);
@@ -351,7 +352,7 @@ TEST(EngineBootstrap, SignatureEnablesRx) {
   const auto snacks = rig.env.take(PacketClass::kSnack);
   bool found_page0 = false;
   for (const auto& f : snacks) {
-    const auto s = Snack::parse(view(f), view(rig.params.cluster_key));
+    const auto s = Snack::parse(view(f), &rig.mac);
     if (s && s->page == 0 && s->target == 7) found_page0 = true;
   }
   EXPECT_TRUE(found_page0);
@@ -370,7 +371,7 @@ TEST(EngineRx, RetriesSnackWhileStalled) {
     const auto snacks = rig.env.take(PacketClass::kSnack);
     std::size_t page0_requests = 0;
     for (const auto& f : snacks) {
-      const auto s = Snack::parse(view(f), view(rig.params.cluster_key));
+      const auto s = Snack::parse(view(f), &rig.mac);
       if (s && s->page == 0) ++page0_requests;
     }
     EXPECT_GE(page0_requests, 3u);
@@ -387,7 +388,7 @@ TEST(EngineRx, SnackBitsReflectReceivedPackets) {
     const auto snacks = rig.env.take(PacketClass::kSnack);
     ASSERT_FALSE(snacks.empty());
     const auto s =
-        Snack::parse(view(snacks.back()), view(rig.params.cluster_key));
+        Snack::parse(view(snacks.back()), &rig.mac);
     ASSERT_TRUE(s.has_value());
     EXPECT_FALSE(s->requested.get(2));
     EXPECT_FALSE(s->requested.get(5));
@@ -613,7 +614,7 @@ TEST(EngineHostile, WrongVersionFramesIgnored) {
   s.target = rig.env.id();
   s.page = 1;
   s.requested = BitVec(rig.params.n, true);
-  rig.node->on_receive(view(s.serialize(view(rig.params.cluster_key))));
+  rig.node->on_receive(view(s.serialize(&rig.mac)));
   rig.env.advance(1 * sim::kSecond);
   EXPECT_EQ(rig.env.count(PacketClass::kData), 0u);
 }
@@ -627,8 +628,8 @@ TEST(EngineHostile, UnMacdSnackRejected) {
   s.target = rig.env.id();
   s.page = 1;
   s.requested = BitVec(rig.params.n, true);
-  const Bytes wrong_key{0xde, 0xad};
-  rig.node->on_receive(view(s.serialize(view(wrong_key))));
+  const crypto::HmacKey wrong_key(view(Bytes{0xde, 0xad}));
+  rig.node->on_receive(view(s.serialize(&wrong_key)));
   rig.env.advance(1 * sim::kSecond);
   EXPECT_EQ(rig.env.count(PacketClass::kData), 0u);
   EXPECT_GE(rig.env.metrics().auth_failures, 1u);

@@ -235,6 +235,26 @@ TEST(StatsJsonEscape, BenchJsonEscapesColumnNamesAndCells) {
             "  ]\n}\n");
 }
 
+// The manifest names the revision the build was made from (re-read at build
+// time) and whether the working tree differed from it, as a bare boolean
+// right after git_sha. Outside a git checkout the revision is "unknown".
+TEST(Provenance, RecordsBuildRevisionAndDirtyFlag) {
+  const core::Provenance p = core::collect_provenance();
+  if (p.git_sha == "unknown") {
+    EXPECT_FALSE(p.git_dirty);
+  } else {
+    EXPECT_EQ(p.git_sha.size(), 12u);
+    EXPECT_EQ(p.git_sha.find_first_not_of("0123456789abcdef"),
+              std::string::npos)
+        << p.git_sha;
+  }
+  const std::string json = core::provenance_json("");
+  const std::string want = "  \"git_sha\": \"" + p.git_sha +
+                           "\",\n  \"git_dirty\": " +
+                           (p.git_dirty ? "true" : "false") + ",\n";
+  EXPECT_NE(json.find(want), std::string::npos) << json;
+}
+
 // ---------------------------------------------------------------------------
 // Concurrency (run under TSan in CI: --gtest_filter='StatsHammer.*')
 // ---------------------------------------------------------------------------
