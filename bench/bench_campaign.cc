@@ -7,7 +7,8 @@
 // trial, every completed receiver reassembled the exact image, and — when
 // the scenario enables it — the invariant observer ran clean.
 //
-//   ./bench_campaign                        # every scenarios/*.scn
+//   ./bench_campaign                        # every scenarios/*.scn of the
+//                                           # source tree, from any cwd
 //   ./bench_campaign scenarios/churn.scn    # explicit files/directories
 //
 // Flags: --repeats=R (override every scenario's trial block), --jobs=J,
@@ -39,7 +40,7 @@ namespace fs = std::filesystem;
 /// of .scn paths; no arguments = the checked-in scenarios/ library.
 std::vector<std::string> collect_paths(const std::vector<std::string>& args) {
   std::vector<std::string> inputs = args;
-  if (inputs.empty()) inputs.push_back("scenarios");
+  if (inputs.empty()) inputs.push_back(LRS_SCENARIO_DIR);
   std::vector<std::string> paths;
   for (const auto& in : inputs) {
     std::error_code ec;
@@ -105,7 +106,7 @@ int run(int argc, char** argv) {
 
   const auto paths = collect_paths(args.positional());
   if (paths.empty()) {
-    std::cerr << "error: no scenario files found (looked in scenarios/)\n";
+    std::cerr << "error: no scenario files found\n";
     return 2;
   }
 

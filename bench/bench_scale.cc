@@ -13,11 +13,11 @@
 //   ./bench_scale --scales=geo-10k
 //
 // Flags: --repeats=R (override each scenario's trial block), --jobs=J,
-// --scenario-dir=D (default scenarios/), --list, --metrics=M.json
-// [--metrics-heartbeat=S] (runtime metrics export, bench/common.h), and the
-// regression gate: --baseline=BENCH_scale.json [--gate=0.20] compares
-// events/sec per ladder row against a previous artifact and exits 1 when
-// any row regressed more than the gate fraction.
+// --scenario-dir=D (default: the source tree's scenarios/), --list,
+// --metrics=M.json [--metrics-heartbeat=S] (runtime metrics export,
+// bench/common.h), and the regression gate: --baseline=BENCH_scale.json
+// [--gate=0.20] compares events/sec per ladder row against a previous
+// artifact and exits 1 when any row regressed more than the gate fraction.
 //
 // Column contract (docs/performance.md): every column up to and including
 // "expected" is a pure function of (scenario, seed) and must be
@@ -104,7 +104,7 @@ int run(int argc, char** argv) {
   const bool list_only = args.get_bool("list", false);
   const long repeats_flag = args.get_int("repeats", 0);  // 0 = per-scenario
   const long jobs_flag = args.get_int("jobs", 0);
-  const std::string dir = args.get("scenario-dir", "scenarios");
+  const std::string dir = args.get("scenario-dir", LRS_SCENARIO_DIR);
   const std::string scales_flag = args.get("scales", "");
   const std::string baseline_path = args.get("baseline", "");
   const double gate = args.get_double("gate", 0.20);

@@ -2,10 +2,12 @@
 // paper (and beyond) from one command line.
 //
 //   ./examples/simulate --scheme lr-seluge --loss 0.2 --receivers 20
-//   ./examples/simulate --scheme seluge --topo grid --rows 15 --cols 15 \
-//       --spacing 10 --noise        # Table II conditions
-//   ./examples/simulate --scheme lr-seluge --k 32 --n 64 --image-kb 40 \
+//   # Table II conditions:
+//   ./examples/simulate --scheme seluge --topo grid --rows 15 --cols 15
+//       --spacing 10 --noise
+//   ./examples/simulate --scheme lr-seluge --k 32 --n 64 --image-kb 40
 //       --codec rlc2 --delta 2 --seeds 5
+//   (each command is one line)
 //
 // Run with --help for the full flag list.
 #include <cstdio>

@@ -23,13 +23,25 @@ using proto::DataStatus;
 using proto::PageLayout;
 using proto::page_slice;
 using proto::place_slice;
-using proto::SignedMeta;
+
+/// Page-0 blocks: M0 (page 1's n hash images) split into k0 blocks.
+std::size_t page0_block_size(const CommonParams& params) {
+  return (params.n * crypto::kPacketHashSize + params.k0 - 1) / params.k0;
+}
+
+/// Page 0 is served as n0 packets and decodes into k0 blocks of M0; every
+/// content page as n packets decoding into k blocks.
+proto::PageShape hash_page_shape(const CommonParams& params) {
+  validate_lr_params(params);
+  return {params.n0, page0_block_size(params), params.k0};
+}
 
 class LrSelugeState final : public proto::SignedImageState {
  public:
   /// Receiver: empty until the signature packet verifies.
   LrSelugeState(const CommonParams& params, const crypto::PacketHash& root_pk)
-      : SignedImageState(params, root_pk),
+      : SignedImageState(params, root_pk, 1, hash_page_shape(params),
+                         {params.n, params.payload_size, params.k}),
         // Cached: every node of a simulation (and every Monte Carlo trial)
         // shares one generator matrix per (codec, geometry, seed) instead of
         // rebuilding it per LrSelugeState.
@@ -38,9 +50,7 @@ class LrSelugeState final : public proto::SignedImageState {
         code0_(erasure::make_code_cached(params.codec, params.k0, params.n0,
                                          std::min(params.delta,
                                                   params.n0 - params.k0),
-                                         params.code_seed ^ 0x9e3779b9ULL)) {
-    validate_lr_params(params_);
-  }
+                                         params.code_seed ^ 0x9e3779b9ULL)) {}
 
   /// Base station: preprocess + sign.
   LrSelugeState(const CommonParams& params, const Bytes& image,
@@ -63,80 +73,34 @@ class LrSelugeState final : public proto::SignedImageState {
     return std::make_unique<LrSelugeState>(*this);
   }
 
-  std::uint32_t num_pages() const override {
-    return meta_ ? meta_->content_pages + 1 : 0;
-  }
-
-  std::size_t packets_in_page(std::uint32_t page) const override {
-    return page == 0 ? params_.n0 : params_.n;
-  }
-
   std::size_t decode_threshold(std::uint32_t page) const override {
     return page == 0 ? code0_->decode_threshold() : code_->decode_threshold();
   }
 
   // --- receiver --------------------------------------------------------------
 
-  std::uint32_t pages_complete() const override { return complete_pages_; }
-
-  bool image_complete() const override {
-    return meta_ && complete_pages_ == meta_->content_pages + 1;
-  }
-
   Bytes assemble_image() const override {
-    LRS_CHECK_MSG(image_complete(), "image not complete yet");
-    const PageLayout layout = signed_layout(mid_capacity(), last_capacity());
-    Bytes image(layout.image_size, 0);
-    const std::size_t g = meta_->content_pages;
-    for (std::size_t p = 1; p <= g; ++p) {
-      place_slice(image, layout, p,
-                  view(pages_[p - 1])
-                      .subspan(0, p < g ? layout.mid_capacity
-                                        : layout.last_capacity));
-    }
-    return image;
-  }
-
-  BitVec request_bits(std::uint32_t page) const override {
-    const std::size_t count = packets_in_page(page);
-    BitVec bits(count);
-    if (!meta_ || page != complete_pages_) return bits;
-    for (std::size_t j = 0; j < count; ++j) {
-      if (!have_.get(j)) bits.set(j);
-    }
-    return bits;
-  }
-
-  std::size_t buffered_packets() const override {
-    return image_complete() ? 0 : shares_.size();
+    return store_.assemble(signed_layout(mid_capacity(), last_capacity()), 1);
   }
 
   void on_reboot() override {
     // Decoded pages and the verified signature metadata are flash-backed;
-    // the partially collected share set for the current page is not.
-    if (!meta_ || image_complete()) return;
-    reset_collection(complete_pages_);
+    // the partially collected share set and the serve cache are not.
+    if (image_complete()) return;
+    SignedImageState::on_reboot();
+    recycle_shares();
     serve_page_.reset();
-  }
-
-  DataStatus on_data(std::uint32_t page, std::uint32_t index,
-                     ByteView payload, sim::NodeMetrics& m) override {
-    return on_data(page, index, payload, m, nullptr);
   }
 
   DataStatus on_data(std::uint32_t page, std::uint32_t index,
                      ByteView payload, sim::NodeMetrics& m,
                      proto::RxDigestMemo* dig) override {
-    if (!meta_) return DataStatus::kStale;  // cannot authenticate yet
-    if (page != complete_pages_ || page > meta_->content_pages) {
-      return DataStatus::kStale;
-    }
-    const std::size_t count = packets_in_page(page);
-    if (index >= count) {
+    if (!store_.is_frontier(page)) return DataStatus::kStale;
+    if (index >= packets_in_page(page)) {
       m.auth_failures += 1;
       return DataStatus::kRejected;
     }
-    if (have_.get(index)) return DataStatus::kStale;
+    if (store_.holds(index)) return DataStatus::kStale;
 
     if (page == 0) {
       if (!verify_page0_packet(index, payload, m, dig)) {
@@ -144,7 +108,7 @@ class LrSelugeState final : public proto::SignedImageState {
         return DataStatus::kRejected;
       }
       // Keep only the encoded block; auth paths are regenerated on demand.
-      store_share(index, payload.subspan(0, page0_block_size()));
+      store_share(index, payload.subspan(0, store_.stride(0)));
     } else {
       m.hash_verifications += 1;
       if (payload.size() != params_.payload_size ||
@@ -155,17 +119,14 @@ class LrSelugeState final : public proto::SignedImageState {
       }
       store_share(index, payload);
     }
-    have_.set(index);
+    store_.mark(index);
 
     // Enough authenticated packets? Attempt the erasure decode, straight
     // into the page's own buffer.
     if (shares_.size() >= decode_threshold(page)) {
       m.decode_operations += 1;
       const auto& codec = page == 0 ? code0_ : code_;
-      Bytes& decoded = page == 0 ? m0_ : pages_[page - 1];
-      decoded.resize(page == 0 ? params_.k0 * page0_block_size()
-                               : params_.k * params_.payload_size);
-      if (codec->decode(shares_, decoded)) {
+      if (codec->decode(shares_, store_.buffer(page))) {
         finish_page();
         return image_complete() ? DataStatus::kImageComplete
                                 : DataStatus::kPageComplete;
@@ -176,15 +137,9 @@ class LrSelugeState final : public proto::SignedImageState {
   }
 
   bool verify_stored_packet(std::uint32_t page, std::uint32_t index,
-                            ByteView payload,
-                            sim::NodeMetrics& m) const override {
-    return verify_stored_packet(page, index, payload, m, nullptr);
-  }
-
-  bool verify_stored_packet(std::uint32_t page, std::uint32_t index,
                             ByteView payload, sim::NodeMetrics& m,
                             proto::RxDigestMemo* dig) const override {
-    if (!meta_ || page >= complete_pages_ || index >= packets_in_page(page))
+    if (page >= pages_complete() || index >= packets_in_page(page))
       return false;
     if (page == 0) return verify_page0_packet(index, payload, m, dig);
     if (payload.size() != params_.payload_size) return false;
@@ -197,8 +152,7 @@ class LrSelugeState final : public proto::SignedImageState {
 
   std::optional<Bytes> packet_payload(std::uint32_t page,
                                       std::uint32_t index) override {
-    if (!meta_ || page >= complete_pages_ ||
-        index >= packets_in_page(page)) {
+    if (page >= pages_complete() || index >= packets_in_page(page)) {
       return std::nullopt;
     }
     const ByteView packet = served_packet(page, index);
@@ -218,10 +172,6 @@ class LrSelugeState final : public proto::SignedImageState {
   std::size_t hash_block_bytes() const {
     return params_.n * crypto::kPacketHashSize;  // appended per mid page
   }
-  std::size_t page0_bytes() const { return hash_block_bytes(); }
-  std::size_t page0_block_size() const {
-    return (page0_bytes() + params_.k0 - 1) / params_.k0;
-  }
   std::size_t merkle_depth() const {
     std::size_t d = 0;
     while ((std::size_t{1} << d) < params_.n0) ++d;
@@ -235,19 +185,10 @@ class LrSelugeState final : public proto::SignedImageState {
     return params_.k * params_.payload_size;
   }
 
-  void adopt_meta(const SignedMeta& meta,
-                  const crypto::PacketHash& root) override {
-    LRS_CHECK(meta.content_pages >= 1 && meta.image_size >= 1);
-    meta_ = meta;
-    root_ = root;
-    pages_.assign(meta.content_pages, {});
-    reset_collection(0);
-  }
-
-  void reset_collection(std::uint32_t page) {
+  /// Hands the current page's share buffers to spare_.
+  void recycle_shares() {
     for (auto& share : shares_) spare_.push_back(std::move(share.data));
     shares_.clear();
-    have_ = BitVec(packets_in_page(page));
   }
 
   /// Copies an authenticated share into a buffer recycled from an earlier
@@ -271,7 +212,7 @@ class LrSelugeState final : public proto::SignedImageState {
                            sim::NodeMetrics& m,
                            proto::RxDigestMemo* dig) const {
     const std::size_t depth = merkle_depth();
-    const std::size_t block = page0_block_size();
+    const std::size_t block = store_.stride(0);
     if (payload.size() != block + depth * crypto::kPacketHashSize)
       return false;
     m.hash_verifications += depth + 1;
@@ -280,25 +221,24 @@ class LrSelugeState final : public proto::SignedImageState {
 
   // --- page completion -----------------------------------------------------------
 
-  /// The current page has been decoded into m0_ / pages_.
+  /// The frontier page has been decoded into its buffer.
   void finish_page() {
-    ++complete_pages_;
-    if (complete_pages_ <= meta_->content_pages) {
-      reset_collection(complete_pages_);
-    } else {
+    store_.advance();
+    if (image_complete()) {
       shares_.clear();
       spare_ = {};
-      have_ = BitVec();
+    } else {
+      recycle_shares();
     }
   }
 
-  /// Hash image of packet `index` of content page `page`: M0 carries page
-  /// 1's n hash images, and every content page below g carries the next
-  /// page's after its image slice. Page `page - 1` must be decoded.
+  /// Hash image of packet `index` of content page `page`: M0 (page 0)
+  /// carries page 1's n hash images, and every content page below g carries
+  /// the next page's after its image slice. Page `page - 1` must be decoded.
   crypto::PacketHash hash_image(std::uint32_t page, std::size_t index) const {
-    const ByteView carrier =
-        page == 1 ? view(m0_)
-                  : view(pages_[page - 2]).subspan(mid_capacity());
+    const ByteView carrier = page == 1
+                                 ? store_.page(0)
+                                 : store_.page(page - 1).subspan(mid_capacity());
     return crypto::read_packet_hash(carrier,
                                     index * crypto::kPacketHashSize);
   }
@@ -312,9 +252,9 @@ class LrSelugeState final : public proto::SignedImageState {
     if (serve_page_ != page) {
       if (page == 0) {
         // Page 0 packets carry their Merkle authentication paths.
-        const std::size_t block = page0_block_size();
+        const std::size_t block = store_.stride(0);
         Bytes encoded(params_.n0 * block);
-        code0_->encode(view(m0_), encoded);
+        code0_->encode(store_.page(0), encoded);
         const auto tree = crypto::MerkleTree::build(view(encoded), params_.n0);
         serve_stride_ = block + merkle_depth() * crypto::kPacketHashSize;
         serve_.resize(params_.n0 * serve_stride_);
@@ -330,7 +270,7 @@ class LrSelugeState final : public proto::SignedImageState {
       } else {
         serve_stride_ = params_.payload_size;
         serve_.resize(params_.n * serve_stride_);
-        code_->encode(view(pages_[page - 1]), serve_);
+        code_->encode(store_.page(page), serve_);
       }
       serve_page_ = page;
     }
@@ -366,41 +306,34 @@ class LrSelugeState final : public proto::SignedImageState {
 
     // Hash page: M0 = h_{1,1} || ... || h_{1,n}, zero-padded to k0 blocks,
     // coded with f0, Merkle tree over the n0 encoded blocks.
+    const std::size_t block0 = page0_block_size(params_);
     Bytes m0;
     for (const auto& h : next_hashes) crypto::append(m0, h);
-    m0.resize(params_.k0 * page0_block_size());
-    Bytes encoded0(params_.n0 * page0_block_size());
+    m0.resize(params_.k0 * block0);
+    Bytes encoded0(params_.n0 * block0);
     code0_->encode(view(m0), encoded0);
     const auto tree = crypto::MerkleTree::build(view(encoded0), params_.n0);
 
     // Sign, and adopt as fully complete.
     sign(g, image.size(), tree.root(), signer);
-    m0_ = std::move(m0);
-    pages_ = std::move(inputs);
-    complete_pages_ = static_cast<std::uint32_t>(g + 1);
-    shares_.clear();
-    have_ = BitVec();
+    store_.buffer(0) = std::move(m0);
+    for (std::uint32_t p = 1; p <= g; ++p) {
+      store_.buffer(p) = std::move(inputs[p - 1]);
+    }
+    store_.complete_all();
   }
 
   std::shared_ptr<const erasure::ErasureCode> code_;   // k -> n, cached
   std::shared_ptr<const erasure::ErasureCode> code0_;  // k0 -> n0, cached
 
-  crypto::PacketHash root_{};
-
-  // Decoded pages, each one contiguous buffer of k0 (M0) or k (content
-  // page p at pages_[p - 1]) blocks, written by decode in place. They also
-  // carry the hash chain hash_image() reads, for current traffic and
-  // verify_stored_packet()'s straggler checks alike.
-  Bytes m0_;
-  std::vector<Bytes> pages_;
-
-  // Collection state for the page currently being received; spare_ holds
-  // share buffers of earlier pages for store_share() to reuse.
+  // Shares of the frontier page, decoded into its page-store buffer once
+  // there are enough; spare_ holds share buffers of earlier pages for
+  // store_share() to reuse. The decoded pages also carry the hash chain
+  // hash_image() reads, for current traffic and verify_stored_packet()'s
+  // straggler checks alike.
   std::vector<erasure::Share> shares_;
   std::vector<Bytes> spare_;
-  BitVec have_;
 
-  std::uint32_t complete_pages_ = 0;
   // Single-slot serve cache: every packet of page serve_page_, serve_stride_
   // bytes apart in serve_.
   std::optional<std::uint32_t> serve_page_;

@@ -220,7 +220,11 @@ CertifiedSignature MultiKeySigner::sign(ByteView message) {
 
 bool MultiKeySigner::verify(const PacketHash& root_public_key,
                             ByteView message, const CertifiedSignature& sig) {
-  // 1. The WOTS public key must be certified under the preloaded root.
+  // 1. The WOTS public key must be certified under the preloaded root. The
+  // path fixes the tree height, and compute_root reads only that many low
+  // index bits: an index with any higher bit set names no leaf.
+  if (sig.cert_path.size() < 32 && (sig.key_index >> sig.cert_path.size()) != 0)
+    return false;
   const PacketHash root = MerkleTree::compute_root(
       ByteView(sig.wots_pk.data(), sig.wots_pk.size()), sig.key_index,
       sig.cert_path);

@@ -52,7 +52,7 @@ bool SignedImageState::on_signature(ByteView frame, sim::NodeMetrics& m) {
   if (meta_) return false;
   const auto packet = verify_signature_frame(frame, params_, root_pk_, m);
   if (!packet) return false;
-  adopt_meta(packet->meta, packet->root);
+  adopt(packet->meta, packet->root);
   signature_frame_ = Bytes(frame.begin(), frame.end());
   return true;
 }
@@ -64,9 +64,17 @@ void SignedImageState::sign(std::size_t pages, std::size_t image_size,
   meta.version = params_.version;
   meta.content_pages = static_cast<std::uint32_t>(pages);
   meta.image_size = static_cast<std::uint32_t>(image_size);
-  adopt_meta(meta, root);
+  adopt(meta, root);
   signature_frame_ =
       sign_image(meta, root, params_.puzzle_strength, signer);
+}
+
+void SignedImageState::adopt(const SignedMeta& meta,
+                             const crypto::PacketHash& root) {
+  LRS_CHECK(meta.content_pages >= 1 && meta.image_size >= 1);
+  meta_ = meta;
+  root_ = root;
+  store_.open(meta.content_pages + hash_pages_);
 }
 
 PageLayout SignedImageState::signed_layout(std::size_t mid_capacity,

@@ -27,8 +27,8 @@
 #include "crypto/wots.h"
 #include "proto/layout.h"
 #include "proto/packet.h"
+#include "proto/page_store.h"
 #include "proto/params.h"
-#include "proto/scheme.h"
 #include "sim/metrics.h"
 #include "util/types.h"
 
@@ -54,10 +54,11 @@ std::optional<SignaturePacket> verify_signature_frame(
     const crypto::PacketHash& root_pk, sim::NodeMetrics& m);
 
 /// The signature-bootstrap half of Sluice, Seluge and LR-Seluge: preloaded
-/// parameters and verification key, the adopted signed metadata and the
-/// frame kept for rebroadcast. A receiver is empty until on_signature
-/// verifies a frame and hands its (meta, root) to adopt_meta.
-class SignedImageState : public SchemeState {
+/// parameters and verification key, the adopted signed metadata and root,
+/// and the frame kept for rebroadcast. A receiver's page store is empty
+/// until on_signature verifies a frame; its (meta, root) then opens the
+/// store for the signed page count.
+class SignedImageState : public PagedScheme {
  public:
   Version version() const override { return params_.version; }
   bool needs_signature() const override { return true; }
@@ -68,13 +69,15 @@ class SignedImageState : public SchemeState {
   }
 
  protected:
+  /// `hash_pages` pages (Seluge's and LR-Seluge's hash page) precede
+  /// content page 1.
   SignedImageState(const CommonParams& params,
-                   const crypto::PacketHash& root_pk)
-      : params_(params), root_pk_(root_pk) {}
-
-  /// Sizes the receive state for verified (meta, root) and keeps them.
-  virtual void adopt_meta(const SignedMeta& meta,
-                          const crypto::PacketHash& root) = 0;
+                   const crypto::PacketHash& root_pk, std::uint32_t hash_pages,
+                   PageShape first, PageShape rest)
+      : PagedScheme(first, rest),
+        params_(params),
+        root_pk_(root_pk),
+        hash_pages_(hash_pages) {}
 
   /// Base station: adopts the metadata of a `pages`-page image of
   /// `image_size` bytes under `root` and signs it.
@@ -88,8 +91,14 @@ class SignedImageState : public SchemeState {
 
   CommonParams params_;
   crypto::PacketHash root_pk_;  // preloaded signer verification key
+  std::uint32_t hash_pages_;
   std::optional<SignedMeta> meta_;
+  crypto::PacketHash root_{};  // the signed root
   std::optional<Bytes> signature_frame_;
+
+ private:
+  /// Keeps verified (meta, root) and opens the page store for them.
+  void adopt(const SignedMeta& meta, const crypto::PacketHash& root);
 };
 
 // --- per-packet hash ---------------------------------------------------------

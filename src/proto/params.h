@@ -1,6 +1,7 @@
 // Shared configuration for all three dissemination schemes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -14,6 +15,14 @@ namespace lrs::proto {
 
 class SchemeState;   // proto/scheme.h
 struct RxFanoutMemo; // proto/engine.h
+
+// Default preloaded secrets. The Bytes members below copy them through the
+// iterator-range constructor: GCC 12 misreads a brace-initialized vector
+// member default as possibly uninitialized in every copy.
+inline constexpr std::array<std::uint8_t, 4> kDefaultClusterKey{0x42, 0x13,
+                                                                0x37, 0x99};
+inline constexpr std::array<std::uint8_t, 4> kDefaultLeapMaster{0x1e, 0xa9,
+                                                                0x5e, 0xc7};
 
 /// Geometry and crypto parameters preloaded on every node before deployment
 /// (paper §IV-B): the erasure-code instances, packet sizes and keys. Only
@@ -48,7 +57,8 @@ struct CommonParams {
   bool lr_greedy_scheduler = true;
 
   /// Cluster key authenticating advertisement/SNACK packets.
-  Bytes cluster_key{0x42, 0x13, 0x37, 0x99};
+  Bytes cluster_key =
+      Bytes(kDefaultClusterKey.begin(), kDefaultClusterKey.end());
 
   /// §IV-E future-work extension: authenticate SNACKs with LEAP-style
   /// per-source keys instead of the shared cluster key. The MAC then
@@ -58,7 +68,8 @@ struct CommonParams {
   bool leap_snack_auth = false;
   /// Master secret the per-source keys derive from (models LEAP's
   /// pairwise establishment; an attacker holds only its own derived key).
-  Bytes leap_master{0x1e, 0xa9, 0x5e, 0xc7};
+  Bytes leap_master =
+      Bytes(kDefaultLeapMaster.begin(), kDefaultLeapMaster.end());
 };
 
 /// Engine pacing knobs. Defaults follow Deluge-style constants scaled so a

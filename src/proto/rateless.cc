@@ -1,11 +1,12 @@
 #include "proto/rateless.h"
 
+#include <algorithm>
 #include <optional>
-#include <vector>
 
 #include "erasure/gf256.h"
 #include "erasure/matrix.h"
 #include "proto/layout.h"
+#include "proto/page_store.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -78,86 +79,51 @@ class FreshScheduler final : public TxScheduler {
   std::uint32_t next_ = 0;
 };
 
-class RatelessState final : public SchemeState {
+class RatelessState final : public PagedScheme {
  public:
+  /// Any of a page's window() encoded packets helps; the k decoded blocks
+  /// are the page buffer.
   RatelessState(const CommonParams& params, std::size_t image_size)
-      : params_(params),
-        layout_(compute_layout(image_size, page_capacity(), page_capacity())),
-        pages_(layout_.content_pages) {
-    reset_collection();
+      : PagedScheme(page_shape(params), page_shape(params)),
+        params_(params),
+        layout_(compute_layout(image_size, page_capacity(), page_capacity())) {
+    store_.open(layout_.content_pages);
+    restart_decoder();
   }
 
   RatelessState(const CommonParams& params, const Bytes& image)
       : RatelessState(params, image.size()) {
-    for (std::size_t p = 1; p <= layout_.content_pages; ++p) {
-      const Bytes slice = page_slice(view(image), layout_, p);
-      pages_[p - 1] = split_fixed(view(slice), params_.payload_size,
-                                  params_.k);
+    for (std::uint32_t p = 1; p <= layout_.content_pages; ++p) {
+      store_.buffer(p - 1) = page_slice(view(image), layout_, p);
     }
-    complete_pages_ = static_cast<std::uint32_t>(layout_.content_pages);
+    store_.complete_all();
   }
 
   Version version() const override { return params_.version; }
-  std::uint32_t num_pages() const override {
-    return static_cast<std::uint32_t>(layout_.content_pages);
-  }
-  std::size_t packets_in_page(std::uint32_t) const override {
-    return window();
-  }
   std::size_t decode_threshold(std::uint32_t) const override {
     return params_.k;
   }
 
-  std::uint32_t pages_complete() const override { return complete_pages_; }
-  bool image_complete() const override {
-    return complete_pages_ == layout_.content_pages;
-  }
-
   Bytes assemble_image() const override {
-    LRS_CHECK_MSG(image_complete(), "image not complete yet");
-    Bytes image(layout_.image_size, 0);
-    for (std::size_t p = 1; p <= layout_.content_pages; ++p) {
-      Bytes slice;
-      for (const auto& block : pages_[p - 1])
-        slice.insert(slice.end(), block.begin(), block.end());
-      slice.resize(p < layout_.content_pages ? layout_.mid_capacity
-                                             : layout_.last_capacity);
-      place_slice(image, layout_, p, view(slice));
-    }
-    return image;
-  }
-
-  BitVec request_bits(std::uint32_t page) const override {
-    BitVec bits(window());
-    if (page != complete_pages_ || page >= pages_.size()) return bits;
-    for (std::size_t j = 0; j < window(); ++j) {
-      if (!have_.get(j)) bits.set(j);
-    }
-    return bits;
-  }
-
-  std::size_t buffered_packets() const override {
-    if (image_complete()) return 0;
-    std::size_t n = 0;
-    for (std::size_t j = 0; j < window(); ++j) n += have_.get(j);
-    return n;
+    return store_.assemble(layout_, 0);
   }
 
   void on_reboot() override {
     // Decoded pages persist; the partial elimination state is RAM.
-    if (!image_complete()) reset_collection();
+    if (image_complete()) return;
+    PagedScheme::on_reboot();
+    restart_decoder();
   }
 
   DataStatus on_data(std::uint32_t page, std::uint32_t index,
-                     ByteView payload, sim::NodeMetrics& m) override {
-    if (page != complete_pages_ || page >= pages_.size()) {
-      return DataStatus::kStale;
-    }
+                     ByteView payload, sim::NodeMetrics& m,
+                     RxDigestMemo*) override {
+    if (!store_.is_frontier(page)) return DataStatus::kStale;
     if (index >= window() || payload.size() != params_.payload_size) {
       return DataStatus::kRejected;
     }
-    if (have_.get(index)) return DataStatus::kStale;
-    have_.set(index);
+    if (store_.holds(index)) return DataStatus::kStale;
+    store_.mark(index);
     // NO authentication: any well-formed combination enters the decoder —
     // exactly the exposure LR-Seluge eliminates.
     const Bytes row =
@@ -166,9 +132,12 @@ class RatelessState final : public SchemeState {
     if (!innovative) return DataStatus::kStale;
     if (eliminator_->complete()) {
       m.decode_operations += 1;
-      pages_[page] = eliminator_->solve();
-      ++complete_pages_;
-      reset_collection();
+      auto out = store_.buffer(page).begin();
+      for (const Bytes& block : eliminator_->solve()) {
+        out = std::copy(block.begin(), block.end(), out);
+      }
+      store_.advance();
+      restart_decoder();
       return image_complete() ? DataStatus::kImageComplete
                               : DataStatus::kPageComplete;
     }
@@ -176,9 +145,9 @@ class RatelessState final : public SchemeState {
   }
 
   bool verify_stored_packet(std::uint32_t page, std::uint32_t index,
-                            ByteView payload,
-                            sim::NodeMetrics&) const override {
-    return page < complete_pages_ && index < window() &&
+                            ByteView payload, sim::NodeMetrics&,
+                            RxDigestMemo*) const override {
+    return page < pages_complete() && index < window() &&
            payload.size() == params_.payload_size;
   }
 
@@ -191,15 +160,17 @@ class RatelessState final : public SchemeState {
 
   std::optional<Bytes> packet_payload(std::uint32_t page,
                                       std::uint32_t index) override {
-    if (page >= complete_pages_ || index >= window()) return std::nullopt;
-    const auto& blocks = pages_[page];
-    if (index < params_.k) return blocks[index];
+    if (page >= pages_complete() || index >= window()) return std::nullopt;
+    if (index < params_.k) {
+      const ByteView block = store_.packet(page, index);
+      return Bytes(block.begin(), block.end());
+    }
     const Bytes row =
         coefficient_row(params_.code_seed, params_.k, page + 1, index);
     Bytes out(params_.payload_size, 0);
-    for (std::size_t j = 0; j < params_.k; ++j) {
+    for (std::uint32_t j = 0; j < params_.k; ++j) {
       erasure::Gf256::addmul(MutByteView(out.data(), out.size()),
-                             view(blocks[j]), row[j]);
+                             store_.packet(page, j), row[j]);
     }
     return out;
   }
@@ -210,23 +181,22 @@ class RatelessState final : public SchemeState {
   }
 
  private:
+  static PageShape page_shape(const CommonParams& params) {
+    return {kRatelessWindowFactor * params.k, params.payload_size, params.k};
+  }
   std::size_t page_capacity() const {
     return params_.k * params_.payload_size;
   }
   std::size_t window() const { return kRatelessWindowFactor * params_.k; }
 
-  void reset_collection() {
+  void restart_decoder() {
     eliminator_ = std::make_unique<erasure::Gf256Eliminator>(
         params_.k, params_.payload_size);
-    have_ = BitVec(window());
   }
 
   CommonParams params_;
   PageLayout layout_;
-  std::vector<std::vector<Bytes>> pages_;  // decoded blocks per page
   std::unique_ptr<erasure::Gf256Eliminator> eliminator_;
-  BitVec have_;
-  std::uint32_t complete_pages_ = 0;
 };
 
 }  // namespace

@@ -6,6 +6,8 @@
 // receivers — and implements packet authentication, page decoding, request
 // construction and packet (re)generation for serving. The engine handles
 // states, timers, Trickle, SNACK suppression and TX scheduling policy.
+// Every scheme keeps its page state (frontier, request bitmap, page
+// buffers) in one PageStore through the PagedScheme base (page_store.h).
 #pragma once
 
 #include <memory>
@@ -88,19 +90,16 @@ class SchemeState {
 
   /// Authenticates and stores a received data packet. `m` is charged for
   /// verification work. Only packets of page pages_complete() make
-  /// progress; others are kStale.
-  virtual DataStatus on_data(std::uint32_t page, std::uint32_t index,
-                             ByteView payload, sim::NodeMetrics& m) = 0;
-
-  /// Memo-aware overload: `digest` (nullable) caches the packet-content
-  /// digest across the receivers of one broadcast delivery. Schemes whose
-  /// authentication is a per-packet content hash override this to reuse
-  /// the digest; the default ignores the memo.
+  /// progress; others are kStale. `digest` (nullable) caches the
+  /// packet-content digest across the receivers of one broadcast delivery;
+  /// schemes whose authentication is a per-packet content hash reuse it.
   virtual DataStatus on_data(std::uint32_t page, std::uint32_t index,
                              ByteView payload, sim::NodeMetrics& m,
-                             RxDigestMemo* digest) {
-    (void)digest;
-    return on_data(page, index, payload, m);
+                             RxDigestMemo* digest) = 0;
+  /// on_data without a fan-out memo.
+  virtual DataStatus on_data(std::uint32_t page, std::uint32_t index,
+                             ByteView payload, sim::NodeMetrics& m) {
+    return on_data(page, index, payload, m, nullptr);
   }
 
   /// Checks whether a packet of an ALREADY-COMPLETE page is authentic
@@ -108,16 +107,15 @@ class SchemeState {
   /// distinguish genuine straggler service (worth holding our own request
   /// back for, to keep the neighborhood in lockstep) from forged traffic,
   /// which must never delay us. Returns false for pages not yet complete.
-  virtual bool verify_stored_packet(std::uint32_t page, std::uint32_t index,
-                                    ByteView payload,
-                                    sim::NodeMetrics& m) const = 0;
-
-  /// Memo-aware overload of verify_stored_packet (see on_data above).
+  /// `digest` is the fan-out memo, as for on_data.
   virtual bool verify_stored_packet(std::uint32_t page, std::uint32_t index,
                                     ByteView payload, sim::NodeMetrics& m,
-                                    RxDigestMemo* digest) const {
-    (void)digest;
-    return verify_stored_packet(page, index, payload, m);
+                                    RxDigestMemo* digest) const = 0;
+  /// verify_stored_packet without a fan-out memo.
+  virtual bool verify_stored_packet(std::uint32_t page, std::uint32_t index,
+                                    ByteView payload,
+                                    sim::NodeMetrics& m) const {
+    return verify_stored_packet(page, index, payload, m, nullptr);
   }
 
   // --- bootstrap (signature packet) ----------------------------------------

@@ -13,14 +13,40 @@ namespace lrs::proto {
 
 namespace {
 
+/// M0 = h_{1,1} || ... || h_{1,k}: the hash page's content.
+std::size_t hash_page_bytes(const CommonParams& params) {
+  return params.k * crypto::kPacketHashSize;
+}
+std::size_t hash_page_chunks(const CommonParams& params) {
+  return (hash_page_bytes(params) + params.payload_size - 1) /
+         params.payload_size;
+}
+std::size_t merkle_depth(const CommonParams& params) {
+  const std::size_t leaves = next_pow2(hash_page_chunks(params));
+  std::size_t d = 0;
+  while ((std::size_t{1} << d) < leaves) ++d;
+  return d;
+}
+
+/// Page 0 is M0 in chunks of one payload, each served with its Merkle
+/// authentication path.
+PageShape hash_page_shape(const CommonParams& params) {
+  LRS_CHECK_MSG(params.payload_size > crypto::kPacketHashSize,
+                "payload must fit a block plus an embedded hash");
+  const std::size_t chunks = hash_page_chunks(params);
+  return {chunks,
+          params.payload_size + merkle_depth(params) * crypto::kPacketHashSize,
+          chunks};
+}
+
 class SelugeState final : public SignedImageState {
  public:
-  /// Receiver: empty until the signature packet verifies.
+  /// Receiver: empty until the signature packet verifies. Content packets
+  /// are a data block plus (below the last page) the next page's packet
+  /// hash.
   SelugeState(const CommonParams& params, const crypto::PacketHash& root_pk)
-      : SignedImageState(params, root_pk) {
-    LRS_CHECK_MSG(params_.payload_size > crypto::kPacketHashSize,
-                  "payload must fit a block plus an embedded hash");
-  }
+      : SignedImageState(params, root_pk, 1, hash_page_shape(params),
+                         {params.k, params.payload_size, params.k}) {}
 
   /// Base station: preprocess + sign.
   SelugeState(const CommonParams& params, const Bytes& image,
@@ -29,42 +55,25 @@ class SelugeState final : public SignedImageState {
     build_from_image(image, signer);
   }
 
-  // --- geometry --------------------------------------------------------------
-
-  std::uint32_t num_pages() const override {
-    return meta_ ? meta_->content_pages + 1 : 0;
-  }
-
-  std::size_t packets_in_page(std::uint32_t page) const override {
-    return page == 0 ? hash_page_chunks() : params_.k;
-  }
-
-  std::size_t decode_threshold(std::uint32_t page) const override {
-    return packets_in_page(page);  // ARQ: every packet is required
-  }
-
   // --- receiver --------------------------------------------------------------
-
-  std::uint32_t pages_complete() const override { return complete_pages_; }
-
-  bool image_complete() const override {
-    return meta_ && complete_pages_ == meta_->content_pages + 1;
-  }
 
   Bytes assemble_image() const override {
     LRS_CHECK_MSG(image_complete(), "image not complete yet");
+    // Hash images interleave with the data, so each packet contributes
+    // only its leading data bytes.
     const PageLayout layout = signed_layout(mid_capacity(), last_capacity());
     Bytes image(layout.image_size, 0);
     const std::size_t g = meta_->content_pages;
-    for (std::size_t p = 1; p <= g; ++p) {
+    for (std::uint32_t p = 1; p <= g; ++p) {
       Bytes slice;
       const std::size_t data_len = p < g
                                        ? params_.payload_size -
                                              crypto::kPacketHashSize
                                        : params_.payload_size;
-      for (const auto& payload : content_pages_[p - 1]) {
-        slice.insert(slice.end(), payload->begin(),
-                     payload->begin() + static_cast<std::ptrdiff_t>(data_len));
+      for (std::uint32_t j = 0; j < params_.k; ++j) {
+        const ByteView packet = store_.packet(p, j);
+        slice.insert(slice.end(), packet.begin(),
+                     packet.begin() + static_cast<std::ptrdiff_t>(data_len));
       }
       slice.resize(p < g ? layout.mid_capacity : layout.last_capacity);
       place_slice(image, layout, p, view(slice));
@@ -72,100 +81,44 @@ class SelugeState final : public SignedImageState {
     return image;
   }
 
-  BitVec request_bits(std::uint32_t page) const override {
-    const std::size_t count = packets_in_page(page);
-    BitVec bits(count);
-    if (!meta_) return bits;
-    if (page == 0) {
-      for (std::size_t j = 0; j < count; ++j) {
-        if (!hash_page_packets_[j].has_value()) bits.set(j);
-      }
-      return bits;
-    }
-    if (page > meta_->content_pages) return bits;
-    const auto& pkts = content_pages_[page - 1];
-    for (std::size_t j = 0; j < count; ++j) {
-      if (!pkts[j].has_value()) bits.set(j);
-    }
-    return bits;
-  }
-
-  std::size_t buffered_packets() const override {
-    if (!meta_ || image_complete()) return 0;
-    std::size_t n = 0;
-    if (complete_pages_ == 0) {
-      for (const auto& slot : hash_page_packets_) n += slot.has_value();
-    } else {
-      for (const auto& slot : content_pages_[complete_pages_ - 1]) {
-        n += slot.has_value();
-      }
-    }
-    return n;
-  }
-
-  void on_reboot() override {
-    // Every buffered packet here already passed per-packet authentication,
-    // but it still lives in RAM until the page completes and is flushed.
-    if (!meta_ || image_complete()) return;
-    if (complete_pages_ == 0) {
-      for (auto& slot : hash_page_packets_) slot.reset();
-    } else {
-      for (auto& slot : content_pages_[complete_pages_ - 1]) slot.reset();
-    }
-  }
-
-  DataStatus on_data(std::uint32_t page, std::uint32_t index,
-                     ByteView payload, sim::NodeMetrics& m) override {
-    return on_data(page, index, payload, m, nullptr);
-  }
-
   DataStatus on_data(std::uint32_t page, std::uint32_t index,
                      ByteView payload, sim::NodeMetrics& m,
                      RxDigestMemo* dig) override {
-    if (!meta_) return DataStatus::kStale;  // cannot authenticate yet
-    if (page != complete_pages_ || page > meta_->content_pages) {
-      return DataStatus::kStale;
+    if (!store_.is_frontier(page)) return DataStatus::kStale;
+    if (!well_formed(page, index, payload)) {
+      m.auth_failures += 1;
+      return DataStatus::kRejected;
     }
-    return page == 0 ? on_hash_page_data(index, payload, m, dig)
-                     : on_content_data(page, index, payload, m, dig);
-  }
+    if (store_.holds(index)) return DataStatus::kStale;
+    if (!authentic(page, index, payload, m, dig)) {
+      m.auth_failures += 1;
+      return DataStatus::kRejected;
+    }
+    store_.put(index, payload);
+    if (!store_.page_full()) return DataStatus::kStored;
 
-  bool verify_stored_packet(std::uint32_t page, std::uint32_t index,
-                            ByteView payload,
-                            sim::NodeMetrics& m) const override {
-    return verify_stored_packet(page, index, payload, m, nullptr);
+    if (page == 0) finish_hash_page();
+    store_.advance();
+    return image_complete() ? DataStatus::kImageComplete
+                            : DataStatus::kPageComplete;
   }
 
   bool verify_stored_packet(std::uint32_t page, std::uint32_t index,
                             ByteView payload, sim::NodeMetrics& m,
                             RxDigestMemo* dig) const override {
-    if (!meta_ || page >= complete_pages_) return false;
-    if (page == 0) {
-      if (index >= hash_page_chunks() || !hash_page_sized(payload)) {
-        return false;
-      }
-      m.hash_verifications += merkle_depth() + 1;
-      return merkle_path_matches(payload, params_.payload_size, index, root_,
-                                 dig);
-    }
-    if (index >= params_.k || payload.size() != params_.payload_size)
-      return false;
-    m.hash_verifications += 1;
-    return packet_hash_matches(params_.version, page, index, payload,
-                               expected_hashes_[page][index], dig);
+    return page < pages_complete() && well_formed(page, index, payload) &&
+           authentic(page, index, payload, m, dig);
   }
 
   // --- sender ----------------------------------------------------------------
 
   std::optional<Bytes> packet_payload(std::uint32_t page,
                                       std::uint32_t index) override {
-    if (!meta_ || page >= complete_pages_) return std::nullopt;
-    if (page == 0) {
-      if (index >= hash_page_packets_.size()) return std::nullopt;
-      return hash_page_packets_[index];
+    if (page >= pages_complete() || index >= packets_in_page(page)) {
+      return std::nullopt;
     }
-    if (index >= params_.k) return std::nullopt;
-    return content_pages_[page - 1][index];
+    const ByteView packet = store_.packet(page, index);
+    return Bytes(packet.begin(), packet.end());
   }
 
   std::unique_ptr<TxScheduler> make_scheduler(
@@ -176,24 +129,12 @@ class SelugeState final : public SignedImageState {
  private:
   // --- geometry helpers -------------------------------------------------------
 
-  std::size_t hash_page_bytes() const {
-    return params_.k * crypto::kPacketHashSize;
-  }
-  std::size_t hash_page_chunks() const {
-    return (hash_page_bytes() + params_.payload_size - 1) /
-           params_.payload_size;
-  }
-  std::size_t merkle_depth() const {
-    std::size_t leaves = next_pow2(hash_page_chunks());
-    std::size_t d = 0;
-    while ((std::size_t{1} << d) < leaves) ++d;
-    return d;
-  }
-
-  /// Page-0 packets are a chunk plus its Merkle authentication path.
-  bool hash_page_sized(ByteView payload) const {
-    return payload.size() ==
-           params_.payload_size + merkle_depth() * crypto::kPacketHashSize;
+  /// An index the page has, and a payload of the page's packet size (a
+  /// chunk plus its Merkle path on page 0).
+  bool well_formed(std::uint32_t page, std::uint32_t index,
+                   ByteView payload) const {
+    return index < packets_in_page(page) &&
+           payload.size() == store_.stride(page);
   }
   std::size_t mid_capacity() const {
     return params_.k * (params_.payload_size - crypto::kPacketHashSize);
@@ -202,96 +143,46 @@ class SelugeState final : public SignedImageState {
     return params_.k * params_.payload_size;
   }
 
-  void adopt_meta(const SignedMeta& meta,
-                  const crypto::PacketHash& root) override {
-    LRS_CHECK(meta.content_pages >= 1 && meta.image_size >= 1);
-    meta_ = meta;
-    root_ = root;
-    hash_page_packets_.assign(hash_page_chunks(), std::nullopt);
-    content_pages_.assign(meta.content_pages, {});
-    for (auto& page : content_pages_)
-      page.assign(params_.k, std::nullopt);
-    expected_hashes_.assign(meta.content_pages + 1, {});
-  }
+  // --- authentication -----------------------------------------------------------
 
-  // --- receive paths ----------------------------------------------------------
-
-  DataStatus on_hash_page_data(std::uint32_t index, ByteView payload,
-                               sim::NodeMetrics& m, RxDigestMemo* dig) {
-    if (index >= hash_page_chunks() || !hash_page_sized(payload)) {
-      m.auth_failures += 1;
-      return DataStatus::kRejected;
+  /// The per-packet check of a well-sized packet: a Merkle path to the
+  /// signed root on page 0 (depth + 1 hashes), else one hash against the
+  /// hash image the previous page carried.
+  bool authentic(std::uint32_t page, std::uint32_t index, ByteView payload,
+                 sim::NodeMetrics& m, RxDigestMemo* dig) const {
+    if (page == 0) {
+      m.hash_verifications += merkle_depth(params_) + 1;
+      return merkle_path_matches(payload, params_.payload_size, index, root_,
+                                 dig);
     }
-    if (hash_page_packets_[index].has_value()) return DataStatus::kStale;
-
-    m.hash_verifications += merkle_depth() + 1;
-    if (!merkle_path_matches(payload, params_.payload_size, index, root_,
-                             dig)) {
-      m.auth_failures += 1;
-      return DataStatus::kRejected;
-    }
-    hash_page_packets_[index] = Bytes(payload.begin(), payload.end());
-
-    if (request_bits(0).none()) {
-      finish_hash_page();
-      ++complete_pages_;
-      return DataStatus::kPageComplete;
-    }
-    return DataStatus::kStored;
-  }
-
-  void finish_hash_page() {
-    // Reassemble M0 = h_{1,1} || ... || h_{1,k} and index it.
-    Bytes m0;
-    for (const auto& p : hash_page_packets_) {
-      m0.insert(m0.end(), p->begin(),
-                p->begin() + static_cast<std::ptrdiff_t>(params_.payload_size));
-    }
-    m0.resize(hash_page_bytes());
-    auto& hashes = expected_hashes_[1];
-    hashes.clear();
-    for (std::size_t j = 0; j < params_.k; ++j) {
-      hashes.push_back(
-          crypto::read_packet_hash(view(m0), j * crypto::kPacketHashSize));
-    }
-  }
-
-  DataStatus on_content_data(std::uint32_t page, std::uint32_t index,
-                             ByteView payload, sim::NodeMetrics& m,
-                             RxDigestMemo* dig) {
-    if (index >= params_.k || payload.size() != params_.payload_size) {
-      m.auth_failures += 1;
-      return DataStatus::kRejected;
-    }
-    auto& slot = content_pages_[page - 1][index];
-    if (slot.has_value()) return DataStatus::kStale;
-
     m.hash_verifications += 1;
-    if (!packet_hash_matches(params_.version, page, index, payload,
-                             expected_hashes_[page][index], dig)) {
-      m.auth_failures += 1;
-      return DataStatus::kRejected;
-    }
-    slot = Bytes(payload.begin(), payload.end());
-
-    if (request_bits(page).none()) {
-      if (page < meta_->content_pages) extract_next_hashes(page);
-      ++complete_pages_;
-      return image_complete() ? DataStatus::kImageComplete
-                              : DataStatus::kPageComplete;
-    }
-    return DataStatus::kStored;
+    return packet_hash_matches(params_.version, page, index, payload,
+                               hash_image(page, index), dig);
   }
 
-  void extract_next_hashes(std::uint32_t page) {
-    // Packet (page, j) carries h_{page+1, j} in its trailing bytes.
-    auto& hashes = expected_hashes_[page + 1];
-    hashes.clear();
-    for (std::size_t j = 0; j < params_.k; ++j) {
-      const auto& payload = content_pages_[page - 1][j];
-      hashes.push_back(crypto::read_packet_hash(
-          view(*payload), params_.payload_size - crypto::kPacketHashSize));
+  /// h_{page, index}: M0 carries page 1's, and packet (page - 1, index)
+  /// carries page `page`'s in its trailing bytes.
+  crypto::PacketHash hash_image(std::uint32_t page,
+                                std::uint32_t index) const {
+    if (page == 1) {
+      return crypto::read_packet_hash(view(m0_),
+                                      index * crypto::kPacketHashSize);
     }
+    return crypto::read_packet_hash(
+        store_.packet(page - 1, index),
+        params_.payload_size - crypto::kPacketHashSize);
+  }
+
+  /// Reassembles M0 from the chunks of the complete hash page.
+  void finish_hash_page() {
+    m0_.clear();
+    for (std::uint32_t j = 0; j < store_.slots(0); ++j) {
+      const ByteView packet = store_.packet(0, j);
+      m0_.insert(m0_.end(), packet.begin(),
+                 packet.begin() +
+                     static_cast<std::ptrdiff_t>(params_.payload_size));
+    }
+    m0_.resize(hash_page_bytes(params_));
   }
 
   // --- build (base station) ----------------------------------------------------
@@ -302,7 +193,7 @@ class SelugeState final : public SignedImageState {
     const std::size_t g = layout.content_pages;
 
     // Construct packets in reverse page order so hashes chain forward.
-    std::vector<std::vector<Bytes>> payloads(g);
+    std::vector<Bytes> pages(g);  // content page p's packets, back to back
     std::vector<crypto::PacketHash> next_hashes;  // of page i+1
     for (std::size_t p = g; p >= 1; --p) {
       const Bytes slice = page_slice(view(image), layout, p);
@@ -310,55 +201,46 @@ class SelugeState final : public SignedImageState {
           p < g ? params_.payload_size - crypto::kPacketHashSize
                 : params_.payload_size;
       auto blocks = split_blocks(view(slice), params_.k);
-      std::vector<ByteView> views(params_.k);
       for (std::size_t j = 0; j < params_.k; ++j) {
         LRS_CHECK(blocks[j].size() == data_len);
         if (p < g) crypto::append(blocks[j], next_hashes[j]);
-        views[j] = view(blocks[j]);
+        pages[p - 1].insert(pages[p - 1].end(), blocks[j].begin(),
+                            blocks[j].end());
       }
+      const std::vector<ByteView> views(blocks.begin(), blocks.end());
       next_hashes = page_packet_hashes(params_.version,
                                        static_cast<std::uint32_t>(p), views);
-      payloads[p - 1] = std::move(blocks);
     }
 
     // Hash page: M0 = h_{1,1} || ... || h_{1,k}, chunked, Merkle tree.
     Bytes m0;
     for (const auto& h : next_hashes) crypto::append(m0, h);
-    const std::size_t chunks = hash_page_chunks();
+    const std::size_t chunks = hash_page_chunks(params_);
     auto chunk_blocks = split_fixed(view(m0), params_.payload_size, chunks);
 
     std::vector<Bytes> leaves = chunk_blocks;
     leaves.resize(next_pow2(chunks));  // pad with empty leaves
     const auto tree = crypto::MerkleTree::build(leaves);
+    m0_ = std::move(m0);
 
-    std::vector<Bytes> hash_page_payloads(chunks);
+    Bytes hash_page;  // chunk || auth path, per packet
     for (std::size_t j = 0; j < chunks; ++j) {
-      Bytes payload = chunk_blocks[j];
-      for (const auto& sib : tree.auth_path(j)) crypto::append(payload, sib);
-      hash_page_payloads[j] = std::move(payload);
+      hash_page.insert(hash_page.end(), chunk_blocks[j].begin(),
+                       chunk_blocks[j].end());
+      for (const auto& sib : tree.auth_path(j)) crypto::append(hash_page, sib);
     }
 
     // Sign, and adopt as a fully-populated state.
     sign(g, image.size(), tree.root(), signer);
-    for (std::size_t j = 0; j < chunks; ++j)
-      hash_page_packets_[j] = std::move(hash_page_payloads[j]);
-    finish_hash_page();
-    for (std::size_t p = 1; p <= g; ++p) {
-      for (std::size_t j = 0; j < params_.k; ++j)
-        content_pages_[p - 1][j] = std::move(payloads[p - 1][j]);
-      if (p < g) extract_next_hashes(static_cast<std::uint32_t>(p));
+    store_.buffer(0) = std::move(hash_page);
+    for (std::uint32_t p = 1; p <= g; ++p) {
+      store_.buffer(p) = std::move(pages[p - 1]);
     }
-    complete_pages_ = static_cast<std::uint32_t>(g + 1);
+    store_.complete_all();
   }
 
-  crypto::PacketHash root_{};
-
-  // Received/held packet payloads (hash page keeps chunk || auth path).
-  std::vector<std::optional<Bytes>> hash_page_packets_;
-  std::vector<std::vector<std::optional<Bytes>>> content_pages_;
-  // expected_hashes_[i][j] = h_{i,j}; index 0 unused.
-  std::vector<std::vector<crypto::PacketHash>> expected_hashes_;
-  std::uint32_t complete_pages_ = 0;
+  // M0, reassembled once the hash page completes; page 1's hash images.
+  Bytes m0_;
 };
 
 }  // namespace

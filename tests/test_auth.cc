@@ -151,6 +151,23 @@ TEST_P(SignedBootstrap, SolvedPuzzleWithForgedSignatureCostsOneVerification) {
   EXPECT_FALSE(dst_->bootstrapped());
 }
 
+TEST_P(SignedBootstrap, KeyIndexBitAboveTreeHeightIsOneFailedVerification) {
+  // The genuine frame with one bit of the key index's high byte flipped:
+  // the puzzle does not cover the signature, and the certification path
+  // only reads the index's low bits, so the index itself must be bounded
+  // by the tree height.
+  proto::SignaturePacket p = packet_;
+  auto cert =
+      crypto::CertifiedSignature::deserialize(view(p.signature)).value();
+  cert.key_index |= std::uint32_t{1} << 24;
+  p.signature = cert.serialize();
+  const auto [ok, c] = offer(p.serialize());
+  EXPECT_FALSE(ok);
+  expect_charge(c, {1, 0, 1});
+  EXPECT_FALSE(dst_->bootstrapped());
+  EXPECT_TRUE(offer(genuine_).first);
+}
+
 TEST_P(SignedBootstrap, GenuineFrameBootstrapsOnceThenIsIgnored) {
   const auto [ok, c] = offer(genuine_);
   EXPECT_TRUE(ok);

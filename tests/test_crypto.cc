@@ -290,6 +290,29 @@ TEST(MultiKeySigner, ForeignKeyRejected) {
       MultiKeySigner::verify(alice.root_public_key(), view(msg), sig));
 }
 
+TEST(MultiKeySigner, KeyIndexBitAboveTreeHeightRejected) {
+  // The Merkle path fixes the tree height; an index bit at or above it names
+  // no leaf, even though the path still hashes to the root from the low
+  // bits. (A one-bit corruption of the serialized index's high byte once
+  // bootstrapped a receiver this way.)
+  const Bytes seed{0x0c};
+  MultiKeySigner signer(view(seed), 2);
+  const Bytes msg{4, 2};
+  const auto sig = signer.sign(view(msg));
+  ASSERT_EQ(sig.cert_path.size(), 2u);
+  ASSERT_TRUE(MultiKeySigner::verify(signer.root_public_key(), view(msg), sig));
+  for (const unsigned bit : {2u, 3u, 8u, 24u, 31u}) {
+    CertifiedSignature bad = sig;
+    bad.key_index |= std::uint32_t{1} << bit;
+    EXPECT_FALSE(
+        MultiKeySigner::verify(signer.root_public_key(), view(msg), bad))
+        << "bit " << bit;
+    EXPECT_FALSE(
+        verify_certified_cached(signer.root_public_key(), view(msg), bad))
+        << "bit " << bit;
+  }
+}
+
 TEST(MultiKeySigner, SerializationRoundTrip) {
   const Bytes seed{5};
   MultiKeySigner signer(view(seed), 3);
