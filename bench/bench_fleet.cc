@@ -15,9 +15,8 @@
 // byte-identical for any worker count — CI diffs them serial vs LRS_JOBS=8.
 // That includes "imbalance": max/mean per-cell event load, derived from
 // deterministic event counts. The trailing wall_s / events_per_sec /
-// peak_rss_mb / steals columns are machine- and schedule-dependent and are
-// excluded from determinism comparisons (steals is the work-stealing
-// pool's successful-steal count — Gauge territory, never a Counter).
+// peak_rss_mb columns are machine-dependent and are excluded from
+// determinism comparisons.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -27,6 +26,7 @@
 #include <vector>
 
 #include "bench/common.h"
+#include "core/parallel.h"
 #include "fleet/engine.h"
 #include "util/args.h"
 #include "util/csv.h"
@@ -99,6 +99,8 @@ int run(int argc, char** argv) {
   bench::finish_flags(args, bad, argv[0],
                       "[--quick] [--jobs=J] [--metrics=M.json]"
                       " [--metrics-heartbeat=S]");
+  const std::size_t jobs = jobs_flag > 0 ? static_cast<std::size_t>(jobs_flag)
+                                         : core::default_jobs();
 
   const std::vector<Rung>& ladder = quick ? kQuickLadder : kLadder;
 
@@ -106,7 +108,7 @@ int run(int argc, char** argv) {
                "delta", "receivers", "converged", "events",
                "max_cell_events", "imbalance", "data_pkts", "snack_pkts",
                "total_bytes", "latency_s", "images_ok", "wall_s",
-               "events_per_sec", "peak_rss_mb", "steals"});
+               "events_per_sec", "peak_rss_mb"});
 
   bool all_converged = true;
   for (std::size_t ri = 0; ri < ladder.size(); ++ri) {
@@ -122,8 +124,7 @@ int run(int argc, char** argv) {
 
     bench::reset_peak_rss();
     const auto t0 = std::chrono::steady_clock::now();
-    const fleet::FleetReport report =
-        engine.run(static_cast<std::size_t>(jobs_flag));
+    const fleet::FleetReport report = engine.run(jobs);
     const auto t1 = std::chrono::steady_clock::now();
     const double wall = std::chrono::duration<double>(t1 - t0).count();
     const double rss = bench::peak_rss_mb();
@@ -153,7 +154,7 @@ int run(int argc, char** argv) {
                      std::to_string(tr.snack_packets),
                      std::to_string(tr.total_bytes),
                      format_num(tr.latency_max_s, 1),
-                     tr.images_ok ? "true" : "false", "", "", "", ""});
+                     tr.images_ok ? "true" : "false", "", "", ""});
     }
 
     std::size_t converged = 0;
@@ -182,14 +183,14 @@ int run(int argc, char** argv) {
                    format_num(latency, 1), images_ok ? "true" : "false",
                    format_num(wall, 3),
                    format_num(static_cast<double>(report.events) / wall),
-                   format_num(rss, 3), std::to_string(report.steals)});
+                   format_num(rss, 3)});
   }
 
   bench::print_table("fleet engine ladder", table);
 
   std::vector<std::pair<std::string, std::string>> extras = {
       {"quick", quick ? "true" : "false"},
-      {"jobs", std::to_string(jobs_flag)}};
+      {"jobs", std::to_string(jobs)}};
   bench::write_bench_json("fleet", table, extras);
   return all_converged ? 0 : 1;
 }

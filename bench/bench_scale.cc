@@ -43,6 +43,7 @@
 
 #include "bench/common.h"
 #include "bench/json.h"
+#include "core/parallel.h"
 #include "core/run_trials.h"
 #include "sim/scenario/scenario.h"
 #include "util/args.h"
@@ -117,6 +118,8 @@ int run(int argc, char** argv) {
                       "[--quick] [--scales=a,b] [--repeats=R] [--jobs=J]"
                       " [--scenario-dir=D] [--baseline=F.json] [--gate=0.20]"
                       " [--metrics=M.json] [--metrics-heartbeat=S] [--list]");
+  const std::size_t jobs = jobs_flag > 0 ? static_cast<std::size_t>(jobs_flag)
+                                         : core::default_jobs();
 
   const std::vector<std::string> ladder =
       !scales_flag.empty() ? split_csv_list(scales_flag)
@@ -179,8 +182,7 @@ int run(int argc, char** argv) {
 
     bench::reset_peak_rss();
     const auto t0 = std::chrono::steady_clock::now();
-    const auto trials = core::run_trials(config, repeats,
-                                         static_cast<std::size_t>(jobs_flag));
+    const auto trials = core::run_trials(config, repeats, jobs);
     const auto t1 = std::chrono::steady_clock::now();
     const double wall =
         std::chrono::duration<double>(t1 - t0).count();
@@ -231,7 +233,7 @@ int run(int argc, char** argv) {
 
   std::vector<std::pair<std::string, std::string>> extras = {
       {"quick", quick ? "true" : "false"},
-      {"jobs", std::to_string(jobs_flag)}};
+      {"jobs", std::to_string(jobs)}};
   bench::write_bench_json("scale", table, extras);
 
   int rc = all_complete ? 0 : 1;

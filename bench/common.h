@@ -340,7 +340,7 @@ struct SweepResult {
 
 /// Times fn (which processes `bytes` payload bytes per call): three
 /// repetitions of ~150 ms each after a calibration warmup, keeping the
-/// fastest — the standard defense against scheduler/steal-time noise on
+/// fastest — the standard defense against scheduler and hypervisor noise on
 /// shared CI machines. Returns {MB/s, ns/op}.
 template <typename Fn>
 SweepResult time_op(const std::string& name, std::size_t bytes, Fn&& fn) {

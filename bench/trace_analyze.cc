@@ -31,7 +31,7 @@
 // top-level keys bench (string), provenance (object), columns (strings)
 // and rows, every row holding exactly one scalar cell per column. For
 // bench == "fleet" it also checks the bench_fleet export: the pinned
-// 21-column schema, u64 exactness for every integer column, "X/Y"
+// 20-column schema, u64 exactness for every integer column, "X/Y"
 // convergence ratios, imbalance >= 1, at least one delta tenant, timing
 // columns confined to ALL rows, and per-rung ALL rows that are exact folds
 // (sum/max) of their tenant rows:
@@ -342,12 +342,12 @@ std::string fleet_folds(MetricsCheck& mc, const Json& columns,
                         const Json& rows) {
   // The pinned schema. Everything up to and including images_ok is the
   // deterministic prefix (byte-identical for any LRS_JOBS); the trailing
-  // four are timing columns, present only on ALL rows.
+  // three are timing columns, present only on ALL rows.
   static const std::vector<std::string> kColumns = {
       "rung", "tenants", "cells", "tenant", "codec", "version", "delta",
       "receivers", "converged", "events", "max_cell_events", "imbalance",
       "data_pkts", "snack_pkts", "total_bytes", "latency_s", "images_ok",
-      "wall_s", "events_per_sec", "peak_rss_mb", "steals"};
+      "wall_s", "events_per_sec", "peak_rss_mb"};
   if (columns.array.size() != kColumns.size()) {
     mc.fail("expected " + std::to_string(kColumns.size()) + " columns, got " +
             std::to_string(columns.array.size()));
@@ -463,8 +463,8 @@ std::string fleet_folds(MetricsCheck& mc, const Json& columns,
     }
 
     const bool is_all = cell("tenant").str == "ALL";
-    // Timing columns: exactly the ALL rows carry them (steals as exact u64,
-    // the rest as numbers); tenant rows leave them empty.
+    // Timing columns: exactly the ALL rows carry them, as numbers; tenant
+    // rows leave them empty.
     for (const char* name : {"wall_s", "events_per_sec", "peak_rss_mb"}) {
       const bool num = cell(name).is(Json::Kind::kNumber);
       const bool empty =
@@ -475,13 +475,6 @@ std::string fleet_folds(MetricsCheck& mc, const Json& columns,
                         : " must be empty on tenant rows"));
       }
     }
-    if (is_all) {
-      u64_cell("steals");
-    } else if (!cell("steals").is(Json::Kind::kString) ||
-               !cell("steals").str.empty()) {
-      mc.fail(at + ": steals must be empty on tenant rows");
-    }
-
     if (is_all) {
       if (fold.has_all) mc.fail(at + ": duplicate ALL row for rung");
       fold.has_all = true;

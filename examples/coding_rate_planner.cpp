@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/experiment.h"
+#include "core/run_trials.h"
 
 using namespace lrs;
 using namespace lrs::core;
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     cfg.receivers = receivers;
     cfg.loss_p = loss;
     cfg.image_size = image_kb * 1024;
-    const auto r = run_experiment_avg(cfg, 3);
+    const auto r = aggregate_trials(run_trials(cfg, 3));
     if (!r.all_complete) {
       std::printf("%4zu  did not complete in time\n", n);
       continue;

@@ -13,7 +13,7 @@
 #include <cstdio>
 #include <string>
 
-#include "core/experiment.h"
+#include "core/run_trials.h"
 #include "core/provenance.h"
 #include "sim/stats/stats.h"
 #include "util/args.h"
@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
     if (metrics_heartbeat > 0) stats::start_heartbeat(metrics_heartbeat);
   }
 
-  const auto r = run_experiment_avg(cfg, seeds);
+  const auto r = aggregate_trials(run_trials(cfg, seeds));
   std::printf("scheme=%s complete=%zu/%zu images_ok=%s\n",
               scheme_name(cfg.scheme), r.completed, r.receivers,
               r.images_match ? "yes" : "NO");

@@ -1,7 +1,5 @@
 #include "core/experiment.h"
 
-#include "core/run_trials.h"
-
 #include <algorithm>
 #include <memory>
 #include <span>
@@ -410,33 +408,22 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   // Each worker builds, runs and destroys its cell's simulator, so peak
   // memory is jobs x one-cell state, not cells x. Island sizes are
   // heterogeneous (a geometric deployment mixes 2-node islets with
-  // 1000-node blobs), hence the work-stealing runner; results land in
-  // cell-indexed slots, so they are byte-identical for any worker count.
-  // A single cell runs inline on the caller's thread.
+  // 1000-node blobs); results land in cell-indexed slots, so they are
+  // byte-identical for any worker count. Inside a trial runner's worker the
+  // pool is capped at that worker's share of its jobs. A single cell runs
+  // inline on the caller's thread.
   std::vector<ExperimentResult> parts(cells.size());
-  const std::size_t jobs =
-      config.island_jobs != 0 ? config.island_jobs : default_jobs();
-  const std::size_t steals =
-      parallel_for_ws(cells.size(), jobs, [&](std::size_t i) {
-        // Top-level scope: one cell end to end (build, run, metric
-        // extraction). Island cells run concurrently, so accumulated scope
-        // time is CPU-time-like — it can exceed wall time under LRS_JOBS > 1.
-        static stats::Timer& cell_timer = stats::Registry::instance().timer(
-            "core.run_cell", /*top_level=*/true);
-        stats::TimerScope cell_scope(cell_timer);
-        parts[i] = run_cell(config, image, root_pk, topology,
-                            std::move(cells[i]), std::move(sources[i]));
-      });
-  static stats::Gauge& steal_gauge =
-      stats::Registry::instance().gauge("core.parallel.steals");
-  steal_gauge.add(static_cast<std::int64_t>(steals));
+  parallel_for(cells.size(), 0, [&](std::size_t i) {
+    // Top-level scope: one cell end to end (build, run, metric extraction).
+    // Island cells run concurrently, so accumulated scope time is
+    // CPU-time-like — it can exceed wall time under LRS_JOBS > 1.
+    static stats::Timer& cell_timer = stats::Registry::instance().timer(
+        "core.run_cell", /*top_level=*/true);
+    stats::TimerScope cell_scope(cell_timer);
+    parts[i] = run_cell(config, image, root_pk, topology,
+                        std::move(cells[i]), std::move(sources[i]));
+  });
   return parts.size() == 1 ? std::move(parts.front()) : merge_islands(parts);
-}
-
-ExperimentResult run_experiment_avg(const ExperimentConfig& config,
-                                    std::size_t repeats) {
-  const std::vector<ExperimentResult> trials = run_trials(config, repeats);
-  return aggregate_trials(trials);
 }
 
 }  // namespace lrs::core

@@ -75,12 +75,13 @@ struct ExperimentConfig {
 
   // Island-sharded execution (sim/partition.h): partition the topology
   // into radio-connected components, give each its own base station (the
-  // island's smallest id) and simulate them independently on a worker
-  // pool. Deterministic — serial and parallel runs are byte-identical, and
-  // a connected topology (one island) runs as one whole-network cell,
-  // exactly as without island mode. Requires no fault plan and no tracing.
+  // island's smallest id) and simulate them independently on the worker
+  // pool (core/parallel.h: default_jobs() threads, or the enclosing trial
+  // worker's share of its jobs). Deterministic — serial and parallel runs
+  // are byte-identical, and a connected topology (one island) runs as one
+  // whole-network cell, exactly as without island mode. Requires no fault
+  // plan and no tracing.
   bool islands = false;
-  std::size_t island_jobs = 0;  // 0 = default_jobs() (LRS_JOBS)
 };
 
 struct ExperimentResult {
@@ -161,9 +162,5 @@ ExperimentResult run_cell(const ExperimentConfig& config, const Bytes& image,
                           std::shared_ptr<const sim::Topology> topology,
                           std::vector<NodeId> members,
                           std::unique_ptr<proto::SchemeState> source);
-
-/// Averages `repeats` runs with derived seeds (seed, seed+1, ...).
-ExperimentResult run_experiment_avg(const ExperimentConfig& config,
-                                    std::size_t repeats);
 
 }  // namespace lrs::core

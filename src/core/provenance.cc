@@ -70,7 +70,9 @@ std::string json_string_array(const std::vector<std::string>& items) {
   std::string out = "[";
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (i) out += ", ";
-    out += "\"" + json_escape(items[i]) + "\"";
+    out += '"';
+    out += json_escape(items[i]);
+    out += '"';
   }
   return out + "]";
 }

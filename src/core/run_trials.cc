@@ -10,6 +10,7 @@
 namespace lrs::core {
 
 std::size_t default_jobs() {
+  if (detail::worker_budget != 0) return detail::worker_budget;
   if (const char* env = std::getenv("LRS_JOBS")) {
     char* end = nullptr;
     const long v = std::strtol(env, &end, 10);
@@ -23,33 +24,23 @@ std::size_t default_jobs() {
 
 namespace {
 
-/// The one trial loop: every (config, trial) pair of a grid on one
-/// work-stealing pool. Slot c * repeats + i holds trial i of configs[c],
-/// run with seed configs[c].seed + i and trace_for_trial(trace, c, i), so
-/// the result vector is identical for any worker count. Sweeps mix cheap
-/// and expensive configs and the block deal-out puts each config's trials
-/// on one worker; stealing keeps the tail busy without touching the
-/// trial -> seed mapping.
+/// The one trial loop: every (config, trial) pair of a grid on one worker
+/// pool. Slot c * repeats + i holds trial i of configs[c], run with seed
+/// configs[c].seed + i and trace_for_trial(trace, c, i), so the result
+/// vector is identical for any worker count. Sharing one pool keeps every
+/// thread busy across cheap and expensive configs.
 std::vector<ExperimentResult> run_grid(std::span<const ExperimentConfig> configs,
                                        std::size_t repeats, std::size_t jobs) {
   LRS_CHECK(repeats >= 1);
-  if (jobs == 0) jobs = default_jobs();
-
   std::vector<ExperimentResult> trials(configs.size() * repeats);
-  const std::size_t steals =
-      parallel_for_ws(trials.size(), jobs, [&](std::size_t t) {
-        const std::size_t ci = t / repeats;
-        const std::size_t ri = t % repeats;
-        ExperimentConfig c = configs[ci];
-        c.seed = configs[ci].seed + ri;
-        c.trace = sim::trace_for_trial(configs[ci].trace, ci, ri);
-        trials[t] = run_experiment(c);
-      });
-  // Steal counts depend on worker timing: a Gauge (timing section), never a
-  // Counter, or the deterministic export would vary with LRS_JOBS.
-  static stats::Gauge& steal_gauge =
-      stats::Registry::instance().gauge("core.parallel.steals");
-  steal_gauge.add(static_cast<std::int64_t>(steals));
+  parallel_for(trials.size(), jobs, [&](std::size_t t) {
+    const std::size_t ci = t / repeats;
+    const std::size_t ri = t % repeats;
+    ExperimentConfig c = configs[ci];
+    c.seed = configs[ci].seed + ri;
+    c.trace = sim::trace_for_trial(configs[ci].trace, ci, ri);
+    trials[t] = run_experiment(c);
+  });
   return trials;
 }
 

@@ -3,13 +3,13 @@
 // Every figure/table in the paper averages repeated simulation runs with
 // derived seeds. The runs are embarrassingly parallel — each trial owns its
 // simulator, RNG streams and scheme state — so this module fans them out
-// over a small work-stealing pool (core/parallel.h, parallel_for_ws) while
-// keeping results (and therefore every aggregate) bit-identical to the
-// historical serial loop: trial i always uses seed config.seed + i, results
-// are collected by index, and the aggregation walks them in index order
-// with the same arithmetic. Only the index -> thread assignment is
-// schedule-dependent; steal counts are reported as the timing-only gauge
-// "core.parallel.steals".
+// over the worker pool (core/parallel.h, parallel_for) while keeping
+// results (and therefore every aggregate) bit-identical to the serial loop:
+// trial i always uses seed config.seed + i, results are collected by index,
+// and the aggregation walks them in index order with the same arithmetic.
+// `jobs` bounds the total thread count: each trial's island fan-out runs
+// within its worker's share, so run_trials(config, 1, J) gives one
+// island-sharded run all J threads.
 #pragma once
 
 #include <cstddef>
@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "core/experiment.h"
-#include "core/parallel.h"  // parallel_for_ws + default_jobs
+#include "core/parallel.h"  // default_jobs
 
 namespace lrs::core {
 
@@ -29,9 +29,8 @@ std::vector<ExperimentResult> run_trials(const ExperimentConfig& config,
                                          std::size_t repeats,
                                          std::size_t jobs = 0);
 
-/// Folds per-trial results into one averaged ExperimentResult using the
-/// exact arithmetic (and index order) of the original serial
-/// run_experiment_avg loop, so serial and parallel runs agree bitwise.
+/// Folds per-trial results into one averaged ExperimentResult, walking
+/// them in index order, so serial and parallel runs agree bitwise.
 ExperimentResult aggregate_trials(std::span<const ExperimentResult> trials);
 
 /// Grid runner: out[i] averages `repeats` trials of configs[i]. All

@@ -133,8 +133,6 @@ core::ExperimentResult FleetEngine::run_cell(const Tenant& tenant,
 }
 
 FleetReport FleetEngine::run(std::size_t jobs) {
-  if (jobs == 0) jobs = core::default_jobs();
-
   // The global work list: tenant-ordered, cells contiguous per tenant.
   struct Item {
     std::size_t tenant;
@@ -153,14 +151,12 @@ FleetReport FleetEngine::run(std::size_t jobs) {
   }
 
   std::vector<core::ExperimentResult> results(items.size());
-  const std::size_t steals =
-      core::parallel_for_ws(items.size(), jobs, [&](std::size_t i) {
-        results[i] = run_cell(tenants_[items[i].tenant], items[i].cell);
-      });
+  core::parallel_for(items.size(), jobs, [&](std::size_t i) {
+    results[i] = run_cell(tenants_[items[i].tenant], items[i].cell);
+  });
 
   FleetReport report;
   report.cells = items.size();
-  report.steals = steals;
   report.tenants.reserve(tenants_.size());
   for (std::size_t ti = 0; ti < tenants_.size(); ++ti) {
     Tenant& t = tenants_[ti];
@@ -209,10 +205,6 @@ FleetReport FleetEngine::run(std::size_t jobs) {
   static stats::Counter& cells_counter =
       stats::Registry::instance().counter("fleet.cells");
   cells_counter.add(report.cells);
-  // Steals depend on worker timing: Gauge (timing section), never Counter.
-  static stats::Gauge& steal_gauge =
-      stats::Registry::instance().gauge("fleet.steals");
-  steal_gauge.add(static_cast<std::int64_t>(report.steals));
   return report;
 }
 

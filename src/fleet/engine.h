@@ -18,9 +18,8 @@
 // work list is the tenant-ordered, cell-indexed cross product; each cell's
 // simulation is a pure function of (spec, cell index); results land in
 // index-addressed slots and per-tenant aggregation walks them in index
-// order. The work-stealing pool (core/parallel.h) only decides WHICH worker
-// runs a cell, so every TenantResult is byte-identical for any job count.
-// Steal counts are schedule-dependent and reported separately.
+// order. The worker pool (core/parallel.h) only decides WHICH worker runs a
+// cell, so every TenantResult is byte-identical for any job count.
 #pragma once
 
 #include <cstdint>
@@ -70,9 +69,6 @@ struct FleetReport {
   std::size_t cells = 0;
   std::uint64_t events = 0;
   std::uint64_t max_cell_events = 0;  // busiest cell fleet-wide
-  /// Successful steals in the work-stealing pool — schedule-dependent,
-  /// excluded from every determinism comparison.
-  std::uint64_t steals = 0;
 
   double imbalance() const {
     return events == 0 ? 1.0
@@ -107,8 +103,8 @@ class FleetEngine {
   /// already-prepared tenants are skipped.
   void prepare();
 
-  /// Runs every prepared tenant's cells on the work-stealing pool (`jobs`
-  /// 0 = core::default_jobs()) and aggregates per tenant. Tenants move to
+  /// Runs every prepared tenant's cells on the worker pool, on at most
+  /// `jobs` threads (0 = core::default_jobs()), and aggregates per tenant. Tenants move to
   /// kConverged (all cells complete and byte-exact) or kFailed.
   FleetReport run(std::size_t jobs = 0);
 

@@ -40,8 +40,7 @@ struct TenantSpec {
 
   /// Cell population: `cells` one-hop stars whose receiver counts spread
   /// uniformly (deterministically per cell) over [receivers_min,
-  /// receivers_max] — the heterogeneity the work-stealing scheduler exists
-  /// for.
+  /// receivers_max], so cells differ in cost.
   std::size_t cells = 8;
   std::size_t receivers_min = 4;
   std::size_t receivers_max = 12;

@@ -21,10 +21,17 @@ void TraceRecorder::record(TraceEvent e) {
 
 namespace {
 
+/// `"key":` followed by `tail`: the text a JSONL field starts with.
+std::string field_needle(std::string_view key, std::string_view tail) {
+  std::string needle(1, '"');
+  needle.append(key).append("\":").append(tail);
+  return needle;
+}
+
 /// Extracts an unsigned integer field `"key":value` from a JSONL line.
 std::optional<std::uint64_t> json_uint(std::string_view line,
                                        std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  const std::string needle = field_needle(key, "");
   const auto at = line.find(needle);
   if (at == std::string_view::npos) return std::nullopt;
   std::size_t i = at + needle.size();
@@ -40,7 +47,7 @@ std::optional<std::uint64_t> json_uint(std::string_view line,
 /// Extracts a string field `"key":"value"` from a JSONL line.
 std::optional<std::string> json_str(std::string_view line,
                                     std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":\"";
+  const std::string needle = field_needle(key, "\"");
   const auto at = line.find(needle);
   if (at == std::string_view::npos) return std::nullopt;
   const std::size_t start = at + needle.size();

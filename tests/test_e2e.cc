@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
+#include "core/run_trials.h"
 
 namespace lrs::core {
 namespace {
@@ -123,8 +124,8 @@ TEST(PaperShape, LrBeatsSelugeDataPacketsUnderLoss) {
     cfg->loss_p = 0.3;
     cfg->receivers = 8;
   }
-  const auto r_lr = run_experiment_avg(lr, 5);
-  const auto r_seluge = run_experiment_avg(seluge, 5);
+  const auto r_lr = aggregate_trials(run_trials(lr, 5));
+  const auto r_seluge = aggregate_trials(run_trials(seluge, 5));
   ASSERT_TRUE(r_lr.all_complete);
   ASSERT_TRUE(r_seluge.all_complete);
   EXPECT_LT(r_lr.data_packets, r_seluge.data_packets);

@@ -1,13 +1,16 @@
 // Fleet subsystem: delta images (round-trip, tamper and replay rejection,
 // end-to-end through the upgrade machinery), clone_source sharing, the
-// work-stealing scheduler's contract, and the engine's serial-vs-parallel
-// byte-identity discipline.
+// worker pool's contract, and the engine's serial-vs-parallel byte-identity
+// discipline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <iterator>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/experiment.h"
@@ -261,14 +264,14 @@ TEST(CloneSource, IncompleteReceiverDoesNotClone) {
 }
 
 // ---------------------------------------------------------------------------
-// Work-stealing scheduler
+// Worker pool
 // ---------------------------------------------------------------------------
 
-TEST(ParallelForWs, RunsEveryIndexExactlyOnce) {
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
   for (const std::size_t count : {0u, 1u, 7u, 64u, 1000u}) {
     for (const std::size_t jobs : {1u, 2u, 8u, 2000u}) {
       std::vector<std::atomic<int>> hits(count);
-      core::parallel_for_ws(count, jobs, [&](std::size_t i) {
+      core::parallel_for(count, jobs, [&](std::size_t i) {
         hits[i].fetch_add(1, std::memory_order_relaxed);
       });
       for (std::size_t i = 0; i < count; ++i) {
@@ -278,51 +281,76 @@ TEST(ParallelForWs, RunsEveryIndexExactlyOnce) {
   }
 }
 
-TEST(ParallelForWs, StealsHappenOnSkewedLoads) {
-  // Worker 0 owns the single huge task (index 0); the other workers finish
-  // their blocks and must steal to stay busy. With enough tiny tasks after
-  // a blocking head task, at least one steal is all but guaranteed — but
-  // the assertion stays weak (>= 0 by type) plus every-index-once, because
-  // steal COUNTS are schedule-dependent by design.
-  std::atomic<std::uint64_t> sum{0};
-  const std::size_t steals =
-      core::parallel_for_ws(256, 4, [&](std::size_t i) {
-        volatile std::uint64_t x = 0;
-        const std::uint64_t reps = i == 0 ? 2000000 : 100;
-        for (std::uint64_t r = 0; r < reps; ++r) x = x + r;
-        sum.fetch_add(1, std::memory_order_relaxed);
-      });
-  EXPECT_EQ(sum.load(), 256u);
-  (void)steals;
-}
-
-TEST(ParallelForWs, FirstExceptionPropagatesAndWorkCompletes) {
+TEST(ParallelFor, FirstExceptionPropagatesAndWorkCompletes) {
   std::vector<std::atomic<int>> hits(100);
-  EXPECT_THROW(
-      core::parallel_for_ws(100, 8,
-                            [&](std::size_t i) {
-                              if (i == 13) throw std::runtime_error("boom");
-                              hits[i].fetch_add(1,
-                                                std::memory_order_relaxed);
-                            }),
-      std::runtime_error);
-  // Every other task still ran exactly once (the failed worker's leftover
-  // deque is stolen by the survivors).
+  EXPECT_THROW(core::parallel_for(100, 8,
+                                  [&](std::size_t i) {
+                                    if (i == 13) {
+                                      throw std::runtime_error("boom");
+                                    }
+                                    hits[i].fetch_add(
+                                        1, std::memory_order_relaxed);
+                                  }),
+               std::runtime_error);
+  // Every other task still ran exactly once.
   for (std::size_t i = 0; i < 100; ++i) {
     if (i == 13) continue;
     EXPECT_EQ(hits[i].load(), 1) << i;
   }
 }
 
-TEST(ParallelForWs, VictimOrderIsDeterministic) {
-  const auto a = core::detail::steal_victim_order(2, 8);
-  const auto b = core::detail::steal_victim_order(2, 8);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a.size(), 7u);
-  for (std::size_t v : a) EXPECT_NE(v, 2u);
-  // Different workers get different permutations (seeded by worker id).
-  EXPECT_NE(core::detail::steal_victim_order(0, 8),
-            core::detail::steal_victim_order(1, 8));
+TEST(ParallelFor, NestedPoolsStayWithinTheOuterJobs) {
+  // Leaf tasks of a two-level fan-out, counted while they run. Whether the
+  // inner call asks for the default or for the outer job count again, the
+  // whole tree may never run more than `jobs` of them at once.
+  for (const std::size_t jobs : {1u, 2u, 3u, 4u}) {
+    for (const std::size_t outer : {1u, 3u, 8u}) {
+      for (const std::size_t inner_jobs : {std::size_t{0}, jobs}) {
+        std::atomic<std::size_t> in_flight{0};
+        std::atomic<std::size_t> peak{0};
+        std::vector<std::atomic<int>> hits(outer * 8);
+        core::parallel_for(outer, jobs, [&](std::size_t o) {
+          core::parallel_for(8, inner_jobs, [&](std::size_t i) {
+            const std::size_t now = in_flight.fetch_add(1) + 1;
+            std::size_t seen = peak.load();
+            while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            hits[o * 8 + i].fetch_add(1, std::memory_order_relaxed);
+            in_flight.fetch_sub(1);
+          });
+        });
+        EXPECT_LE(peak.load(), jobs) << "outer=" << outer << " jobs=" << jobs
+                                     << " inner_jobs=" << inner_jobs;
+        for (std::size_t t = 0; t < hits.size(); ++t) {
+          ASSERT_EQ(hits[t].load(), 1) << t;
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelFor, WorkerBudgetIsItsShareOfJobs) {
+  // One task gets the whole budget; four tasks on four workers get one
+  // each; five jobs over two workers split 3 + 2.
+  std::atomic<std::size_t> seen{0};
+  core::parallel_for(1, 4, [&](std::size_t) { seen = core::default_jobs(); });
+  EXPECT_EQ(seen.load(), 4u);
+  std::vector<std::size_t> budgets(4);
+  core::parallel_for(4, 4,
+                     [&](std::size_t i) { budgets[i] = core::default_jobs(); });
+  EXPECT_EQ(budgets, std::vector<std::size_t>(4, 1));
+  // Each task waits for the other, so each worker runs exactly one.
+  std::vector<std::size_t> split(2);
+  std::atomic<int> arrived{0};
+  core::parallel_for(2, 5, [&](std::size_t i) {
+    arrived.fetch_add(1);
+    while (arrived.load() < 2) std::this_thread::yield();
+    split[i] = core::default_jobs();
+  });
+  std::sort(split.begin(), split.end());
+  EXPECT_EQ(split, (std::vector<std::size_t>{2, 3}));
+  EXPECT_EQ(core::detail::worker_budget, 0u);  // restored on the caller
 }
 
 // ---------------------------------------------------------------------------
@@ -423,7 +451,6 @@ TEST(FleetEngine, SerialAndParallelRunsAreByteIdentical) {
   }
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.max_cell_events, b.max_cell_events);
-  EXPECT_EQ(a.steals, 0u);  // one worker has no one to steal from
 }
 
 TEST(FleetEngine, SmallFleetOutputsArePinned) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
+#include "core/run_trials.h"
 #include "erasure/gf256.h"
 #include "erasure/matrix.h"
 #include "proto/rateless.h"
@@ -182,8 +183,8 @@ TEST(RatelessScheme, MoreLossResilientThanDeluge) {
     cfg->loss_p = 0.3;
     cfg->timing.trickle.tau_low = 250 * sim::kMillisecond;
   }
-  const auto r1 = run_experiment_avg(rateless, 3);
-  const auto r2 = run_experiment_avg(deluge, 3);
+  const auto r1 = core::aggregate_trials(core::run_trials(rateless, 3));
+  const auto r2 = core::aggregate_trials(core::run_trials(deluge, 3));
   ASSERT_TRUE(r1.all_complete && r2.all_complete);
   EXPECT_LT(r1.data_packets, r2.data_packets);
 }

@@ -70,12 +70,14 @@ TEST(RunTrials, ParallelMatchesSerialPerTrial) {
 }
 
 TEST(RunTrials, AggregateMatchesRunExperimentAvg) {
-  // run_experiment_avg is itself built on run_trials now, but pin the
-  // contract anyway: an explicit serial run folded through
-  // aggregate_trials equals the public averaging entry point.
+  // The public averaging entry point over one config is run_experiments_avg
+  // on a one-element grid; pin that it equals an explicit serial run folded
+  // through aggregate_trials, whatever jobs the grid runner is given.
   const auto cfg = small_config(Scheme::kSeluge, 0.1, 9);
-  const auto avg = run_experiment_avg(cfg, 3);
-  expect_equal(aggregate_trials(run_trials(cfg, 3, 1)), avg, "avg");
+  const std::vector<ExperimentConfig> one = {cfg};
+  const auto avg = run_experiments_avg(one, 3, 2);
+  ASSERT_EQ(avg.size(), 1u);
+  expect_equal(aggregate_trials(run_trials(cfg, 3, 1)), avg.front(), "avg");
 }
 
 TEST(RunTrials, GridRunnerMatchesPerConfigAveraging) {
@@ -87,7 +89,8 @@ TEST(RunTrials, GridRunnerMatchesPerConfigAveraging) {
   const auto grid = run_experiments_avg(configs, 2, 3);
   ASSERT_EQ(grid.size(), configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    expect_equal(grid[i], run_experiment_avg(configs[i], 2), "grid");
+    expect_equal(grid[i], aggregate_trials(run_trials(configs[i], 2, 1)),
+                 "grid");
   }
 }
 
@@ -133,11 +136,10 @@ ExperimentConfig cells_config(std::uint64_t seed) {
 }
 
 TEST(IslandExecutor, WorkerCountNeverChangesTheResult) {
-  auto cfg = cells_config(5);
-  cfg.island_jobs = 1;
-  const auto serial = run_experiment(cfg);
-  cfg.island_jobs = 4;
-  const auto parallel = run_experiment(cfg);
+  // One trial: the run's island fan-out gets the runner's whole budget.
+  const auto cfg = cells_config(5);
+  const auto serial = run_trials(cfg, 1, 1).front();
+  const auto parallel = run_trials(cfg, 1, 4).front();
   expect_equal(serial, parallel, "island jobs=1 vs jobs=4");
   EXPECT_TRUE(serial.all_complete);
   EXPECT_TRUE(serial.images_match);
@@ -152,9 +154,21 @@ TEST(IslandExecutor, ConnectedTopologyTakesTheClassicPath) {
   auto cfg = small_config(Scheme::kLrSeluge, 0.2, 3);
   const auto classic = run_experiment(cfg);
   cfg.islands = true;  // a star is one island: must match classic exactly
-  cfg.island_jobs = 4;
-  const auto island = run_experiment(cfg);
+  const auto island = run_trials(cfg, 1, 4).front();
   expect_equal(classic, island, "classic vs islands on connected topology");
+}
+
+TEST(IslandExecutor, RepeatedTrialsMatchSerial) {
+  // Three trials on four workers: one trial's islands get two threads, the
+  // others run theirs serially. Every trial must match the serial run.
+  const auto cfg = cells_config(8);
+  const auto serial = run_trials(cfg, 3, 1);
+  const auto parallel = run_trials(cfg, 3, 4);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    expect_equal(serial[i], parallel[i], "islands, 3 trials, jobs=1 vs 4");
+    EXPECT_TRUE(serial[i].all_complete);
+  }
 }
 
 TEST(IslandExecutor, SecureSchemesShareOneRootAcrossIslands) {
