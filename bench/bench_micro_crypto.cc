@@ -210,6 +210,16 @@ std::vector<SweepResult> run_sweep() {
   }
   sha256_set_kernel("auto");
 
+  // The one-block path alone, under the auto-selected kernel: a 32-byte
+  // message (a WOTS chain value, an HMAC inner digest) padded into one block
+  // and compressed from the IV, without the one-shot timer scope.
+  {
+    const Bytes msg = random_bytes(32, 33);
+    results.push_back(time_op("sha256/oneblock/len=32", 32, [&] {
+      benchmark::DoNotOptimize(Sha256::finish_one_block(kSha256Iv, view(msg)));
+    }));
+  }
+
   // Raw block compression, identical total work (8 blocks): single-stream
   // kernels chew 8 sequential blocks of one message; batch kernels chew 8
   // independent one-block lanes. This isolates the kernel from padding and
@@ -311,6 +321,19 @@ std::vector<SweepResult> run_sweep() {
     results.push_back(time_op("multikey_signer/h=2/memo=hit", 0, [&] {
       MultiKeySigner signer(view(seed), 2);
       benchmark::DoNotOptimize(signer.root_public_key());
+    }));
+  }
+
+  // One WOTS signature: the 18 chains walked side by side from the secret
+  // values, about 2,300 chain steps for a typical message. Each iteration
+  // signs with a fresh copy of one unused key pair. Latency row.
+  {
+    const Bytes seed = random_bytes(32, 91);
+    const Bytes msg = random_bytes(20, 92);  // a signed-message-sized input
+    const WotsKeyPair unused = WotsKeyPair::generate(view(seed), 0);
+    results.push_back(time_op("wots/sign", 0, [&] {
+      WotsKeyPair kp = unused;
+      benchmark::DoNotOptimize(kp.sign(view(msg)));
     }));
   }
   return results;

@@ -18,10 +18,24 @@ PacketHash packet_hash(ByteView data) {
 
 namespace {
 
+/// Per-thread scratch of the batch paths: grown to the largest batch a
+/// thread has seen, then reused, so a warm batch allocates nothing.
+struct BatchScratch {
+  std::vector<std::uint32_t> states;
+  std::vector<const std::uint8_t*> ptrs;
+  std::vector<std::uint8_t> tails;
+  std::vector<Sha256Digest> digests;  // packet_hash_batch's full digests
+};
+
+BatchScratch& batch_scratch() {
+  thread_local BatchScratch s;
+  return s;
+}
+
 /// Multi-buffer hash of `count` same-length messages. Whole blocks are
 /// compressed straight out of the messages; the tail + FIPS padding (one
 /// or two final blocks, identical shape across the run since lengths are
-/// equal) is materialized per message in a scratch arena.
+/// equal) is materialized per message in the scratch.
 void hash_batch_uniform(const Sha256BatchKernel& kernel, const ByteView* msgs,
                         std::size_t count, Sha256Digest* out) {
   const std::size_t len = msgs[0].size();
@@ -30,43 +44,38 @@ void hash_batch_uniform(const Sha256BatchKernel& kernel, const ByteView* msgs,
   // 0x80 + 8-byte length must fit: one extra block unless tail >= 56.
   const std::size_t pad_blocks = tail_len >= 56 ? 2 : 1;
 
-  std::vector<std::uint32_t> states(count * 8);
+  BatchScratch& scratch = batch_scratch();
+  std::vector<std::uint32_t>& states = scratch.states;
+  states.resize(count * 8);
   for (std::size_t i = 0; i < count; ++i) {
     std::memcpy(&states[8 * i], kSha256Init, sizeof(kSha256Init));
   }
 
-  std::vector<const std::uint8_t*> ptrs(count);
+  std::vector<const std::uint8_t*>& ptrs = scratch.ptrs;
+  ptrs.resize(count);
   for (std::size_t b = 0; b < full_blocks; ++b) {
     for (std::size_t i = 0; i < count; ++i) ptrs[i] = msgs[i].data() + b * 64;
     kernel.compress_batch(states.data(), ptrs.data(), count);
   }
 
   // Padded tail blocks, laid out per message.
-  const std::uint64_t bit_len = static_cast<std::uint64_t>(len) * 8;
-  std::vector<std::uint8_t> scratch(count * pad_blocks * 64, 0);
+  std::vector<std::uint8_t>& tails = scratch.tails;
+  tails.assign(count * pad_blocks * 64, 0);
   for (std::size_t i = 0; i < count; ++i) {
-    std::uint8_t* dst = scratch.data() + i * pad_blocks * 64;
+    std::uint8_t* dst = tails.data() + i * pad_blocks * 64;
     if (tail_len > 0)
       std::memcpy(dst, msgs[i].data() + full_blocks * 64, tail_len);
     dst[tail_len] = 0x80;
-    std::uint8_t* len_be = dst + pad_blocks * 64 - 8;
-    for (int b = 0; b < 8; ++b)
-      len_be[b] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - b)));
+    sha256_store_bit_length(len, dst + pad_blocks * 64 - 8);
   }
   for (std::size_t b = 0; b < pad_blocks; ++b) {
     for (std::size_t i = 0; i < count; ++i)
-      ptrs[i] = scratch.data() + (i * pad_blocks + b) * 64;
+      ptrs[i] = tails.data() + (i * pad_blocks + b) * 64;
     kernel.compress_batch(states.data(), ptrs.data(), count);
   }
 
   for (std::size_t i = 0; i < count; ++i) {
-    for (int j = 0; j < 8; ++j) {
-      const std::uint32_t s = states[8 * i + j];
-      out[i][4 * j] = static_cast<std::uint8_t>(s >> 24);
-      out[i][4 * j + 1] = static_cast<std::uint8_t>(s >> 16);
-      out[i][4 * j + 2] = static_cast<std::uint8_t>(s >> 8);
-      out[i][4 * j + 3] = static_cast<std::uint8_t>(s);
-    }
+    sha256_store_digest(&states[8 * i], out[i].data());
   }
 }
 
@@ -108,7 +117,8 @@ std::vector<Sha256Digest> hash_batch(std::span<const ByteView> msgs) {
 
 void packet_hash_batch(const ByteView* msgs, std::size_t count,
                        PacketHash* out) {
-  std::vector<Sha256Digest> full(count);
+  std::vector<Sha256Digest>& full = batch_scratch().digests;
+  full.resize(count);
   hash_batch(msgs, count, full.data());
   for (std::size_t i = 0; i < count; ++i) {
     std::copy_n(full[i].begin(), kPacketHashSize, out[i].begin());

@@ -33,11 +33,14 @@ Sha256Digest hmac_sha256(const HmacKey& key, ByteView message) {
   static stats::Timer& timer =
       stats::Registry::instance().timer("crypto.hmac");
   stats::TimerScope scope(timer);
-  Sha256 inner = key.inner_ctx();
-  const Sha256Digest inner_digest = inner.update(message).finalize();
-  Sha256 outer = key.outer_ctx();
-  return outer.update(ByteView(inner_digest.data(), inner_digest.size()))
-      .finalize();
+  // A message of at most 55 bytes is one padded block after the ipad
+  // midstate; the 32-byte inner digest always is one after the opad's.
+  const Sha256Digest inner_digest =
+      message.size() <= kSha256OneBlockMax
+          ? Sha256::finish_one_block(key.inner(), message)
+          : Sha256::resume(key.inner()).update(message).finalize();
+  return Sha256::finish_one_block(
+      key.outer(), ByteView(inner_digest.data(), inner_digest.size()));
 }
 
 Sha256Digest hmac_sha256(ByteView key, ByteView message) {

@@ -20,8 +20,8 @@ class HmacKey {
  public:
   explicit HmacKey(ByteView key);
 
-  Sha256 inner_ctx() const { return Sha256::resume(inner_); }
-  Sha256 outer_ctx() const { return Sha256::resume(outer_); }
+  const Sha256Midstate& inner() const { return inner_; }
+  const Sha256Midstate& outer() const { return outer_; }
 
  private:
   Sha256Midstate inner_;

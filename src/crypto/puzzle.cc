@@ -23,12 +23,16 @@ bool tail_zero_bits(const Sha256Digest& d, unsigned strength) {
 }
 
 Sha256Digest puzzle_hash(ByteView message, std::uint64_t candidate) {
-  Sha256 h;
-  h.update(message);
   std::uint8_t buf[8];
   for (int i = 0; i < 8; ++i)
     buf[i] = static_cast<std::uint8_t>(candidate >> (8 * i));
-  h.update(ByteView(buf, 8));
+  const ByteView tail(buf, sizeof(buf));
+  // A signature packet's signed message (20 bytes) and its candidate fit
+  // one padded block.
+  if (message.size() + tail.size() <= kSha256OneBlockMax)
+    return Sha256::finish_one_block(kSha256Iv, message, tail);
+  Sha256 h;
+  h.update(message).update(tail);
   return h.finalize();
 }
 }  // namespace

@@ -2,15 +2,12 @@
 
 #include <cstring>
 
-#include "crypto/sha256_kernels.h"
 #include "sim/stats/stats.h"
 #include "util/check.h"
 
 namespace lrs::crypto {
 
-Sha256::Sha256()
-    : state_{kSha256Init[0], kSha256Init[1], kSha256Init[2], kSha256Init[3],
-             kSha256Init[4], kSha256Init[5], kSha256Init[6], kSha256Init[7]} {}
+Sha256::Sha256() : state_(kSha256Iv.state) {}
 
 Sha256& Sha256::update(ByteView data) {
   LRS_CHECK(!finalized_);
@@ -46,11 +43,8 @@ Sha256Digest Sha256::finalize() {
   finalized_ = true;
 
   // Append 0x80, pad with zeros to 56 mod 64, then the 64-bit big-endian
-  // message length — written straight into the block buffer (this runs
-  // once per digest, which in MAC-heavy simulations means millions of
-  // short messages; the byte-shuffling here is as hot as the compression).
+  // message length — written straight into the block buffer.
   const Sha256Kernel& kernel = sha256_kernel();
-  const std::uint64_t bit_len = total_len_ * 8;
   buffer_[buffer_len_++] = 0x80;
   if (buffer_len_ > 56) {
     std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
@@ -58,17 +52,11 @@ Sha256Digest Sha256::finalize() {
     buffer_len_ = 0;
   }
   std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
-  for (int i = 0; i < 8; ++i)
-    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
+  sha256_store_bit_length(total_len_, buffer_.data() + 56);
   kernel.compress(state_.data(), buffer_.data(), 1);
 
   Sha256Digest out;
-  for (int i = 0; i < 8; ++i) {
-    out[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);
-    out[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    out[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    out[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
-  }
+  sha256_store_digest(state_.data(), out.data());
   return out;
 }
 
@@ -84,9 +72,7 @@ Sha256 Sha256::resume(const Sha256Midstate& m) {
   return ctx;
 }
 
-namespace {
-
-stats::Timer& oneshot_timer() {
+stats::Timer& sha256_oneshot_timer() {
   // deterministic=false: the signature-verification and WOTS public-key
   // memos in wots.cc absorb a scheduling-dependent share of these calls, so
   // the count is not byte-identical across LRS_JOBS worker counts.
@@ -97,20 +83,31 @@ stats::Timer& oneshot_timer() {
   return timer;
 }
 
-}  // namespace
-
-Sha256Digest Sha256::hash(ByteView data) {
-  stats::TimerScope scope(oneshot_timer());
-  Sha256 ctx;
-  ctx.update(data);
-  return ctx.finalize();
-}
+Sha256Digest Sha256::hash(ByteView data) { return hash(data, ByteView()); }
 
 Sha256Digest Sha256::hash(ByteView head, ByteView tail) {
-  stats::TimerScope scope(oneshot_timer());
+  stats::TimerScope scope(sha256_oneshot_timer());
+  if (head.size() + tail.size() <= kSha256OneBlockMax)
+    return finish_one_block(kSha256Iv, head, tail);
   Sha256 ctx;
   ctx.update(head).update(tail);
   return ctx.finalize();
+}
+
+Sha256Digest Sha256::finish_one_block(const Sha256Midstate& from,
+                                      ByteView head, ByteView tail) {
+  const std::size_t len = head.size() + tail.size();
+  LRS_CHECK(len <= kSha256OneBlockMax);
+  alignas(16) std::uint8_t block[64] = {};
+  if (!head.empty()) std::memcpy(block, head.data(), head.size());
+  if (!tail.empty()) std::memcpy(block + head.size(), tail.data(), tail.size());
+  block[len] = 0x80;
+  sha256_store_bit_length(from.processed + len, block + 56);
+  std::array<std::uint32_t, 8> state = from.state;
+  sha256_kernel().compress(state.data(), block, 1);
+  Sha256Digest out;
+  sha256_store_digest(state.data(), out.data());
+  return out;
 }
 
 }  // namespace lrs::crypto

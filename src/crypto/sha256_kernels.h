@@ -15,7 +15,8 @@
 //  * Multi-buffer SIMD ("mb4"/"mb8") — 4-way SSE2 / 8-way AVX2 transposed
 //                 kernels that compress one block of 4 or 8 *independent*
 //                 messages at once; each vector lane carries one message's
-//                 state. Only reachable through the batch entry points —
+//                 state. Only reachable through the batch entry points
+//                 (crypto/hash.h) and the WOTS chain walk (crypto/wots.h) —
 //                 single-stream hashing has no lane-parallelism to exploit.
 //                 A "shani" batch adapter (a loop over the SHA-NI kernel)
 //                 outranks both where the CPU has SHA extensions.

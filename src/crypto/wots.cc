@@ -3,32 +3,19 @@
 #include <algorithm>
 #include <cstring>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_map>
 
 #include "crypto/hmac.h"
+#include "crypto/sha256_kernels.h"
+#include "sim/stats/stats.h"
 #include "util/buffer.h"
 #include "util/check.h"
 
 namespace lrs::crypto {
 
 namespace {
-
-using Chain = std::array<std::uint8_t, kWotsChainBytes>;
-
-/// One application of the chaining function.
-Chain chain_step(const Chain& in) {
-  const Sha256Digest d = Sha256::hash(ByteView(in.data(), in.size()));
-  Chain out;
-  std::copy_n(d.begin(), kWotsChainBytes, out.begin());
-  return out;
-}
-
-/// Applies the chaining function `steps` times.
-Chain chain(Chain v, unsigned steps) {
-  for (unsigned i = 0; i < steps; ++i) v = chain_step(v);
-  return v;
-}
 
 /// Message digest -> len1 byte chunks + len2 checksum chunks, all in [0,255].
 std::array<unsigned, kWotsLen> message_chunks(ByteView message) {
@@ -45,8 +32,7 @@ std::array<unsigned, kWotsLen> message_chunks(ByteView message) {
   return chunks;
 }
 
-WotsPublicKey compress_tops(
-    const std::array<Chain, kWotsLen>& tops) {
+WotsPublicKey compress_tops(const WotsChains& tops) {
   Sha256 h;
   for (const auto& t : tops) h.update(ByteView(t.data(), t.size()));
   return h.finalize();
@@ -90,6 +76,49 @@ class DigestMemo {
 
 }  // namespace
 
+void wots_walk_chains(WotsChains& chains,
+                      const std::array<unsigned, kWotsLen>& steps) {
+  static_assert(kWotsChainBytes <= kSha256OneBlockMax);
+  stats::TimerScope scope(sha256_oneshot_timer());
+  // Longest walk first: the chains still walking at any step are a prefix.
+  std::array<std::size_t, kWotsLen> order;
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
+                                                   std::size_t b) {
+    return steps[a] > steps[b];
+  });
+  // Chain k's value is the head of its own padded block; each step
+  // compresses the block from the IV and writes the digest back over it.
+  alignas(16) std::uint8_t blocks[kWotsLen][64] = {};
+  const std::uint8_t* ptrs[kWotsLen];
+  for (std::size_t k = 0; k < kWotsLen; ++k) {
+    std::memcpy(blocks[k], chains[order[k]].data(), kWotsChainBytes);
+    blocks[k][kWotsChainBytes] = 0x80;
+    sha256_store_bit_length(kWotsChainBytes, blocks[k] + 56);
+    ptrs[k] = blocks[k];
+  }
+  const Sha256BatchKernel* batch = sha256_batch_kernel();
+  const Sha256Kernel& single = sha256_kernel();
+  std::uint32_t states[kWotsLen * 8];
+  std::size_t active = kWotsLen;
+  for (unsigned step = 0;; ++step) {
+    while (active > 0 && steps[order[active - 1]] <= step) --active;
+    if (active == 0) break;
+    for (std::size_t k = 0; k < active; ++k)
+      std::memcpy(states + 8 * k, kSha256Init, sizeof(kSha256Init));
+    if (batch != nullptr) {
+      batch->compress_batch(states, ptrs, active);
+    } else {
+      for (std::size_t k = 0; k < active; ++k)
+        single.compress(states + 8 * k, blocks[k], 1);
+    }
+    for (std::size_t k = 0; k < active; ++k)
+      sha256_store_digest(states + 8 * k, blocks[k]);
+  }
+  for (std::size_t k = 0; k < kWotsLen; ++k)
+    std::memcpy(chains[order[k]].data(), blocks[k], kWotsChainBytes);
+}
+
 Bytes WotsSignature::serialize() const {
   Bytes out;
   out.reserve(kSerializedSize);
@@ -110,13 +139,17 @@ std::optional<WotsSignature> WotsSignature::deserialize(ByteView data) {
 
 WotsKeyPair WotsKeyPair::generate(ByteView seed, std::uint64_t index) {
   WotsKeyPair kp;
+  const HmacKey key(seed);
   Sha256 fingerprint;
   for (std::size_t i = 0; i < kWotsLen; ++i) {
-    // sk_i = HMAC(seed, index || i): deterministic, independent per chain.
-    Writer w;
-    w.u64(index);
-    w.u64(i);
-    const Sha256Digest d = hmac_sha256(seed, view(w.data()));
+    // sk_i = HMAC(seed, index || i), both u64 little-endian: deterministic,
+    // independent per chain.
+    std::uint8_t msg[16];
+    for (int b = 0; b < 8; ++b) {
+      msg[b] = static_cast<std::uint8_t>(index >> (8 * b));
+      msg[8 + b] = static_cast<std::uint8_t>(std::uint64_t{i} >> (8 * b));
+    }
+    const Sha256Digest d = hmac_sha256(key, ByteView(msg, sizeof(msg)));
     std::copy_n(d.begin(), kWotsChainBytes, kp.sk_[i].begin());
     fingerprint.update(ByteView(kp.sk_[i].data(), kp.sk_[i].size()));
   }
@@ -126,8 +159,10 @@ WotsKeyPair WotsKeyPair::generate(ByteView seed, std::uint64_t index) {
   // only public keys under one-way fingerprints of the secret chains.
   static DigestMemo<WotsPublicKey> memo;
   kp.pk_ = memo.get_or_compute(fingerprint.finalize(), [&] {
-    std::array<Chain, kWotsLen> tops;
-    for (std::size_t i = 0; i < kWotsLen; ++i) tops[i] = chain(kp.sk_[i], 255);
+    WotsChains tops = kp.sk_;
+    std::array<unsigned, kWotsLen> steps;
+    steps.fill(255);
+    wots_walk_chains(tops, steps);
     return compress_tops(tops);
   });
   return kp;
@@ -136,21 +171,18 @@ WotsKeyPair WotsKeyPair::generate(ByteView seed, std::uint64_t index) {
 WotsSignature WotsKeyPair::sign(ByteView message) {
   LRS_CHECK_MSG(!used_, "WOTS key reuse would forfeit security");
   used_ = true;
-  const auto chunks = message_chunks(message);
   WotsSignature sig;
-  for (std::size_t i = 0; i < kWotsLen; ++i) {
-    sig.chains[i] = chain(sk_[i], chunks[i]);
-  }
+  sig.chains = sk_;
+  wots_walk_chains(sig.chains, message_chunks(message));
   return sig;
 }
 
 bool WotsKeyPair::verify(const WotsPublicKey& pk, ByteView message,
                          const WotsSignature& sig) {
-  const auto chunks = message_chunks(message);
-  std::array<Chain, kWotsLen> tops;
-  for (std::size_t i = 0; i < kWotsLen; ++i) {
-    tops[i] = chain(sig.chains[i], 255 - chunks[i]);
-  }
+  std::array<unsigned, kWotsLen> steps = message_chunks(message);
+  for (unsigned& s : steps) s = 255 - s;
+  WotsChains tops = sig.chains;
+  wots_walk_chains(tops, steps);
   return equal(compress_tops(tops), pk);
 }
 

@@ -36,8 +36,20 @@ inline constexpr std::size_t kWotsLen1 = kWotsMsgBytes;  // one chain per byte
 inline constexpr std::size_t kWotsLen2 = 2;        // checksum chains (max 4080)
 inline constexpr std::size_t kWotsLen = kWotsLen1 + kWotsLen2;
 
+/// One value per chain: secret keys, signatures and chain tops.
+using WotsChains =
+    std::array<std::array<std::uint8_t, kWotsChainBytes>, kWotsLen>;
+
+/// Applies the chaining function (SHA-256 of the 32-byte value) steps[i]
+/// times to chains[i]. The chains advance one step at a time side by side
+/// over pre-padded one-block messages, so consecutive compressions are
+/// independent and overlap in the core. Counts one `crypto.sha.oneshot`
+/// call per walk.
+void wots_walk_chains(WotsChains& chains,
+                      const std::array<unsigned, kWotsLen>& steps);
+
 struct WotsSignature {
-  std::array<std::array<std::uint8_t, kWotsChainBytes>, kWotsLen> chains;
+  WotsChains chains;
 
   Bytes serialize() const;
   static std::optional<WotsSignature> deserialize(ByteView data);
@@ -67,7 +79,7 @@ class WotsKeyPair {
  private:
   WotsKeyPair() = default;
 
-  std::array<std::array<std::uint8_t, kWotsChainBytes>, kWotsLen> sk_;
+  WotsChains sk_;
   WotsPublicKey pk_;
   bool used_ = false;
 };

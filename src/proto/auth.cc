@@ -139,12 +139,20 @@ bool packet_hash_matches(Version version, std::uint32_t page,
 std::vector<crypto::PacketHash> page_packet_hashes(
     Version version, std::uint32_t page, std::span<const ByteView> payloads) {
   // One arena of header || payload preimages, hashed as one batch. The
-  // arena is reserved up front, so the views into it stay valid.
+  // arena is reserved up front, so the views into it stay valid; both are
+  // per-thread scratch reused from page to page.
+  struct Scratch {
+    Bytes arena;
+    std::vector<ByteView> preimages;
+  };
+  thread_local Scratch scratch;
   std::size_t total = 0;
   for (const ByteView p : payloads) total += sizeof(PacketHeader) + p.size();
-  Bytes arena;
+  Bytes& arena = scratch.arena;
+  arena.clear();
   arena.reserve(total);
-  std::vector<ByteView> preimages(payloads.size());
+  std::vector<ByteView>& preimages = scratch.preimages;
+  preimages.resize(payloads.size());
   for (std::size_t j = 0; j < payloads.size(); ++j) {
     const std::size_t start = arena.size();
     const PacketHeader header =

@@ -12,6 +12,7 @@
 #include "crypto/puzzle.h"
 #include "crypto/wots.h"
 #include "util/hex.h"
+#include "util/rng.h"
 
 namespace lrs::crypto {
 namespace {
@@ -53,6 +54,18 @@ TEST(Hmac, LongKeyIsHashedFirst) {
                                 "Hash Key First")));
   EXPECT_EQ(to_hex(ByteView(mac.data(), mac.size())),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+TEST(Hmac, Rfc4231Case7LongKeyAndMessage) {
+  // A 152-byte message: the inner step is longer than one padded block.
+  const Bytes key(131, 0xaa);
+  const auto mac = hmac_sha256(
+      view(key),
+      view(str_bytes("This is a test using a larger than block-size key and a "
+                     "larger than block-size data. The key needs to be hashed "
+                     "before being used by the HMAC algorithm.")));
+  EXPECT_EQ(to_hex(ByteView(mac.data(), mac.size())),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2");
 }
 
 TEST(ControlMac, VerifiesAndRejectsTamper) {
@@ -228,6 +241,86 @@ TEST(Wots, PublicKeyMemoIsTransparent) {
   const Bytes other{0xa5, 0x5a, 0x02};
   EXPECT_FALSE(equal(WotsKeyPair::generate(view(other), 3).public_key(),
                      miss.public_key()));
+}
+
+TEST(Wots, SignatureBytesPinned) {
+  // Fixed seed, index and message; the public key and every signature chain
+  // are pinned, one hex line per chain, so any change to the chaining
+  // function, its padding or the digest byte order shows here.
+  const Bytes seed = str_bytes("pinned wots seed");
+  auto kp = WotsKeyPair::generate(view(seed), 7);
+  EXPECT_EQ(to_hex(ByteView(kp.public_key().data(), kp.public_key().size())),
+            "a6c380fa5bb46e7abdeb0039b31c7d4ead47ed3125b19af2f616a92d802b5a3e");
+  const Bytes msg = str_bytes("pinned image root");
+  const WotsSignature sig = kp.sign(view(msg));
+  std::string got;
+  for (const auto& c : sig.chains) {
+    got += to_hex(ByteView(c.data(), c.size())) + "\n";
+  }
+  EXPECT_EQ(got,
+            "483e65304d1364787cddaf8e58842078ee34577cdeb243bb36d32ebef3960f9d\n"
+            "267701ebb9201066b0c08809f62b5dba93ba5edc6023931625146a949370ba44\n"
+            "0563afebe73f4b857bb1a3025ef1714a7de8208c08f2b2514e7547259a0d899a\n"
+            "cacdc81af6887994934c88cd88d1e4f5523631c2992df98500be009bbb46023b\n"
+            "1ac56f09d13c0a5d2dc5a19ec447780dd41a4b3fac3e423582e20081fc2aaba5\n"
+            "fd53134c8081a9905eaa8c303f330f4a5dc29bea19ffb9401cbaf6863d80175f\n"
+            "d9dd341d6fb5ca0eae1ec189476d283021df2bad1a8fc46b01be84c8ab367358\n"
+            "1bd7eb4dad2178745fd6d6773158596e08474d7af5df87e9d635df6f6376205f\n"
+            "8432b03d25ecc7d6ef1453c1ef69cc08cc0f5674ebbab02f65e55eb4499f6a0e\n"
+            "c34ea519e0328f7567308273da7efa7c8e41049b97ebb87f9373dbb432c70f95\n"
+            "c809b9f9f3a5944359dd01e932a766247ac42f837ce4ffd4f1d5fccf35a32e01\n"
+            "81d81f342ef807dacf63e4f9bdb01fb020fc5b88afdcc39e44b5db050e751a1c\n"
+            "1736e0950388533eba95012709c5601b3ce80206f538f3d7a8a371ae9b927848\n"
+            "8478b3c175f17d0f3f5a883c104b5720c4d893f31f5d9c544859a51a36662063\n"
+            "3208054464842c0f16eb449065959cfc334fdc30b8f1b407b25a668d8a36cbce\n"
+            "7159069e0789b30d4bacd3b4e0066d73c9191fb95788aa1e3771597bd6cebc97\n"
+            "8fe74079258f550757c657c134ae8ebb2b81162b77b2089ff242635bb48e6f0f\n"
+            "46143cb4cff315dbc80d85f7cda747df76ad27b22c6eef9fb1228c7a16801a77\n");
+  EXPECT_TRUE(WotsKeyPair::verify(kp.public_key(), view(msg), sig));
+}
+
+// The chaining function applied one step at a time, one chain after the
+// other: the walk WOTS used before its chains advanced side by side.
+std::array<std::uint8_t, kWotsChainBytes> stepwise_chain(
+    std::array<std::uint8_t, kWotsChainBytes> v, unsigned steps) {
+  for (unsigned i = 0; i < steps; ++i) {
+    const Sha256Digest d = Sha256::hash(ByteView(v.data(), v.size()));
+    std::copy_n(d.begin(), kWotsChainBytes, v.begin());
+  }
+  return v;
+}
+
+TEST(Wots, ChainWalkMatchesStepwise) {
+  Rng rng(0xc4a1);
+  WotsChains start;
+  for (auto& c : start) {
+    for (auto& b : c) b = static_cast<std::uint8_t>(rng.uniform(256));
+  }
+  // Every chain the same length (0, 1, 254, 255), then mixed lengths with
+  // ties, the extremes and random values.
+  std::vector<std::array<unsigned, kWotsLen>> cases;
+  for (const unsigned n : {0u, 1u, 254u, 255u}) {
+    std::array<unsigned, kWotsLen> steps;
+    steps.fill(n);
+    cases.push_back(steps);
+  }
+  for (int r = 0; r < 4; ++r) {
+    std::array<unsigned, kWotsLen> steps;
+    for (auto& s : steps) s = static_cast<unsigned>(rng.uniform(256));
+    steps[r] = 0;
+    steps[r + 4] = 255;
+    steps[r + 8] = 1;
+    steps[r + 9] = 254;
+    cases.push_back(steps);
+  }
+  for (const auto& steps : cases) {
+    WotsChains walked = start;
+    wots_walk_chains(walked, steps);
+    for (std::size_t i = 0; i < kWotsLen; ++i) {
+      ASSERT_EQ(walked[i], stepwise_chain(start[i], steps[i]))
+          << "chain " << i << " steps " << steps[i];
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -416,6 +509,21 @@ TEST(Puzzle, AbsurdStrengthRejected) {
   PuzzleSolution sol{200, 0};
   EXPECT_FALSE(verify_puzzle(view(msg), sol));
   EXPECT_THROW(solve_puzzle(view(msg), 200), std::logic_error);
+}
+
+TEST(Puzzle, SolutionsPinnedAcrossOneBlockBoundary) {
+  // Message lengths on both sides of 47 bytes, where message and the 8-byte
+  // candidate stop fitting one padded block; solutions recorded from the
+  // build before one-block hashing.
+  const std::pair<std::size_t, std::uint64_t> pinned[] = {
+      {0, 2664}, {20, 652}, {47, 3151}, {48, 7784}, {55, 2036}, {100, 886}};
+  for (const auto& [len, solution] : pinned) {
+    Bytes msg(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      msg[i] = static_cast<std::uint8_t>(i * 7 + len);
+    }
+    EXPECT_EQ(solve_puzzle(view(msg), 12).solution, solution) << len;
+  }
 }
 
 TEST(Puzzle, SerializationRoundTrip) {

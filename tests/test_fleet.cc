@@ -268,8 +268,10 @@ TEST(CloneSource, IncompleteReceiverDoesNotClone) {
 // ---------------------------------------------------------------------------
 
 TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
+  // jobs = 65 exceeds every count but 1000 and starts at most 64 threads
+  // (the caller's thread is the 65th worker).
   for (const std::size_t count : {0u, 1u, 7u, 64u, 1000u}) {
-    for (const std::size_t jobs : {1u, 2u, 8u, 2000u}) {
+    for (const std::size_t jobs : {1u, 2u, 8u, 65u}) {
       std::vector<std::atomic<int>> hits(count);
       core::parallel_for(count, jobs, [&](std::size_t i) {
         hits[i].fetch_add(1, std::memory_order_relaxed);

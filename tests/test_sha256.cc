@@ -174,6 +174,74 @@ TEST(Sha256Kernels, AllKernelsMatchReferenceForLengths0To1025) {
   }
 }
 
+// The one-block path (Sha256::hash below 56 bytes, finish_one_block from
+// the IV or from a midstate, split into head || tail) must match the
+// reference kernel's incremental hash for every length 0..119: the 55/56
+// boundary where padding spills into a second block, and two-block
+// messages. Lengths above 55 check that hash() and resume() still take the
+// buffered path.
+TEST(Sha256, OneBlockMatchesReference) {
+  KernelGuard guard;
+  Rng rng(0x0b10c);
+  const Bytes prefix = random_bytes(128, rng);
+  std::vector<Bytes> messages;
+  for (std::size_t len = 0; len < 120; ++len) {
+    messages.push_back(random_bytes(len, rng));
+  }
+
+  // Expected digests from the reference kernel through a plain context:
+  // the message alone, and after 64 or 128 prefix bytes.
+  ASSERT_TRUE(sha256_set_kernel("ref"));
+  const std::size_t prefix_lens[] = {64, 128};
+  std::vector<Sha256Digest> plain;
+  std::vector<std::array<Sha256Digest, 2>> resumed;
+  for (const auto& m : messages) {
+    Sha256 ctx;
+    plain.push_back(ctx.update(view(m)).finalize());
+    std::array<Sha256Digest, 2> r;
+    for (std::size_t p = 0; p < 2; ++p) {
+      Sha256 c;
+      c.update(ByteView(prefix.data(), prefix_lens[p])).update(view(m));
+      r[p] = c.finalize();
+    }
+    resumed.push_back(r);
+  }
+
+  for (const auto& name : sha256_available_kernels()) {
+    ASSERT_TRUE(sha256_set_kernel(name)) << name;
+    std::array<Sha256Midstate, 2> mid;
+    for (std::size_t p = 0; p < 2; ++p) {
+      Sha256 c;
+      c.update(ByteView(prefix.data(), prefix_lens[p]));
+      mid[p] = c.midstate();
+    }
+    for (std::size_t len = 0; len < messages.size(); ++len) {
+      const ByteView m = view(messages[len]);
+      ASSERT_EQ(Sha256::hash(m), plain[len]) << name << " len=" << len;
+      const std::size_t cut = len / 3;
+      ASSERT_EQ(Sha256::hash(m.subspan(0, cut), m.subspan(cut)), plain[len])
+          << name << " len=" << len;
+      for (std::size_t p = 0; p < 2; ++p) {
+        ASSERT_EQ(Sha256::resume(mid[p]).update(m).finalize(), resumed[len][p])
+            << name << " len=" << len << " prefix=" << prefix_lens[p];
+      }
+      if (len > kSha256OneBlockMax) continue;
+      ASSERT_EQ(Sha256::finish_one_block(kSha256Iv, m), plain[len])
+          << name << " len=" << len;
+      ASSERT_EQ(Sha256::finish_one_block(kSha256Iv, m.subspan(0, cut),
+                                         m.subspan(cut)),
+                plain[len])
+          << name << " len=" << len;
+      for (std::size_t p = 0; p < 2; ++p) {
+        ASSERT_EQ(Sha256::finish_one_block(mid[p], m), resumed[len][p])
+            << name << " len=" << len << " prefix=" << prefix_lens[p];
+      }
+    }
+  }
+  EXPECT_THROW(Sha256::finish_one_block(kSha256Iv, view(messages[56])),
+               std::logic_error);
+}
+
 // The raw batch compressors must agree with the reference compressor on
 // every lane, including ragged counts that exercise the remainder loop.
 TEST(Sha256Kernels, BatchCompressorsMatchReferenceCompressor) {
