@@ -11,12 +11,15 @@
 // local-repair fast path, RS/LRC decode against the number of erased data
 // blocks, and Monte Carlo local-repair hit rates at the Fig. 6 loss points.
 // The star20/ rows pin the paper cell's hot calls under the active kernel:
-// contiguous RS encode, decode with 8 erasures, and the fused dot against
-// the addmul loop it replaced. Every codec row encodes and decodes through
+// contiguous RS encode, decode with 3 and 8 erasures — from detached shares
+// and with the data shares already in their own slot of the output page, as
+// an LR-Seluge receiver stores them — and the fused dot against the addmul
+// loop it replaced. Every codec row encodes and decodes through
 // the contiguous caller-owned buffer API into buffers allocated once,
 // outside the timing.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -66,10 +69,9 @@ struct Page {
         len(len) {
     code.encode(view(data), encoded);
   }
-  /// Encoded block i as a share.
+  /// Encoded block i as a share: a view into `encoded`.
   Share share(std::size_t i) const {
-    const auto first = encoded.begin() + static_cast<std::ptrdiff_t>(i * len);
-    return {i, Bytes(first, first + static_cast<std::ptrdiff_t>(len))};
+    return {i, view(encoded).subspan(i * len, len)};
   }
   /// Whether `decoded` holds the original page.
   bool decoded_ok() const { return decoded == data; }
@@ -390,8 +392,10 @@ void append_local_repair_rates(std::vector<SweepResult>& results) {
 }
 
 /// The paper cell's hot erasure calls (star20-paper: k=32, n=48, 64-byte
-/// packets) under the active kernel: one contiguous page encode, one decode
-/// with 8 erased data blocks (24 data + 8 parity shares), and one parity
+/// packets) under the active kernel: one contiguous page encode; decodes
+/// with E = 3 (the cell's median) and E = 8 erased data blocks (k - E data
+/// + E parity shares), each from detached shares and in place, with the
+/// data shares already in their own slot of the output page; and one parity
 /// block as the fused dot against the zero-fill-plus-addmul loop it
 /// replaced, with their ratio.
 void append_star20_rows(std::vector<SweepResult>& results) {
@@ -405,17 +409,36 @@ void append_star20_rows(std::vector<SweepResult>& results) {
         benchmark::DoNotOptimize(page.encoded.data());
       }));
 
-  std::vector<Share> shares;
-  for (std::size_t j = 8; j < k; ++j) shares.push_back(page.share(j));
-  for (std::size_t i = 0; i < 8; ++i) shares.push_back(page.share(k + i));
-  if (!code->decode(shares, page.decoded) || !page.decoded_ok()) {
-    std::cerr << "star20 decode failed\n";
-    std::exit(1);
+  for (std::size_t erased : {3u, 8u}) {
+    std::vector<Share> detached, in_place;
+    Bytes slots(k * len);
+    for (std::size_t j = erased; j < k; ++j) {
+      const Share s = page.share(j);
+      const MutByteView slot = MutByteView(slots).subspan(j * len, len);
+      std::copy(s.data.begin(), s.data.end(), slot.begin());
+      detached.push_back(s);
+      in_place.push_back({j, slot});
+    }
+    for (std::size_t i = 0; i < erased; ++i) {
+      detached.push_back(page.share(k + i));
+      in_place.push_back(page.share(k + i));
+    }
+    if (!code->decode(detached, page.decoded) || !page.decoded_ok() ||
+        !code->decode(in_place, slots) || slots != page.data) {
+      std::cerr << "star20 decode failed at erased=" << erased << "\n";
+      std::exit(1);
+    }
+    const std::string geometry =
+        "/erased=" + std::to_string(erased) + "/k=32/n=48/len=64";
+    results.push_back(
+        time_op("star20/rs_decode_contiguous" + geometry, k * len, [&] {
+          benchmark::DoNotOptimize(code->decode(detached, page.decoded));
+        }));
+    results.push_back(
+        time_op("star20/rs_decode_in_place" + geometry, k * len, [&] {
+          benchmark::DoNotOptimize(code->decode(in_place, slots));
+        }));
   }
-  results.push_back(time_op(
-      "star20/rs_decode_contiguous/erased=8/k=32/n=48/len=64", k * len, [&] {
-        benchmark::DoNotOptimize(code->decode(shares, page.decoded));
-      }));
 
   std::vector<const std::uint8_t*> srcs;
   for (std::size_t j = 0; j < k; ++j)

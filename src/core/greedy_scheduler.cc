@@ -1,5 +1,7 @@
 #include "core/greedy_scheduler.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace lrs::core {
@@ -20,19 +22,27 @@ void GreedyRoundRobinScheduler::tally(const BitVec& wanted, bool add) {
   }
 }
 
+std::vector<GreedyRoundRobinScheduler::Entry>::iterator
+GreedyRoundRobinScheduler::lower_bound(NodeId node) {
+  return std::lower_bound(
+      table_.begin(), table_.end(), node,
+      [](const Entry& e, NodeId v) { return e.node < v; });
+}
+
 void GreedyRoundRobinScheduler::on_snack(NodeId node, const BitVec& requested,
                                          std::size_t needed) {
   LRS_CHECK(requested.size() == n_);
-  auto it = table_.find(node);
-  if (it != table_.end()) tally(it->second.wanted, false);
+  auto it = lower_bound(node);
+  const bool known = it != table_.end() && it->node == node;
+  if (known) tally(it->wanted, false);
   if (needed == 0 || requested.none()) {
-    if (it != table_.end()) table_.erase(it);
+    if (known) table_.erase(it);
     return;
   }
-  auto& entry = it != table_.end() ? it->second : table_[node];
-  entry.wanted = requested;
-  entry.distance = needed;
-  tally(entry.wanted, true);
+  if (!known) it = table_.insert(it, Entry{node, {}, 0});
+  it->wanted = requested;
+  it->distance = needed;
+  tally(it->wanted, true);
 }
 
 std::size_t GreedyRoundRobinScheduler::popularity(std::uint32_t index) const {
@@ -41,8 +51,10 @@ std::size_t GreedyRoundRobinScheduler::popularity(std::uint32_t index) const {
 }
 
 std::size_t GreedyRoundRobinScheduler::distance(NodeId node) const {
-  auto it = table_.find(node);
-  return it == table_.end() ? 0 : it->second.distance;
+  for (const Entry& e : table_) {
+    if (e.node == node) return e.distance;
+  }
+  return 0;
 }
 
 std::optional<std::uint32_t> GreedyRoundRobinScheduler::next_packet() {
@@ -50,18 +62,20 @@ std::optional<std::uint32_t> GreedyRoundRobinScheduler::next_packet() {
 
   // Scan cyclically, starting right after the previous transmission (from
   // index 0 for the first pick), keeping the first index of maximum
-  // popularity encountered in that order.
+  // popularity encountered in that order: [start, n) then [0, start).
   const std::size_t start = sent_any_ ? (last_ + 1) % n_ : 0;
   std::size_t best_index = n_;  // invalid
   std::size_t best_pop = 0;
-  for (std::size_t step = 0; step < n_; ++step) {
-    const std::size_t j = (start + step) % n_;
-    const std::size_t pop = popularity_[j];
-    if (pop > best_pop) {
-      best_pop = pop;
-      best_index = j;
+  const auto scan = [&](std::size_t from, std::size_t to) {
+    for (std::size_t j = from; j < to; ++j) {
+      if (popularity_[j] > best_pop) {
+        best_pop = popularity_[j];
+        best_index = j;
+      }
     }
-  }
+  };
+  scan(start, n_);
+  scan(0, start);
   if (best_pop == 0) {
     // Entries exist but want nothing we can give; drop them (they will
     // re-request after their own timeout if they still need packets).
@@ -86,8 +100,10 @@ void GreedyRoundRobinScheduler::on_overheard_data(std::uint32_t index) {
 }
 
 void GreedyRoundRobinScheduler::account_transmission(std::uint32_t index) {
-  for (auto it = table_.begin(); it != table_.end();) {
-    auto& entry = it->second;
+  // Settles every row, compacting the survivors in place (order kept).
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < table_.size(); ++i) {
+    Entry& entry = table_[i];
     if (entry.wanted.get(index)) {
       entry.wanted.clear(index);
       --popularity_[index];
@@ -95,11 +111,12 @@ void GreedyRoundRobinScheduler::account_transmission(std::uint32_t index) {
     }
     if (entry.distance == 0 || entry.wanted.none()) {
       tally(entry.wanted, false);
-      it = table_.erase(it);
-    } else {
-      ++it;
+      continue;
     }
+    if (kept != i) table_[kept] = std::move(entry);
+    ++kept;
   }
+  table_.resize(kept);
 }
 
 std::size_t GreedyRoundRobinScheduler::backlog() const {
@@ -107,9 +124,7 @@ std::size_t GreedyRoundRobinScheduler::backlog() const {
   // greedy sweep sends at most max distance... a cheap upper bound is the
   // largest per-neighbor distance; the true count depends on overlaps.
   std::size_t worst = 0;
-  for (const auto& [id, entry] : table_) {
-    worst = std::max(worst, entry.distance);
-  }
+  for (const Entry& entry : table_) worst = std::max(worst, entry.distance);
   return worst;
 }
 

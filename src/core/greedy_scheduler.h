@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -43,9 +42,13 @@ class GreedyRoundRobinScheduler final : public proto::TxScheduler {
 
  private:
   struct Entry {
+    NodeId node = 0;
     BitVec wanted;
     std::size_t distance = 0;
   };
+
+  /// First entry whose node is not below `node`.
+  std::vector<Entry>::iterator lower_bound(NodeId node);
 
   /// Clears column `index` and settles distances, deleting satisfied rows.
   void account_transmission(std::uint32_t index);
@@ -55,7 +58,9 @@ class GreedyRoundRobinScheduler final : public proto::TxScheduler {
   std::size_t n_;
   bool sent_any_ = false;
   std::size_t last_ = 0;
-  std::map<NodeId, Entry> table_;
+  // Tracked rows, flat and sorted by node id: a server tracks a handful of
+  // requesters at a time.
+  std::vector<Entry> table_;
   // popularity_[j]: how many rows of table_ want packet j, kept in step
   // with every table_ change so a pick reads n counts instead of walking
   // the table once per index.

@@ -50,7 +50,8 @@ class LrSelugeState final : public proto::SignedImageState {
         code0_(erasure::make_code_cached(params.codec, params.k0, params.n0,
                                          std::min(params.delta,
                                                   params.n0 - params.k0),
-                                         params.code_seed ^ 0x9e3779b9ULL)) {}
+                                         params.code_seed ^ 0x9e3779b9ULL)) {
+  }
 
   /// Base station: preprocess + sign.
   LrSelugeState(const CommonParams& params, const Bytes& image,
@@ -108,7 +109,7 @@ class LrSelugeState final : public proto::SignedImageState {
         return DataStatus::kRejected;
       }
       // Keep only the encoded block; auth paths are regenerated on demand.
-      store_share(index, payload.subspan(0, store_.stride(0)));
+      store_share(page, index, payload.subspan(0, store_.stride(0)));
     } else {
       m.hash_verifications += 1;
       if (payload.size() != params_.payload_size ||
@@ -117,12 +118,11 @@ class LrSelugeState final : public proto::SignedImageState {
         m.auth_failures += 1;
         return DataStatus::kRejected;
       }
-      store_share(index, payload);
+      store_share(page, index, payload);
     }
-    store_.mark(index);
 
     // Enough authenticated packets? Attempt the erasure decode, straight
-    // into the page's own buffer.
+    // into the page's own buffer, where the data shares already sit.
     if (shares_.size() >= decode_threshold(page)) {
       m.decode_operations += 1;
       const auto& codec = page == 0 ? code0_ : code_;
@@ -185,22 +185,37 @@ class LrSelugeState final : public proto::SignedImageState {
     return params_.k * params_.payload_size;
   }
 
-  /// Hands the current page's share buffers to spare_.
+  /// Forgets the current page's shares and hands their parity buffers to
+  /// spare_.
   void recycle_shares() {
-    for (auto& share : shares_) spare_.push_back(std::move(share.data));
+    for (auto& buf : parity_) spare_.push_back(std::move(buf));
+    parity_.clear();
     shares_.clear();
   }
 
-  /// Copies an authenticated share into a buffer recycled from an earlier
-  /// page, so a steady-state page costs no share allocations.
-  void store_share(std::uint32_t index, ByteView data) {
+  /// Keeps an authenticated share of the frontier page `page` and marks it
+  /// held. A data share of a systematic code is written straight into its
+  /// own block of the page buffer, where decode reads it in place; any
+  /// other share is copied into a buffer recycled from an earlier page, so
+  /// a steady-state page costs no share allocations.
+  void store_share(std::uint32_t page, std::uint32_t index, ByteView data) {
+    const std::size_t k = page == 0 ? params_.k0 : params_.k;
+    if (index < k && erasure::codec_is_systematic(params_.codec)) {
+      store_.put(index, data);
+      shares_.push_back({index, store_.packet(page, index)});
+      return;
+    }
     Bytes buf;
     if (!spare_.empty()) {
       buf = std::move(spare_.back());
       spare_.pop_back();
     }
     buf.assign(data.begin(), data.end());
-    shares_.push_back({index, std::move(buf)});
+    // The view follows the buffer's heap block, which moving the Bytes
+    // (parity_ growing) does not relocate.
+    shares_.push_back({index, view(buf)});
+    parity_.push_back(std::move(buf));
+    store_.mark(index);
   }
 
   // --- verification helpers ----------------------------------------------------
@@ -224,12 +239,8 @@ class LrSelugeState final : public proto::SignedImageState {
   /// The frontier page has been decoded into its buffer.
   void finish_page() {
     store_.advance();
-    if (image_complete()) {
-      shares_.clear();
-      spare_ = {};
-    } else {
-      recycle_shares();
-    }
+    recycle_shares();
+    if (image_complete()) spare_ = {};
   }
 
   /// Hash image of packet `index` of content page `page`: M0 (page 0)
@@ -326,12 +337,16 @@ class LrSelugeState final : public proto::SignedImageState {
   std::shared_ptr<const erasure::ErasureCode> code_;   // k -> n, cached
   std::shared_ptr<const erasure::ErasureCode> code0_;  // k0 -> n0, cached
 
-  // Shares of the frontier page, decoded into its page-store buffer once
-  // there are enough; spare_ holds share buffers of earlier pages for
-  // store_share() to reuse. The decoded pages also carry the hash chain
-  // hash_image() reads, for current traffic and verify_stored_packet()'s
-  // straggler checks alike.
+  // Authenticated shares of the frontier page in arrival order, decoded
+  // into its page-store buffer once there are enough. Each is a view: data
+  // shares of a systematic code into their own block of that buffer, every
+  // other share into one of parity_'s buffers; spare_ holds buffers of
+  // earlier pages for store_share() to reuse. Only complete states are
+  // copied (clone_source), and those hold no shares. The decoded pages also
+  // carry the hash chain hash_image() reads, for current traffic and
+  // verify_stored_packet()'s straggler checks alike.
   std::vector<erasure::Share> shares_;
+  std::vector<Bytes> parity_;
   std::vector<Bytes> spare_;
 
   // Single-slot serve cache: every packet of page serve_page_, serve_stride_

@@ -39,7 +39,7 @@ std::vector<Bytes> ErasureCode::encode(const std::vector<Bytes>& blocks) const {
 }
 
 std::optional<std::vector<Bytes>> ErasureCode::decode(
-    const std::vector<Share>& shares) const {
+    std::span<const Share> shares) const {
   const std::size_t len = shares.empty() ? 0 : shares.front().data.size();
   Bytes out(k() * len);
   if (!decode(shares, out)) return std::nullopt;
@@ -54,6 +54,8 @@ std::optional<CodecKind> parse_codec_kind(const std::string& name) {
   if (name == "lrc") return CodecKind::kLrc;
   return std::nullopt;
 }
+
+bool codec_is_systematic(CodecKind kind) { return kind != CodecKind::kLt; }
 
 const char* codec_kind_name(CodecKind kind) {
   switch (kind) {

@@ -29,6 +29,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,10 +38,13 @@
 
 namespace lrs::erasure {
 
-/// One received encoded block: its index in [0, n) plus its bytes.
+/// One received encoded block: its index in [0, n) plus a view of its
+/// bytes, which the caller keeps alive for the decode call. The bytes may
+/// lie anywhere — a receive buffer, a spare buffer, or, for a systematic
+/// codec's data share, its own slot of decode()'s output (see decode()).
 struct Share {
   std::size_t index;
-  Bytes data;
+  ByteView data;
 };
 
 /// Every codec works on contiguous, caller-owned pages (the caller-owned
@@ -67,11 +71,19 @@ class ErasureCode {
   virtual void encode(ByteView data, MutByteView out) const = 0;
 
   /// Recovers the k original blocks into `out` (k * len bytes; every share
-  /// must be len bytes) from a subset of encoded blocks. Returns false when
+  /// must be len bytes) from a subset of encoded blocks, taken in the order
+  /// given. Duplicate indices are tolerated and ignored. Returns false when
   /// the subset is insufficient (the protocol keeps requesting); `out` is
-  /// then unspecified. Duplicate indices are tolerated and ignored.
-  virtual bool decode(const std::vector<Share>& shares,
-                      MutByteView out) const = 0;
+  /// then unspecified, except as below.
+  ///
+  /// Shares may alias `out` in one way only: when the codec is systematic
+  /// (codec_is_systematic), a data share (index < k) may already sit in its
+  /// own slot of `out`, block `index`. The result is then the same as from
+  /// a detached copy of that share, that slot is not rewritten, and a
+  /// failed decode leaves it unchanged — so a receiver can store data shares
+  /// straight into the page they decode into and retry after more arrive.
+  /// No share may overlap any other part of `out`.
+  virtual bool decode(std::span<const Share> shares, MutByteView out) const = 0;
 
   /// Vector-of-blocks forms for tests and benches: each copies into and out
   /// of one contiguous buffer around a single call of the virtual above.
@@ -80,7 +92,7 @@ class ErasureCode {
   /// false.
   std::vector<Bytes> encode(const std::vector<Bytes>& blocks) const;
   std::optional<std::vector<Bytes>> decode(
-      const std::vector<Share>& shares) const;
+      std::span<const Share> shares) const;
 
   virtual std::string name() const = 0;
 };
@@ -138,6 +150,11 @@ std::optional<LrcStats> lrc_stats(const ErasureCode& code);
 void lrc_stats_reset(const ErasureCode& code);
 
 enum class CodecKind { kReedSolomon, kRlcGf2, kRlcGf256, kLt, kLrc };
+
+/// Whether encoded block i < k of `kind` is data block i itself (every kind
+/// but LT). Only then may a data share sit in its own slot of decode()'s
+/// `out`.
+bool codec_is_systematic(CodecKind kind);
 
 /// Parses "rs", "rlc2", "rlc256", "lt", "lrc" — used by example/bench CLI
 /// flags and scenario files. nullopt for any other spelling.

@@ -16,7 +16,7 @@ namespace {
 struct Scratch {
   std::vector<const std::uint8_t*> srcs;  // dot sources
   Bytes coeffs;                           // dot coefficients
-  std::vector<std::size_t> erased, pivots;
+  std::vector<std::size_t> erased, pivots, present;
   std::vector<const ParityShare*> rows;
   Bytes kept;       // e x 2e, row-major
   Bytes cand;       // 2e
@@ -107,18 +107,24 @@ bool solve_erased_columns(const MatrixGf256& generator,
       std::memcpy(slot, data[j], len);
   }
   // Syndrome a: the picked parity block plus every present column's term.
+  // The present columns are the same for every syndrome, so the source
+  // list is built once with slot 0 left for the parity block; only the
+  // coefficients change per row (the kernel skips zero coefficients).
+  sc.srcs.assign(1, nullptr);
+  sc.present.clear();
+  for (std::size_t j = 0; j < k; ++j) {
+    if (data[j] == nullptr) continue;
+    sc.srcs.push_back(data[j]);
+    sc.present.push_back(j);
+  }
+  sc.coeffs.resize(sc.srcs.size());
+  sc.coeffs[0] = 1;
   sc.syndromes.resize(e * len);
   for (std::size_t a = 0; a < e; ++a) {
-    const std::size_t row = sc.rows[a]->row;
-    sc.srcs.assign(1, sc.rows[a]->data);
-    sc.coeffs.assign(1, 1);
-    for (std::size_t j = 0; j < k; ++j) {
-      const std::uint8_t c = generator.at(row, j);
-      if (data[j] != nullptr && c != 0) {
-        sc.srcs.push_back(data[j]);
-        sc.coeffs.push_back(c);
-      }
-    }
+    const ByteView g = generator.row(sc.rows[a]->row);
+    sc.srcs[0] = sc.rows[a]->data;
+    for (std::size_t i = 0; i < sc.present.size(); ++i)
+      sc.coeffs[i + 1] = g[sc.present[i]];
     Gf256::dot(MutByteView(sc.syndromes).subspan(a * len, len), sc.srcs,
                sc.coeffs);
   }

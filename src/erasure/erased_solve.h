@@ -45,9 +45,9 @@ struct ParityShare {
 /// already sit in its own slot of `out`. Every block (data and parity) is
 /// `len` bytes. `parity` lists the candidate parity shares in priority
 /// order: the first e whose restriction to the erased columns is
-/// independent of those already chosen are used. Returns false when fewer
-/// than e candidates qualify. Scratch is thread-local: no heap allocation
-/// once warm.
+/// independent of those already chosen are used. Returns false, with
+/// `out` untouched, when fewer than e candidates qualify. Scratch is
+/// thread-local: no heap allocation once warm.
 bool solve_erased_columns(const MatrixGf256& generator,
                           std::span<const std::uint8_t* const> data,
                           std::span<const ParityShare> parity,

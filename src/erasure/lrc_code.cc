@@ -138,7 +138,7 @@ class LrcCode final : public ErasureCode {
     encode_systematic(generator_, data, out);
   }
 
-  bool decode(const std::vector<Share>& shares,
+  bool decode(std::span<const Share> shares,
               MutByteView out) const override {
     stats::TimerScope scope(LrcRegistry::get().decode);
     LRS_CHECK(out.size() % k_ == 0);
@@ -199,10 +199,11 @@ class LrcCode final : public ErasureCode {
     LrcRegistry::get().local_repairs.add(repairs);
 
     // Pass 2: erased-column solve (which also places the present data
-    // blocks). With nothing left erased it only copies. Parity shares are
-    // offered in index order and the first e innovative ones kept: the rows
-    // an elimination fed data rows first, then parity rows in index order,
-    // would settle on.
+    // blocks, skipping any already in their own slot of `out`). With
+    // nothing left erased it only copies; a failed solve writes nothing.
+    // Parity shares are offered in index order and the first e innovative
+    // ones kept: the rows an elimination fed data rows first, then parity
+    // rows in index order, would settle on.
     bool all_data = true;
     for (std::size_t j = 0; j < k_; ++j) all_data &= have[j] != nullptr;
     thread_local std::vector<ParityShare> parity;

@@ -100,7 +100,7 @@ class LtCode final : public ErasureCode {
     }
   }
 
-  bool decode(const std::vector<Share>& shares,
+  bool decode(std::span<const Share> shares,
               MutByteView out) const override {
     static stats::Timer& timer =
         stats::Registry::instance().timer("erasure.lt.decode");
@@ -121,7 +121,8 @@ class LtCode final : public ErasureCode {
       LRS_CHECK(s.data.size() == len);
       if (seen[s.index]) continue;
       seen[s.index] = true;
-      pend.push_back({neighbors_[s.index], s.data});
+      pend.push_back(
+          {neighbors_[s.index], Bytes(s.data.begin(), s.data.end())});
     }
 
     // Solved block j is written straight into its slot of `out`.

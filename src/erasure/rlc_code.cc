@@ -81,12 +81,15 @@ class RlcGf2Code final : public ErasureCode {
     }
   }
 
-  bool decode(const std::vector<Share>& shares,
+  bool decode(std::span<const Share> shares,
               MutByteView out) const override {
     stats::TimerScope scope(rlc_timer(false, true));
     if (shares.empty()) return false;
     LRS_CHECK(out.size() % k_ == 0);
     const std::size_t len = out.size() / k_;
+    // The eliminator copies each share, and `out` is written only once
+    // the rank is complete: a data share sitting in its own slot of `out`
+    // is read before it is rewritten, and a failed decode leaves it alone.
     Gf2Eliminator elim(k_, len);
     std::vector<bool> seen(n_, false);
     for (const auto& s : shares) {
@@ -94,7 +97,7 @@ class RlcGf2Code final : public ErasureCode {
       LRS_CHECK(s.data.size() == len);
       if (seen[s.index]) continue;
       seen[s.index] = true;
-      elim.add(coeff_row(s.index), view(s.data));
+      elim.add(coeff_row(s.index), s.data);
       if (elim.complete()) {
         const std::vector<Bytes> blocks = elim.solve();
         for (std::size_t j = 0; j < k_; ++j)
@@ -152,7 +155,7 @@ class RlcGf256Code final : public ErasureCode {
     encode_systematic(generator_, data, out);
   }
 
-  bool decode(const std::vector<Share>& shares,
+  bool decode(std::span<const Share> shares,
               MutByteView out) const override {
     stats::TimerScope scope(rlc_timer(true, true));
     LRS_CHECK(out.size() % k_ == 0);
@@ -169,7 +172,9 @@ class RlcGf256Code final : public ErasureCode {
     if (picked.size() < k_) return false;
 
     // Augmented Gaussian elimination over all received rows; payload row r
-    // is bytes [r * len, (r+1) * len) of one buffer.
+    // is bytes [r * len, (r+1) * len) of one buffer. Every share is copied
+    // in before `out` is written (only on success), so a data share may sit
+    // in its own slot of `out`.
     const std::size_t m = picked.size();
     MatrixGf256 a(m, k_);
     Bytes payload(m * len);

@@ -54,7 +54,7 @@ class ReedSolomonCode final : public ErasureCode {
     encode_systematic(generator_, data, out);
   }
 
-  bool decode(const std::vector<Share>& shares,
+  bool decode(std::span<const Share> shares,
               MutByteView out) const override {
     stats::TimerScope scope(rs_decode_timer());
     LRS_CHECK(out.size() % k_ == 0);
@@ -62,7 +62,8 @@ class ReedSolomonCode final : public ErasureCode {
     // Deduplicate by index, keep the first k distinct shares. The picked
     // systematic shares fill their columns; the picked parity shares are
     // exactly as many as the erased columns, and every such minor of a
-    // Cauchy generator is invertible.
+    // Cauchy generator is invertible. A data share already in its own slot
+    // of `out` is used in place: only the erased columns are written.
     thread_local std::vector<const std::uint8_t*> data;
     thread_local std::vector<ParityShare> parity;
     thread_local std::vector<bool> seen;

@@ -250,8 +250,8 @@ void DissemNode::on_receive(ByteView frame) {
       return;
     }
     case PacketType::kData: {
-      std::optional<DataPacket> parsed;
-      const DataPacket* data =
+      std::optional<DataPacketView> parsed;
+      const DataPacketView* data =
           parse_once(serial ? &memo->data : nullptr, serial, parsed,
                      [&] { return DataPacket::parse(frame); });
       if (!data || data->version != version_) return;
@@ -505,13 +505,9 @@ void DissemNode::serve_next() {
     leave_tx();
     return;
   }
-  auto payload = scheme_->packet_payload(page, *idx);
+  const auto payload = scheme_->packet_payload(page, *idx);
   LRS_CHECK_MSG(payload.has_value(), "serving a page we do not have");
-  DataPacket d;
-  d.version = version_;
-  d.page = page;
-  d.index = *idx;
-  d.payload = *std::move(payload);
+  const DataPacketView d{version_, page, *idx, view(*payload)};
   const std::uint32_t next_rot =
       (*idx + 1) % static_cast<std::uint32_t>(scheme_->packets_in_page(page));
   auto rot = std::lower_bound(
@@ -553,7 +549,8 @@ void DissemNode::leave_tx() {
 // Data
 // --------------------------------------------------------------------------
 
-void DissemNode::handle_data(const DataPacket& data, std::uint64_t serial) {
+void DissemNode::handle_data(const DataPacketView& data,
+                             std::uint64_t serial) {
   // TX-side data suppression: another server is covering this page.
   if (state_ == NodeState::kTx) {
     if (TxScheduler* session = tx_session(data.page)) {
@@ -574,8 +571,8 @@ void DissemNode::handle_data(const DataPacket& data, std::uint64_t serial) {
   }
 
   const DataStatus status =
-      scheme_->on_data(data.page, data.index, view(data.payload),
-                       env().metrics(), dig);
+      scheme_->on_data(data.page, data.index, data.payload, env().metrics(),
+                       dig);
   if (status == DataStatus::kPageComplete ||
       status == DataStatus::kImageComplete) {
     refresh_scheme_view();
@@ -605,8 +602,8 @@ void DissemNode::handle_data(const DataPacket& data, std::uint64_t serial) {
                 rand_delay(cfg_.timing.stream_gap_jitter));
     } else if (data.page < pages_complete_ &&
                scheme_->verify_stored_packet(data.page, data.index,
-                                             view(data.payload),
-                                             env().metrics(), dig)) {
+                                             data.payload, env().metrics(),
+                                             dig)) {
       // AUTHENTIC data for an EARLIER page: a straggling neighbor is being
       // served. Requesting our next page now would fragment the server's
       // bursts; hold back so the neighborhood advances in lockstep. Forged

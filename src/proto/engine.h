@@ -49,11 +49,13 @@ struct FanoutSlot {
 /// byte-identical with and without the memo. Serial 0 (test doubles,
 /// fault-mutated frames) disables sharing; nodes with differing keys or
 /// versions stay correct because key schedules are sender-derived and
-/// version checks remain per-receiver.
+/// version checks remain per-receiver. The data slot's payload is a view
+/// into the broadcast frame: every receiver of one serial is handed that
+/// same frame, and the slot is never read under another serial.
 struct RxFanoutMemo {
   FanoutSlot<Advertisement> adv;
   FanoutSlot<Snack> snack;
-  FanoutSlot<DataPacket> data;
+  FanoutSlot<DataPacketView> data;
 
   // Digest of the data packet's (version, page, index, payload) preimage,
   // filled by the first receiver that actually hashes it (receivers that
@@ -125,7 +127,7 @@ class DissemNode : public sim::Node {
 
   // --- packet handlers -------------------------------------------------------
   void handle_advertisement(const Advertisement& adv);
-  void handle_data(const DataPacket& data, std::uint64_t serial);
+  void handle_data(const DataPacketView& data, std::uint64_t serial);
   void handle_signature_frame(ByteView frame);
 
   void on_progress();  // page or image newly complete

@@ -92,15 +92,15 @@ namespace {
 
 /// `mac_size` as for adv_body.
 Bytes snack_body(const Snack& s, std::size_t mac_size) {
-  const Bytes bits = s.requested.to_bytes();
-  Writer w(19 + bits.size() + mac_size);  // tag, 4 x u32, u16 count
+  // tag, 4 x u32, u16 count, then the bitmap packed straight into the frame
+  Writer w(19 + s.requested.byte_size() + mac_size);
   w.u8(static_cast<std::uint8_t>(PacketType::kSnack));
   w.u32(s.version);
   w.u32(s.sender);
   w.u32(s.target);
   w.u32(s.page);
   w.u16(static_cast<std::uint16_t>(s.requested.size()));
-  w.bytes(view(bits));
+  s.requested.write_bytes(w.extend(s.requested.byte_size()));
   return std::move(w).take();
 }
 
@@ -116,13 +116,13 @@ std::optional<Snack> parse_snack_body(ByteView body) {
   auto page = r.try_u32();
   auto bits = r.try_u16();
   if (!ver || !sender || !target || !page || !bits) return std::nullopt;
-  auto raw = r.try_bytes((static_cast<std::size_t>(*bits) + 7) / 8);
+  auto raw = r.try_view((static_cast<std::size_t>(*bits) + 7) / 8);
   if (!raw || !r.at_end()) return std::nullopt;
   s.version = *ver;
   s.sender = *sender;
   s.target = *target;
   s.page = *page;
-  s.requested = BitVec::from_bytes(view(*raw), *bits);
+  s.requested = BitVec::from_bytes(*raw, *bits);
   return s;
 }
 
@@ -149,19 +149,19 @@ std::optional<NodeId> Snack::peek_sender(ByteView frame) {
   return r.try_u32();
 }
 
-Bytes DataPacket::serialize() const {
+Bytes DataPacketView::serialize() const {
   Writer w(15 + payload.size());  // tag, 3 x u32, u16 length
   w.u8(static_cast<std::uint8_t>(PacketType::kData));
   w.u32(version);
   w.u32(page);
   w.u32(index);
-  w.sized_bytes(view(payload));
+  w.sized_bytes(payload);
   return std::move(w).take();
 }
 
-std::optional<DataPacket> DataPacket::parse(ByteView frame) {
+std::optional<DataPacketView> DataPacket::parse(ByteView frame) {
   Reader r(frame);
-  DataPacket d;
+  DataPacketView d;
   auto type = r.try_u8();
   if (!type || *type != static_cast<std::uint8_t>(PacketType::kData))
     return std::nullopt;
@@ -169,21 +169,21 @@ std::optional<DataPacket> DataPacket::parse(ByteView frame) {
   auto page = r.try_u32();
   auto index = r.try_u32();
   if (!ver || !page || !index) return std::nullopt;
-  auto payload = r.try_sized_bytes();
+  auto payload = r.try_sized_view();
   if (!payload || !r.at_end()) return std::nullopt;
   d.version = *ver;
   d.page = *page;
   d.index = *index;
-  d.payload = *std::move(payload);
+  d.payload = *payload;
   return d;
 }
 
-Bytes DataPacket::hash_preimage() const {
+Bytes DataPacketView::hash_preimage() const {
   Writer w(12 + payload.size());  // 3 x u32
   w.u32(version);
   w.u32(page);
   w.u32(index);
-  w.bytes(view(payload));
+  w.bytes(payload);
   return std::move(w).take();
 }
 
@@ -232,12 +232,12 @@ std::optional<SignaturePacket> SignaturePacket::parse(ByteView frame) {
   auto meta = SignedMeta::parse_from(r);
   if (!meta) return std::nullopt;
   p.meta = *meta;
-  auto root = r.try_bytes(p.root.size());
+  auto root = r.try_view(p.root.size());
   if (!root) return std::nullopt;
   std::copy(root->begin(), root->end(), p.root.begin());
-  auto puzzle_bytes = r.try_bytes(crypto::PuzzleSolution::kSerializedSize);
+  auto puzzle_bytes = r.try_view(crypto::PuzzleSolution::kSerializedSize);
   if (!puzzle_bytes) return std::nullopt;
-  auto puzzle = crypto::PuzzleSolution::deserialize(view(*puzzle_bytes));
+  auto puzzle = crypto::PuzzleSolution::deserialize(*puzzle_bytes);
   if (!puzzle) return std::nullopt;
   p.puzzle = *puzzle;
   auto sig = r.try_sized_bytes();

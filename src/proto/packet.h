@@ -64,18 +64,38 @@ struct Snack {
   static std::optional<NodeId> peek_sender(ByteView frame);
 };
 
+/// A data packet whose payload is a view: what DataPacket::parse returns
+/// (pointing into the frame, valid while the frame is) and what a server
+/// serializes from the bytes it already holds.
+struct DataPacketView {
+  Version version = 0;
+  std::uint32_t page = 0;
+  std::uint32_t index = 0;
+  ByteView payload;  // encoded block; page-0 payloads append the Merkle path
+
+  Bytes serialize() const;
+
+  /// The bytes covered by the per-packet hash image: version, page, index
+  /// and payload — binding position as well as content.
+  Bytes hash_preimage() const;
+};
+
+/// A data packet that owns its payload (adversaries, tests).
 struct DataPacket {
   Version version = 0;
   std::uint32_t page = 0;
   std::uint32_t index = 0;
   Bytes payload;  // encoded block; page-0 payloads append the Merkle path
 
-  Bytes serialize() const;
-  static std::optional<DataPacket> parse(ByteView frame);
+  DataPacketView as_view() const {
+    return {version, page, index, lrs::view(payload)};
+  }
+  Bytes serialize() const { return as_view().serialize(); }
+  /// Parses without copying: the payload of the result points into `frame`.
+  static std::optional<DataPacketView> parse(ByteView frame);
 
-  /// The bytes covered by the per-packet hash image: version, page, index
-  /// and payload — binding position as well as content.
-  Bytes hash_preimage() const;
+  /// As DataPacketView::hash_preimage().
+  Bytes hash_preimage() const { return as_view().hash_preimage(); }
 };
 
 /// Geometry and identity covered by the root signature. Signing these

@@ -42,6 +42,12 @@ class Writer {
   void bytes(ByteView b) { out_.insert(out_.end(), b.begin(), b.end()); }
   /// u16 length prefix followed by the bytes.
   void sized_bytes(ByteView b);
+  /// Appends `n` zero bytes and returns them for the caller to fill in
+  /// place; the view is valid until the next write.
+  MutByteView extend(std::size_t n) {
+    out_.resize(out_.size() + n);
+    return MutByteView(out_).subspan(out_.size() - n);
+  }
 
   const Bytes& data() const& { return out_; }
   Bytes take() && { return std::move(out_); }
@@ -82,14 +88,26 @@ class Reader {
     pos_ += 8;
     return v;
   }
-  /// Next `n` raw bytes.
-  std::optional<Bytes> try_bytes(std::size_t n) {
+  /// Next `n` raw bytes, as a view into the input (no copy).
+  std::optional<ByteView> try_view(std::size_t n) {
     if (remaining() < n) return std::nullopt;
-    Bytes out(data_.begin() + pos_, data_.begin() + pos_ + n);
+    const ByteView out = data_.subspan(pos_, n);
     pos_ += n;
     return out;
   }
-  /// u16 length prefix followed by that many bytes.
+  /// u16 length prefix followed by that many bytes, as a view.
+  std::optional<ByteView> try_sized_view() {
+    const auto n = try_u16();
+    if (!n) return std::nullopt;
+    return try_view(*n);
+  }
+  /// Next `n` raw bytes, copied.
+  std::optional<Bytes> try_bytes(std::size_t n) {
+    const auto v = try_view(n);
+    if (!v) return std::nullopt;
+    return Bytes(v->begin(), v->end());
+  }
+  /// u16 length prefix followed by that many bytes, copied.
   std::optional<Bytes> try_sized_bytes() {
     const auto n = try_u16();
     if (!n) return std::nullopt;

@@ -322,6 +322,58 @@ TEST_P(CodecConformance, DecodeMatchesReferenceMatrixSolve) {
   }
 }
 
+TEST_P(CodecConformance, DecodesWithDataSharesInTheirOwnSlot) {
+  // An LR-Seluge receiver writes each data share of a systematic code
+  // straight into its block of the page it decodes into (code.h). Over
+  // random erasure patterns in random arrival order, decoding from those
+  // in-slot shares must equal decoding from detached copies of the same
+  // shares, and a failed decode must leave the slots as they were.
+  EXPECT_EQ(codec_is_systematic(GetParam().kind), GetParam().systematic);
+  if (!codec_is_systematic(GetParam().kind)) return;  // never given aliases
+  const std::size_t k = 32, n = 48, len = 20;
+  auto code = make(k, n);
+  const auto blocks = random_blocks(k, len, 30);
+  const auto encoded = encode_page(*code, blocks);
+  Rng rng(31);
+  int successes = 0, failures = 0;
+  for (int t = 0; t < 200; ++t) {
+    // From a few below k up to all n shares.
+    const auto idx = random_subset(n, k - 3 + rng.uniform(n - k + 4), rng);
+    const auto detached = decode_page(*code, pick_shares(encoded, idx));
+
+    GuardedBuffer page(k * len);
+    for (auto& b : page.out()) b = static_cast<std::uint8_t>(rng.uniform(256));
+    std::vector<Share> shares;
+    for (auto i : idx) {
+      if (i >= k) {
+        shares.push_back({i, encoded[i]});
+        continue;
+      }
+      const MutByteView slot = page.out().subspan(i * len, len);
+      std::copy(encoded[i].begin(), encoded[i].end(), slot.begin());
+      shares.push_back({i, slot});
+    }
+    const bool ok = code->decode(shares, page.out());
+    EXPECT_TRUE(page.guards_intact()) << "trial " << t;
+    ASSERT_EQ(ok, detached.has_value()) << "trial " << t;
+    if (ok) {
+      ++successes;
+      EXPECT_EQ(split_page(page.out(), k, len), *detached) << "trial " << t;
+      EXPECT_EQ(*detached, blocks) << "trial " << t;
+    } else {
+      ++failures;
+      for (auto i : idx) {
+        if (i >= k) continue;
+        const ByteView slot = page.out().subspan(i * len, len);
+        EXPECT_TRUE(std::equal(slot.begin(), slot.end(), encoded[i].begin()))
+            << "failed decode rewrote data share " << i << ", trial " << t;
+      }
+    }
+  }
+  EXPECT_GT(successes, 0);
+  EXPECT_GT(failures, 0);
+}
+
 std::string spec_name(const ::testing::TestParamInfo<CodecSpec>& info) {
   return info.param.label;
 }

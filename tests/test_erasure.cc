@@ -644,7 +644,9 @@ TEST(DecodeFuzz, MalformedSharesFailCleanly) {
     int clean = 0, thrown = 0;
     for (int t = 0; t < 300; ++t) {
       // Random subset with duplicates allowed, then one random corruption.
+      // Shares are views; `oversized` backs a lengthened one.
       std::vector<Share> shares;
+      Bytes oversized;
       const std::size_t cnt = rng.uniform(20);
       for (std::size_t i = 0; i < cnt; ++i) {
         const std::size_t idx = rng.uniform(16);
@@ -656,11 +658,13 @@ TEST(DecodeFuzz, MalformedSharesFailCleanly) {
           case 0:
             break;  // clean subset
           case 1:  // truncated block
-            victim.data.resize(rng.uniform(victim.data.size() + 1));
+            victim.data =
+                victim.data.first(rng.uniform(victim.data.size() + 1));
             break;
           case 2:  // oversized block
-            victim.data.resize(victim.data.size() + 1 + rng.uniform(32),
-                               0xAB);
+            oversized.assign(victim.data.begin(), victim.data.end());
+            oversized.resize(oversized.size() + 1 + rng.uniform(32), 0xAB);
+            victim.data = view(oversized);
             break;
           case 3:  // out-of-range index
             victim.index = 16 + rng.uniform(1000);

@@ -100,7 +100,27 @@ TEST(DataPacketTest, RoundTrip) {
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->page, 6u);
   EXPECT_EQ(back->index, 40u);
-  EXPECT_EQ(back->payload, d.payload);
+  EXPECT_EQ(Bytes(back->payload.begin(), back->payload.end()), d.payload);
+}
+
+TEST(DataPacketTest, ParsedPayloadAliasesTheFrame) {
+  DataPacket d;
+  d.version = 2;
+  d.page = 3;
+  d.index = 7;
+  d.payload = Bytes(64, 0x5c);
+  const Bytes frame = d.serialize();
+  const auto back = DataPacket::parse(view(frame));
+  ASSERT_TRUE(back.has_value());
+  // No copy: the payload is the frame's last 64 bytes, after the 15-byte
+  // header (tag, version, page, index, u16 length).
+  EXPECT_EQ(back->payload.data(), frame.data() + 15);
+  EXPECT_EQ(back->payload.size(), 64u);
+  EXPECT_EQ(back->payload.data() + back->payload.size(),
+            frame.data() + frame.size());
+  // The view serializes and hashes exactly as the owning packet does.
+  EXPECT_EQ(back->serialize(), frame);
+  EXPECT_EQ(back->hash_preimage(), d.hash_preimage());
 }
 
 TEST(DataPacketTest, HashPreimageBindsPosition) {
@@ -242,11 +262,13 @@ TEST(GoldenVectors, DataFrozen) {
     d.payload.push_back(static_cast<std::uint8_t>(i));
   EXPECT_EQ(to_hex(view(d.serialize())), kGoldenData);
 
-  const auto back = DataPacket::parse(view(fixture(kGoldenData)));
+  // The parsed payload is a view, so the golden frame must outlive it.
+  const Bytes golden = fixture(kGoldenData);
+  const auto back = DataPacket::parse(view(golden));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->page, 6u);
   EXPECT_EQ(back->index, 40u);
-  EXPECT_EQ(back->payload, d.payload);
+  EXPECT_EQ(Bytes(back->payload.begin(), back->payload.end()), d.payload);
 }
 
 TEST(GoldenVectors, SignatureFrozen) {

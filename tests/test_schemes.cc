@@ -453,6 +453,77 @@ TEST(LrScheme, WorksWithRlcCodecs) {
   }
 }
 
+// A systematic code's data shares are written straight into the page they
+// decode into; parity shares (and every LT share) wait in recycled buffers.
+// Shares arrive in random order, each preceded by a forgery of itself and
+// every third followed by a duplicate; halfway through page 1 the node
+// reboots and the page is received again from scratch. The image must
+// still come out byte-exact, and every forgery be rejected without
+// touching the buffered count.
+TEST(LrScheme, InPlaceSharesSurviveForgeriesDuplicatesAndReboot) {
+  for (auto codec :
+       {erasure::CodecKind::kReedSolomon, erasure::CodecKind::kLrc,
+        erasure::CodecKind::kRlcGf2, erasure::CodecKind::kRlcGf256,
+        erasure::CodecKind::kLt}) {
+    SCOPED_TRACE(erasure::codec_kind_name(codec));
+    CommonParams p = small_params();
+    p.codec = codec;
+    p.delta = 2;
+    LrFixture f(p, 3000);
+    ASSERT_TRUE(f.dst->on_signature(view(*f.src->signature_frame()), f.m));
+    ASSERT_GE(f.src->num_pages(), 3u);
+    Rng rng(4321);
+    std::size_t forgeries = 0, deliveries = 0;
+    bool rebooted = false;
+    for (std::uint32_t page = 0; page < f.src->num_pages(); ++page) {
+      const std::size_t count = f.src->packets_in_page(page);
+      std::vector<std::uint32_t> order(count);
+      for (std::size_t j = 0; j < count; ++j)
+        order[j] = static_cast<std::uint32_t>(j);
+      while (f.dst->pages_complete() == page) {
+        ASSERT_LT(deliveries, 100 * count) << "page " << page << " stuck";
+        for (std::size_t j = 0; j + 1 < count; ++j)
+          std::swap(order[j], order[j + rng.uniform(count - j)]);
+        for (const std::uint32_t j : order) {
+          if (f.dst->pages_complete() > page) break;
+          ++deliveries;
+          const Bytes honest = f.src->packet_payload(page, j).value();
+          Bytes forged = honest;
+          forged[rng.uniform(forged.size())] ^=
+              static_cast<std::uint8_t>(1 + rng.uniform(255));
+          const std::size_t held = f.dst->buffered_packets();
+          EXPECT_EQ(f.dst->on_data(page, j, view(forged), f.m),
+                    DataStatus::kRejected)
+              << "page " << page << " idx " << j;
+          ++forgeries;
+          EXPECT_EQ(f.dst->buffered_packets(), held);
+          const DataStatus st = f.dst->on_data(page, j, view(honest), f.m);
+          ASSERT_TRUE(st == DataStatus::kStored ||
+                      st == DataStatus::kPageComplete ||
+                      st == DataStatus::kImageComplete)
+              << "page " << page << " idx " << j;
+          if (deliveries % 3 == 0) {
+            EXPECT_EQ(f.dst->on_data(page, j, view(honest), f.m),
+                      DataStatus::kStale);
+          }
+          if (page == 1 && !rebooted &&
+              f.dst->buffered_packets() == f.src->decode_threshold(1) / 2) {
+            f.dst->on_reboot();
+            rebooted = true;
+            EXPECT_EQ(f.dst->buffered_packets(), 0u);
+            EXPECT_EQ(f.dst->pages_complete(), 1u);
+            break;  // receive page 1 again, in a fresh order
+          }
+        }
+      }
+    }
+    EXPECT_TRUE(rebooted);
+    ASSERT_TRUE(f.dst->image_complete());
+    EXPECT_EQ(f.dst->assemble_image(), f.image);
+    EXPECT_EQ(f.m.auth_failures, forgeries);
+  }
+}
+
 TEST(LrScheme, PaperScaleParameters) {
   CommonParams p;  // defaults: k=32, n=48, payload 64
   p.puzzle_strength = 4;

@@ -2,6 +2,7 @@
 // hex and table formatting.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -95,6 +96,85 @@ TEST(BitVec, RoundTripsThroughBytes) {
   const Bytes raw = v.to_bytes();
   EXPECT_EQ(raw.size(), 3u);
   EXPECT_EQ(BitVec::from_bytes(view(raw), 19), v);
+}
+
+TEST(BitVec, InlineAndHeapSizesAgree) {
+  // Sizes on both sides of every word boundary and of the inline/heap
+  // boundary (BitVec::kInlineBits = 128), each against a plain
+  // std::vector<bool> reference.
+  Rng rng(0xb17);
+  for (std::size_t size : {0, 1, 63, 64, 65, 127, 128, 129, 300}) {
+    SCOPED_TRACE("size " + std::to_string(size));
+    std::vector<bool> ref(size);
+    BitVec v(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      ref[i] = rng.bernoulli(0.3);
+      v.set(i, ref[i]);
+    }
+    std::size_t ones = 0;
+    for (std::size_t i = 0; i < size; ++i) {
+      EXPECT_EQ(v.get(i), ref[i]) << "bit " << i;
+      ones += ref[i] ? 1 : 0;
+    }
+    EXPECT_EQ(v.count(), ones);
+    EXPECT_EQ(v.none(), ones == 0);
+    EXPECT_EQ(v.any(), ones != 0);
+    EXPECT_EQ(BitVec(size, true).count(), size);
+
+    // first_set from every index (and past the end), and the cyclic scan.
+    for (std::size_t from = 0; from <= size + 1; ++from) {
+      std::optional<std::size_t> want;
+      for (std::size_t i = from; i < size && !want; ++i)
+        if (ref[i]) want = i;
+      EXPECT_EQ(v.first_set(from), want) << "from " << from;
+    }
+    for (std::size_t from = 0; from < size; ++from) {
+      std::optional<std::size_t> want;
+      for (std::size_t step = 0; step < size && !want; ++step)
+        if (ref[(from + step) % size]) want = (from + step) % size;
+      EXPECT_EQ(v.first_set_cyclic(from), want) << "from " << from;
+    }
+
+    // Byte packing against a bit-by-bit reference, both directions; bits
+    // past `size` in the last byte are ignored on the way back.
+    Bytes packed((size + 7) / 8, 0);
+    for (std::size_t i = 0; i < size; ++i)
+      if (ref[i]) packed[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+    EXPECT_EQ(v.to_bytes(), packed);
+    Bytes written(v.byte_size(), 0xff);
+    v.write_bytes(written);
+    EXPECT_EQ(written, packed);
+    Bytes dirty = packed;
+    if (size % 8 != 0)
+      dirty.back() |= static_cast<std::uint8_t>(0xff << (size % 8));
+    EXPECT_EQ(BitVec::from_bytes(view(dirty), size), v);
+
+    // Copy, move and assignment across the inline/heap boundary, both ways.
+    for (std::size_t other : {0, 5, 128, 129, 300}) {
+      BitVec copied(other, true);
+      copied = v;
+      EXPECT_EQ(copied, v);
+      EXPECT_EQ(copied.count(), ones);
+      BitVec source(v);
+      EXPECT_EQ(source, v);
+      BitVec moved(other, true);
+      moved = std::move(source);
+      EXPECT_EQ(moved, v);
+      BitVec constructed(std::move(moved));
+      EXPECT_EQ(constructed, v);
+      if (size > 0) {  // copies are independent
+        copied.set(size - 1, !v.get(size - 1));
+        EXPECT_FALSE(copied == v);
+        EXPECT_EQ(v.get(size - 1), ref[size - 1]);
+      }
+      BitVec back(v);
+      back = BitVec(other, true);
+      EXPECT_EQ(back.size(), other);
+      EXPECT_EQ(back.count(), other);
+      back = v;
+      EXPECT_EQ(back, v);
+    }
+  }
 }
 
 TEST(BitVec, SizeMismatchThrows) {
