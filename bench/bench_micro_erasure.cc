@@ -360,13 +360,17 @@ void append_erased_sweep(std::vector<SweepResult>& results) {
 /// registry, so each loss point resets them before its trial loop.
 void append_local_repair_rates(std::vector<SweepResult>& results) {
   stats::set_enabled(true);
+  auto& reg = stats::Registry::instance();
+  stats::Counter& decodes = reg.counter("erasure.lrc.decodes");
+  stats::Counter& local_only = reg.counter("erasure.lrc.local_only_decodes");
   const struct {
     double p;
     const char* label;
   } losses[] = {{0.05, "0.05"}, {0.1, "0.1"}, {0.2, "0.2"}};
   for (const auto& loss : losses) {
     auto code = make_lrc_code(32, 48);
-    lrc_stats_reset(*code);
+    decodes.reset();
+    local_only.reset();
     Page page(*code, 64, 6);
     Rng rng(static_cast<std::uint64_t>(loss.p * 1000) + 9);
     const int trials = 2000;
@@ -379,15 +383,14 @@ void append_local_repair_rates(std::vector<SweepResult>& results) {
       }
       benchmark::DoNotOptimize(code->decode(shares, page.decoded));
     }
-    const auto st = lrc_stats(*code);
     const double rate =
-        st->decodes == 0
+        decodes.value() == 0
             ? 0.0
-            : static_cast<double>(st->local_only_decodes) /
-                  static_cast<double>(st->decodes);
+            : static_cast<double>(local_only.value()) /
+                  static_cast<double>(decodes.value());
     results.push_back({"lrc_local_repair_rate/p=" + std::string(loss.label) +
                            "/k=32/n=48",
-                       rate, static_cast<double>(st->decodes)});
+                       rate, static_cast<double>(decodes.value())});
   }
 }
 

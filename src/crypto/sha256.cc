@@ -11,6 +11,8 @@ Sha256::Sha256() : state_(kSha256Iv.state) {}
 
 Sha256& Sha256::update(ByteView data) {
   LRS_CHECK(!finalized_);
+  // An empty view may carry a null pointer, which memcpy must not see.
+  if (data.empty()) return *this;
   const Sha256Kernel& kernel = sha256_kernel();
   total_len_ += data.size();
   std::size_t offset = 0;

@@ -5,16 +5,17 @@
 // LR-Seluge preloads the *same instance* on every node so any node can
 // regenerate the exact n packets of a page it has decoded and serve them.
 //
-// Five families are provided:
-//  * ReedSolomonCode — systematic Cauchy-matrix RS over GF(256). MDS:
-//    deterministically decodable from ANY k blocks (k' == k). Encode is
-//    one fused GF(256) dot per parity block; decode is one dot per
-//    syndrome and per erased data column, ~e*k block multiply-adds for e
-//    erased data blocks (erased_solve.h).
-//  * RlcCode — systematic random linear code over GF(2) or GF(256) with
-//    pseudorandom parity rows derived from a public seed. Decoding succeeds
-//    once the received coefficient rows reach rank k; the nominal k'
-//    (k + delta) is what the protocol advertises in SNACK distance math.
+// Three families are provided:
+//  * The systematic linear code over GF(256) (erased_solve.h): one class
+//    behind three generators. make_rs_code builds a Cauchy-matrix
+//    Reed-Solomon generator, MDS: decodable from ANY k blocks (k' == k).
+//    make_rlc_gf2 and make_rlc_gf256 build random linear codes whose parity
+//    rows derive from a public seed, 0/1 coefficients (an XOR-only code) or
+//    random bytes (near-MDS); decoding succeeds once the received rows reach
+//    rank k, and the nominal k' (k + delta) is what the protocol advertises
+//    in SNACK distance math. Encode is one fused GF(256) dot per parity
+//    block; decode is one dot per syndrome and per erased data column, ~e*k
+//    block multiply-adds for e erased data blocks.
 //  * LtCode — fixed-rate LT code (robust soliton degrees, peeling decoder):
 //    the genuinely probabilistic k' > k case.
 //  * LrcCode — pyramid-style Locally Repairable Code: the k data blocks
@@ -53,7 +54,8 @@ struct Share {
 /// len), and encoded blocks lie back to back the same way. The block length
 /// is implied by the buffer sizes. Codecs are immutable after construction
 /// and shared across threads; per-call scratch is thread-local, so a warm
-/// Reed-Solomon or LRC decode performs no heap allocation.
+/// decode of every systematic codec (RS, RLC, LRC) performs no heap
+/// allocation.
 class ErasureCode {
  public:
   virtual ~ErasureCode() = default;
@@ -122,32 +124,16 @@ std::unique_ptr<ErasureCode> make_lt_code(std::size_t k, std::size_t n,
 /// blocks split into lrc_group_count(k, n) groups, each with one local
 /// parity; the remaining parities are global Cauchy rows. Deterministic
 /// decode from any k + g - 1 blocks (k' == k + g - 1); a single missing data
-/// block whose group parity survived repairs from its group alone.
+/// block whose group parity survived repairs from its group alone. Every
+/// LRC instance counts its decode paths in the registry counters
+/// "erasure.lrc.{decodes,local_repairs,local_only_decodes,full_solves}"
+/// (sim/stats/stats.h; only while stats::enabled()).
 std::unique_ptr<ErasureCode> make_lrc_code(std::size_t k, std::size_t n);
 
 /// Number of local parity groups the LRC construction uses for (k, n): the
 /// largest divisor of k that is <= (n - k) / 2, or 0 when n - k < 2 (too few
 /// parities for locality to pay — all parities are plain global RS rows).
 std::size_t lrc_group_count(std::size_t k, std::size_t n);
-
-/// Decode-path counters of the LRC backend. Since the metrics subsystem
-/// (sim/stats/stats.h) these are snapshots of the process-wide registry
-/// counters "erasure.lrc.{decodes,local_repairs,local_only_decodes,
-/// full_solves}": shared by every LrcCode instance, cumulative since
-/// process start or the last lrc_stats_reset, thread-safe, and — like all
-/// registry metrics — only advancing while stats::enabled().
-struct LrcStats {
-  std::uint64_t decodes = 0;        ///< decode() calls that returned blocks
-  std::uint64_t local_repairs = 0;  ///< single-erasure group repairs done
-  std::uint64_t local_only_decodes = 0;  ///< decodes with no k-wide solve
-  std::uint64_t full_solves = 0;         ///< decodes that ran a k-wide solve
-};
-
-/// Snapshot of the LRC counters; nullopt when `code` is not an LrcCode.
-std::optional<LrcStats> lrc_stats(const ErasureCode& code);
-
-/// Zeroes the LRC counters; no-op when `code` is not an LrcCode.
-void lrc_stats_reset(const ErasureCode& code);
 
 enum class CodecKind { kReedSolomon, kRlcGf2, kRlcGf256, kLt, kLrc };
 

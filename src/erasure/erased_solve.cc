@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "erasure/gf256.h"
+#include "sim/stats/stats.h"
 #include "util/check.h"
 
 namespace lrs::erasure {
@@ -142,6 +144,88 @@ bool solve_erased_columns(const MatrixGf256& generator,
                sc.coeffs);
   }
   return true;
+}
+
+namespace {
+
+class SystematicCode final : public ErasureCode {
+ public:
+  SystematicCode(std::string name, MatrixGf256 generator,
+                 std::size_t threshold, bool mds)
+      : name_(std::move(name)),
+        generator_(std::move(generator)),
+        threshold_(threshold),
+        mds_(mds),
+        encode_timer_(
+            stats::Registry::instance().timer("erasure." + name_ + ".encode")),
+        decode_timer_(stats::Registry::instance().timer("erasure." + name_ +
+                                                        ".decode")) {}
+
+  std::size_t k() const override { return generator_.cols(); }
+  std::size_t n() const override { return generator_.rows(); }
+  std::size_t decode_threshold() const override { return threshold_; }
+  std::string name() const override { return name_; }
+
+  void encode(ByteView data, MutByteView out) const override {
+    stats::TimerScope scope(encode_timer_);
+    encode_systematic(generator_, data, out);
+  }
+
+  bool decode(std::span<const Share> shares,
+              MutByteView out) const override {
+    stats::TimerScope scope(decode_timer_);
+    const std::size_t k = this->k(), n = this->n();
+    LRS_CHECK(out.size() % k == 0);
+    const std::size_t len = out.size() / k;
+    // Deduplicate by index. The distinct systematic shares fill their
+    // columns; the parity shares are the solve's candidates in arrival
+    // order. An MDS generator keeps only the first k distinct shares: the
+    // parity shares among them are exactly as many as the erased columns,
+    // and every such minor is invertible. A data share already in its own
+    // slot of `out` is used in place: only the erased columns are written.
+    thread_local std::vector<const std::uint8_t*> data;
+    thread_local std::vector<ParityShare> parity;
+    thread_local std::vector<bool> seen;
+    data.assign(k, nullptr);
+    parity.clear();
+    seen.assign(n, false);
+    std::size_t picked = 0;
+    for (const auto& s : shares) {
+      LRS_CHECK(s.index < n);
+      if (seen[s.index]) continue;
+      seen[s.index] = true;
+      LRS_CHECK(s.data.size() == len);
+      if (s.index < k) {
+        data[s.index] = s.data.data();
+      } else {
+        parity.push_back({s.index, s.data.data()});
+      }
+      if (++picked == k && mds_) break;
+    }
+    if (picked < k) return false;
+    const bool solved = solve_erased_columns(generator_, data, parity, out);
+    LRS_CHECK_MSG(solved || !mds_, "MDS property violated (bug)");
+    return solved;
+  }
+
+ private:
+  std::string name_;
+  MatrixGf256 generator_;
+  std::size_t threshold_;
+  bool mds_;
+  stats::Timer& encode_timer_;
+  stats::Timer& decode_timer_;
+};
+
+}  // namespace
+
+std::unique_ptr<ErasureCode> make_systematic_code(std::string name,
+                                                  MatrixGf256 generator,
+                                                  std::size_t threshold,
+                                                  bool mds) {
+  return std::make_unique<SystematicCode>(std::move(name),
+                                          std::move(generator), threshold,
+                                          mds);
 }
 
 }  // namespace lrs::erasure

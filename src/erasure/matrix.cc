@@ -1,5 +1,6 @@
 #include "erasure/matrix.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "erasure/gf256.h"
@@ -61,74 +62,21 @@ bool Gf256Eliminator::add(ByteView coeffs, ByteView payload) {
   return false;  // reduced to zero: redundant
 }
 
-std::vector<Bytes> Gf256Eliminator::solve() const {
+void Gf256Eliminator::solve(MutByteView out) const {
   LRS_CHECK_MSG(complete(), "solve() before reaching full rank");
-  std::vector<Bytes> coeffs(k_), vals(k_);
-  for (std::size_t i = 0; i < k_; ++i) {
-    coeffs[i] = rows_[i]->first;
-    vals[i] = rows_[i]->second;
-  }
-  // Back-substitute bottom-up: rows below are already unit vectors when
+  LRS_CHECK(out.size() == k_ * block_size_);
+  const auto block = [&](std::size_t i) {
+    return out.subspan(i * block_size_, block_size_);
+  };
+  // Back-substitute bottom-up: the blocks below are already solved when
   // their turn comes.
   for (std::size_t i = k_; i-- > 0;) {
+    const auto& [coeffs, payload] = *rows_[i];
+    std::copy(payload.begin(), payload.end(), block(i).begin());
     for (std::size_t j = i + 1; j < k_; ++j) {
-      const std::uint8_t f = coeffs[i][j];
-      if (f != 0) {
-        coeffs[i][j] = 0;
-        Gf256::addmul(MutByteView(vals[i].data(), vals[i].size()),
-                      view(vals[j]), f);
-      }
+      if (coeffs[j] != 0) Gf256::addmul(block(i), block(j), coeffs[j]);
     }
   }
-  return vals;
-}
-
-Gf2Eliminator::Gf2Eliminator(std::size_t k, std::size_t block_size)
-    : k_(k), block_size_(block_size), rows_(k) {}
-
-bool Gf2Eliminator::add(const BitVec& coeffs, ByteView payload) {
-  LRS_CHECK(coeffs.size() == k_);
-  LRS_CHECK(payload.size() == block_size_);
-  BitVec c = coeffs;
-  Bytes p(payload.begin(), payload.end());
-
-  // Reduce against existing pivot rows until the equation either lands in an
-  // empty pivot slot (innovative) or cancels to zero (redundant).
-  while (true) {
-    auto lead = c.first_set();
-    if (!lead) return false;
-    auto& slot = rows_[*lead];
-    if (!slot) {
-      slot = {std::move(c), std::move(p)};
-      ++rank_;
-      return true;
-    }
-    c ^= slot->first;
-    for (std::size_t b = 0; b < block_size_; ++b) p[b] ^= slot->second[b];
-  }
-}
-
-std::vector<Bytes> Gf2Eliminator::solve() const {
-  LRS_CHECK_MSG(complete(), "solve() before reaching full rank");
-  // Back-substitute: rows are in echelon form with pivot i at column i.
-  std::vector<BitVec> coeffs;
-  std::vector<Bytes> vals;
-  coeffs.reserve(k_);
-  vals.reserve(k_);
-  for (std::size_t i = 0; i < k_; ++i) {
-    coeffs.push_back(rows_[i]->first);
-    vals.push_back(rows_[i]->second);
-  }
-  for (std::size_t i = k_; i-- > 0;) {
-    for (std::size_t j = i + 1; j < k_; ++j) {
-      if (coeffs[i].get(j)) {
-        coeffs[i].clear(j);
-        for (std::size_t b = 0; b < block_size_; ++b)
-          vals[i][b] ^= vals[j][b];
-      }
-    }
-  }
-  return vals;
 }
 
 }  // namespace lrs::erasure

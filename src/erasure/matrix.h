@@ -1,16 +1,16 @@
-// Dense matrices over GF(256) and GF(2) with Gaussian elimination.
+// Dense matrices over GF(256) with Gaussian elimination.
 //
-// RS and LRC invert only the e x e minor over their erased columns
-// (erased_solve.h); the random linear codes eliminate over every received
-// row, and rateless dissemination eliminates incrementally as packets arrive.
-// MatrixGf256 itself is the generator store plus a reference rank().
+// MatrixGf256 stores the generators of the systematic codes — RS and both
+// random linear codes (GF(2) rows as 0/1 bytes) — and of LRC, plus a
+// reference rank(); those codes invert only the e x e minor over their
+// erased columns (erased_solve.h). Rateless dissemination eliminates
+// incrementally as packets arrive (Gf256Eliminator).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "util/bitvec.h"
 #include "util/check.h"
 #include "util/types.h"
 
@@ -69,8 +69,9 @@ class Gf256Eliminator {
   std::size_t rank() const { return rank_; }
   bool complete() const { return rank_ == k_; }
 
-  /// The k solved blocks; only valid when complete().
-  std::vector<Bytes> solve() const;
+  /// Writes the k solved blocks to `out` (k * block_size bytes, block j at
+  /// [j * block_size, (j+1) * block_size)); only valid when complete().
+  void solve(MutByteView out) const;
 
  private:
   std::size_t k_;
@@ -78,33 +79,6 @@ class Gf256Eliminator {
   std::size_t rank_ = 0;
   // rows_[i], if present, is normalized with pivot 1 at column i.
   std::vector<std::optional<std::pair<Bytes, Bytes>>> rows_;
-};
-
-/// Incremental GF(2) Gaussian eliminator: feed (coefficient row, payload)
-/// pairs as packets arrive; reports when full rank is reached and back-
-/// substitutes the original blocks. Row-reduced echelon is maintained so the
-/// cost is spread over arrivals — what a sensor node would actually run.
-class Gf2Eliminator {
- public:
-  /// `k` unknowns, each payload `block_size` bytes.
-  Gf2Eliminator(std::size_t k, std::size_t block_size);
-
-  /// Adds one equation: sum of unknowns selected by `coeffs` == payload.
-  /// Returns true if the equation was innovative (raised the rank).
-  bool add(const BitVec& coeffs, ByteView payload);
-
-  std::size_t rank() const { return rank_; }
-  bool complete() const { return rank_ == k_; }
-
-  /// The k solved blocks; only valid when complete().
-  std::vector<Bytes> solve() const;
-
- private:
-  std::size_t k_;
-  std::size_t block_size_;
-  std::size_t rank_ = 0;
-  // rows_[i], if present, has pivot at column i.
-  std::vector<std::optional<std::pair<BitVec, Bytes>>> rows_;
 };
 
 }  // namespace lrs::erasure

@@ -132,10 +132,7 @@ class RatelessState final : public PagedScheme {
     if (!innovative) return DataStatus::kStale;
     if (eliminator_->complete()) {
       m.decode_operations += 1;
-      auto out = store_.buffer(page).begin();
-      for (const Bytes& block : eliminator_->solve()) {
-        out = std::copy(block.begin(), block.end(), out);
-      }
+      eliminator_->solve(store_.buffer(page));
       store_.advance();
       restart_decoder();
       return image_complete() ? DataStatus::kImageComplete

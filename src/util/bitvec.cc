@@ -92,14 +92,6 @@ BitVec& BitVec::operator&=(const BitVec& other) {
   return *this;
 }
 
-BitVec& BitVec::operator^=(const BitVec& other) {
-  LRS_CHECK(size_ == other.size_);
-  std::uint64_t* w = words();
-  const std::uint64_t* o = other.words();
-  for (std::size_t i = 0; i < word_count(); ++i) w[i] ^= o[i];
-  return *this;
-}
-
 BitVec& BitVec::subtract(const BitVec& other) {
   LRS_CHECK(size_ == other.size_);
   std::uint64_t* w = words();

@@ -69,8 +69,6 @@ class BitVec {
   BitVec& operator&=(const BitVec& other);
   /// Clears every bit that is set in `other`.
   BitVec& subtract(const BitVec& other);
-  /// Symmetric difference (GF(2) addition).
-  BitVec& operator^=(const BitVec& other);
 
   friend BitVec operator|(BitVec a, const BitVec& b) { return a |= b; }
   friend BitVec operator&(BitVec a, const BitVec& b) { return a &= b; }

@@ -150,7 +150,10 @@ std::optional<std::vector<Bytes>> reference_solve(
     if (elim.complete()) break;
   }
   if (!elim.complete()) return std::nullopt;
-  return elim.solve();
+  GuardedBuffer buf(k * len);
+  elim.solve(buf.out());
+  EXPECT_TRUE(buf.guards_intact()) << "reference solve overran";
+  return split_page(buf.out(), k, len);
 }
 
 // ---------------------------------------------------------------------------

@@ -125,47 +125,6 @@ TEST(MatrixTest, RankOfTallMatrix) {
 }
 
 // ---------------------------------------------------------------------------
-// Gf2Eliminator
-// ---------------------------------------------------------------------------
-
-TEST(Gf2EliminatorTest, SolvesIdentitySystem) {
-  Gf2Eliminator e(3, 2);
-  for (std::size_t i = 0; i < 3; ++i) {
-    BitVec c(3);
-    c.set(i);
-    Bytes payload{static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(i)};
-    EXPECT_TRUE(e.add(c, view(payload)));
-  }
-  ASSERT_TRUE(e.complete());
-  const auto sol = e.solve();
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(sol[i][0], i);
-}
-
-TEST(Gf2EliminatorTest, RedundantEquationNotInnovative) {
-  Gf2Eliminator e(2, 1);
-  BitVec c01(2, true);
-  Bytes sum{3};
-  EXPECT_TRUE(e.add(c01, view(sum)));
-  EXPECT_FALSE(e.add(c01, view(sum)));
-  EXPECT_EQ(e.rank(), 1u);
-}
-
-TEST(Gf2EliminatorTest, SolvesMixedSystem) {
-  // x0 ^ x1 = 3, x1 = 2  ->  x0 = 1.
-  Gf2Eliminator e(2, 1);
-  BitVec both(2, true);
-  BitVec second(2);
-  second.set(1);
-  Bytes b3{3}, b2{2};
-  EXPECT_TRUE(e.add(both, view(b3)));
-  EXPECT_TRUE(e.add(second, view(b2)));
-  ASSERT_TRUE(e.complete());
-  const auto sol = e.solve();
-  EXPECT_EQ(sol[0][0], 1);
-  EXPECT_EQ(sol[1][0], 2);
-}
-
-// ---------------------------------------------------------------------------
 // Erasure codes: shared property helpers
 // ---------------------------------------------------------------------------
 
@@ -489,8 +448,8 @@ TEST(LtCode, RegistryExposesIt) {
 
 }  // namespace
 }  // namespace lrs::erasure
-// Golden parity bytes for RS and LRC, LRC local-repair stats, decode fuzz,
-// and codec-cache canonicalization/thread tests.
+// Golden parity bytes for RS, RLC and LRC, LRC local-repair counters,
+// decode fuzz, and codec-cache canonicalization/thread tests.
 namespace lrs::erasure {
 namespace {
 
@@ -524,6 +483,25 @@ TEST(RsCode, GoldenParityBytes) {
   EXPECT_EQ(to_hex(encoded[5]), "695a0f3ca596c3f0");
   EXPECT_EQ(to_hex(encoded[6]), "4e7d281b82b1e4d7");
   EXPECT_EQ(to_hex(encoded[7]), "536035069facf9ca");
+}
+
+TEST(RlcCode, GoldenParityBytes) {
+  // Freezes the seeded parity rows of both random linear codes for (k=4,
+  // n=8, delta=2, seed=9): GF(2) rows are 0/1 coefficients (parity = XOR of
+  // the selected blocks), GF(256) rows are random bytes. A change here is a
+  // wire-format break for every deployed image. Random blocks, because
+  // XORs of the linear pattern blocks collide.
+  const auto blocks = random_blocks(4, 8, 11);
+  const auto rlc2 = make_rlc_gf2(4, 8, 2, 9)->encode(blocks);
+  EXPECT_EQ(to_hex(rlc2[4]), "bf8d987f8ec15947");
+  EXPECT_EQ(to_hex(rlc2[5]), "b98bd67b89586203");
+  EXPECT_EQ(to_hex(rlc2[6]), "e29ce765a801f945");
+  EXPECT_EQ(to_hex(rlc2[7]), "06064e0407993b44");
+  const auto rlc256 = make_rlc_gf256(4, 8, 2, 9)->encode(blocks);
+  EXPECT_EQ(to_hex(rlc256[4]), "467a1fdb7790c2c8");
+  EXPECT_EQ(to_hex(rlc256[5]), "5d99dac6820b7cd5");
+  EXPECT_EQ(to_hex(rlc256[6]), "7583806f8cbd541e");
+  EXPECT_EQ(to_hex(rlc256[7]), "17e3f5fab598a2e0");
 }
 
 TEST(LrcCode, GroupCountRule) {
@@ -567,12 +545,25 @@ TEST(LrcCode, LocalParitiesOnlySpanTheirGroup) {
   EXPECT_NE(before[6], after[6]);  // globals see every block
 }
 
+/// An LRC decode-path counter: "erasure.lrc.<name>" in the process-wide
+/// metrics registry, shared by every LRC instance.
+stats::Counter& lrc_counter(const char* name) {
+  return stats::Registry::instance().counter(std::string("erasure.lrc.") +
+                                             name);
+}
+
+void reset_lrc_counters() {
+  for (const char* name :
+       {"decodes", "local_repairs", "local_only_decodes", "full_solves"})
+    lrc_counter(name).reset();
+}
+
 TEST(LrcCode, LocalRepairCountsAndResets) {
-  // The counters live in the process-wide metrics registry now: enable the
+  // The counters live in the process-wide metrics registry: enable the
   // registry and zero any residue left by earlier tests in this binary.
   stats::set_enabled(true);
   auto code = make_lrc_code(8, 16);  // g=4, groups of 2, locals at 8..11
-  lrc_stats_reset(*code);
+  reset_lrc_counters();
   const auto blocks = pattern_blocks(8, 12);
   const auto encoded = code->encode(blocks);
 
@@ -582,36 +573,26 @@ TEST(LrcCode, LocalRepairCountsAndResets) {
     if (i != 3) shares.push_back({i, encoded[i]});
   shares.push_back({9, encoded[9]});
   EXPECT_EQ(code->decode(shares).value(), blocks);
-  auto st = lrc_stats(*code);
-  ASSERT_TRUE(st.has_value());
-  EXPECT_EQ(st->decodes, 1u);
-  EXPECT_EQ(st->local_repairs, 1u);
-  EXPECT_EQ(st->local_only_decodes, 1u);
-  EXPECT_EQ(st->full_solves, 0u);
+  EXPECT_EQ(lrc_counter("decodes").value(), 1u);
+  EXPECT_EQ(lrc_counter("local_repairs").value(), 1u);
+  EXPECT_EQ(lrc_counter("local_only_decodes").value(), 1u);
+  EXPECT_EQ(lrc_counter("full_solves").value(), 0u);
 
   // Drop both blocks of group 0: local repair cannot fire, full solve runs.
   shares.clear();
   for (std::size_t i = 2; i < 8; ++i) shares.push_back({i, encoded[i]});
   for (std::size_t i = 8; i < 13; ++i) shares.push_back({i, encoded[i]});
   EXPECT_EQ(code->decode(shares).value(), blocks);
-  st = lrc_stats(*code);
-  EXPECT_EQ(st->decodes, 2u);
-  EXPECT_EQ(st->full_solves, 1u);
+  EXPECT_EQ(lrc_counter("decodes").value(), 2u);
+  EXPECT_EQ(lrc_counter("full_solves").value(), 1u);
 
-  lrc_stats_reset(*code);
-  st = lrc_stats(*code);
-  EXPECT_EQ(st->decodes, 0u);
-  EXPECT_EQ(st->local_repairs, 0u);
+  reset_lrc_counters();
+  EXPECT_EQ(lrc_counter("decodes").value(), 0u);
+  EXPECT_EQ(lrc_counter("local_repairs").value(), 0u);
 
   // Failed decodes are not counted as decodes.
   EXPECT_FALSE(code->decode({}).has_value());
-  EXPECT_EQ(lrc_stats(*code)->decodes, 0u);
-}
-
-TEST(LrcCode, StatsAreNulloptForOtherCodecs) {
-  auto rs = make_rs_code(4, 8);
-  EXPECT_FALSE(lrc_stats(*rs).has_value());
-  lrc_stats_reset(*rs);  // must be a harmless no-op
+  EXPECT_EQ(lrc_counter("decodes").value(), 0u);
 }
 
 TEST(LrcCode, RegistryExposesIt) {
@@ -725,7 +706,7 @@ TEST(CodecCache, ThreadHammerSharedInstances) {
   // are the only mutable state). Run under TSan in CI.
   codec_cache_clear();
   stats::set_enabled(true);
-  lrc_stats_reset(*make_code_cached(CodecKind::kLrc, 8, 16, 0, 0));
+  reset_lrc_counters();
   constexpr int kThreads = 8;
   constexpr int kIters = 25;
   std::vector<Bytes> blocks(8);
@@ -755,10 +736,10 @@ TEST(CodecCache, ThreadHammerSharedInstances) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(codec_cache_size(), 2u);
-  const auto st = lrc_stats(*make_code_cached(CodecKind::kLrc, 8, 16, 0, 0));
-  ASSERT_TRUE(st.has_value());
-  EXPECT_EQ(st->decodes, static_cast<std::uint64_t>(kThreads) * kIters);
-  EXPECT_EQ(st->local_repairs, static_cast<std::uint64_t>(kThreads) * kIters);
+  EXPECT_EQ(lrc_counter("decodes").value(),
+            static_cast<std::uint64_t>(kThreads) * kIters);
+  EXPECT_EQ(lrc_counter("local_repairs").value(),
+            static_cast<std::uint64_t>(kThreads) * kIters);
   codec_cache_clear();
 }
 

@@ -74,6 +74,17 @@ TEST(Sha256, IncrementalMatchesOneShotAtEveryBoundary) {
   }
 }
 
+TEST(Sha256, EmptyUpdateWithPartialBlockBuffered) {
+  // A default view has a null data pointer; feeding it while bytes of a
+  // partial block are buffered must leave the digest unchanged (and pass
+  // no null pointer to memcpy, which the sanitizer build would abort on).
+  Sha256 ctx;
+  ctx.update(ByteView(reinterpret_cast<const std::uint8_t*>("abc"), 3));
+  ctx.update(ByteView{});
+  const auto d = ctx.finalize();
+  EXPECT_EQ(to_hex(ByteView(d.data(), d.size())), hash_hex("abc"));
+}
+
 TEST(Sha256, ExactBlockLengths) {
   // 55/56/57/63/64/65 bytes exercise every padding branch.
   const char* expected[] = {

@@ -65,18 +65,6 @@ TEST(BitVec, UnionIntersectionSubtract) {
   EXPECT_FALSE(c.get(3));
 }
 
-TEST(BitVec, XorIsSymmetricDifference) {
-  BitVec a(8), b(8);
-  a.set(1);
-  a.set(2);
-  b.set(2);
-  b.set(3);
-  a ^= b;
-  EXPECT_TRUE(a.get(1));
-  EXPECT_FALSE(a.get(2));
-  EXPECT_TRUE(a.get(3));
-}
-
 TEST(BitVec, FirstSetLinearAndCyclic) {
   BitVec v(10);
   EXPECT_FALSE(v.first_set().has_value());
