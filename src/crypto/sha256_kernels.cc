@@ -1,10 +1,10 @@
 #include "crypto/sha256_kernels.h"
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-
-#include "util/log.h"
+#include <string>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define LRS_SHA256_X86 1
@@ -472,9 +472,10 @@ struct ActiveKernels {
     if (overridden) {
       chosen = sha256_find_kernel(env);
       if (chosen == nullptr) {
-        LRS_LOG(kWarn) << "LRS_SHA256_KERNEL=" << env
-                       << " unknown or unsupported on this CPU; "
-                          "falling back to auto selection";
+        std::fprintf(stderr,
+                     "[WARN] LRS_SHA256_KERNEL=%s unknown or unsupported on "
+                     "this CPU; falling back to auto selection\n",
+                     env);
       }
     }
     // A pinned scalar kernel also pins batch hashing to it, so sanitizer
@@ -484,10 +485,6 @@ struct ActiveKernels {
     if (chosen == nullptr) chosen = select_auto();
     const Sha256BatchKernel* batch_chosen =
         pinned ? nullptr : select_batch_auto();
-    LRS_LOG(kInfo) << "SHA-256 kernel: " << chosen->name << ", batch: "
-                   << (batch_chosen ? batch_chosen->name : "(single-stream)")
-                   << (overridden ? " (LRS_SHA256_KERNEL override)"
-                                  : " (auto-selected)");
     single.store(chosen, std::memory_order_release);
     batch.store(batch_chosen, std::memory_order_release);
   }

@@ -58,7 +58,7 @@ struct Sha256BatchKernel {
 };
 
 /// The active single-stream kernel. First call performs selection (env
-/// override, then CPUID) and logs the choice once.
+/// override, then CPUID); an unknown override prints one [WARN] line.
 const Sha256Kernel& sha256_kernel();
 
 /// The active multi-buffer kernel, or nullptr when none beats the

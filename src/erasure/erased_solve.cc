@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <utility>
 #include <vector>
 
 #include "erasure/gf256.h"
-#include "sim/stats/stats.h"
 #include "util/check.h"
 
 namespace lrs::erasure {
@@ -14,7 +12,7 @@ namespace lrs::erasure {
 namespace {
 
 /// Per-thread working set; vectors keep their capacity between calls, so a
-/// warm encode or solve does not touch the heap.
+/// warm solve does not touch the heap.
 struct Scratch {
   std::vector<const std::uint8_t*> srcs;  // dot sources
   Bytes coeffs;                           // dot coefficients
@@ -32,20 +30,59 @@ Scratch& scratch() {
 
 }  // namespace
 
-void encode_systematic(const MatrixGf256& generator, ByteView data,
-                       MutByteView out) {
-  const std::size_t k = generator.cols(), n = generator.rows();
-  LRS_CHECK(data.size() % k == 0);
-  const std::size_t len = data.size() / k;
-  LRS_CHECK(out.size() == n * len);
-  if (len == 0) return;
-  std::memcpy(out.data(), data.data(), k * len);
-  Scratch& sc = scratch();
-  sc.srcs.resize(k);
-  for (std::size_t j = 0; j < k; ++j) sc.srcs[j] = data.data() + j * len;
-  // Zero coefficients (LRC's local rows) are skipped inside the kernel.
-  for (std::size_t r = k; r < n; ++r)
-    Gf256::dot(out.subspan(r * len, len), sc.srcs, generator.row(r));
+RowSupports::RowSupports(const MatrixGf256& generator)
+    : columns_(generator.cols()) {
+  begin_.reserve(generator.rows() + 1);
+  begin_.push_back(0);
+  copies_.reserve(generator.rows());
+  for (std::size_t r = 0; r < generator.rows(); ++r) {
+    for (std::size_t j = 0; j < columns_; ++j) {
+      if (generator.at(r, j) != 0)
+        cols_.push_back(static_cast<std::uint32_t>(j));
+    }
+    begin_.push_back(static_cast<std::uint32_t>(cols_.size()));
+    const auto cols = row(r);
+    copies_.push_back(cols.size() == 1 && generator.at(r, cols[0]) == 1
+                          ? cols[0]
+                          : kNoCopy);
+  }
+}
+
+std::size_t peel(const RowSupports& supports, bool skip_spanning,
+                 std::vector<std::size_t>& rows,
+                 std::vector<std::uint8_t>& known,
+                 std::vector<PeelStep>& steps) {
+  const std::size_t k = supports.columns();
+  auto count = static_cast<std::size_t>(
+      std::count(known.begin(), known.end(), std::uint8_t{1}));
+  steps.clear();
+  for (bool progress = true; progress && count < k;) {
+    progress = false;
+    std::size_t kept = 0;
+    for (const std::size_t r : rows) {
+      const auto cols = supports.row(r);
+      if (skip_spanning && cols.size() == k) {
+        rows[kept++] = r;
+        continue;
+      }
+      std::size_t unknown = 0, col = 0;
+      for (const std::uint32_t j : cols) {
+        if (known[j] != 0) continue;
+        col = j;
+        if (++unknown > 1) break;
+      }
+      if (unknown == 1) {
+        known[col] = 1;
+        ++count;
+        steps.push_back({r, col});
+        progress = true;
+      } else if (unknown > 1) {
+        rows[kept++] = r;
+      }
+    }
+    rows.resize(kept);
+  }
+  return count;
 }
 
 bool solve_erased_columns(const MatrixGf256& generator,
@@ -144,88 +181,6 @@ bool solve_erased_columns(const MatrixGf256& generator,
                sc.coeffs);
   }
   return true;
-}
-
-namespace {
-
-class SystematicCode final : public ErasureCode {
- public:
-  SystematicCode(std::string name, MatrixGf256 generator,
-                 std::size_t threshold, bool mds)
-      : name_(std::move(name)),
-        generator_(std::move(generator)),
-        threshold_(threshold),
-        mds_(mds),
-        encode_timer_(
-            stats::Registry::instance().timer("erasure." + name_ + ".encode")),
-        decode_timer_(stats::Registry::instance().timer("erasure." + name_ +
-                                                        ".decode")) {}
-
-  std::size_t k() const override { return generator_.cols(); }
-  std::size_t n() const override { return generator_.rows(); }
-  std::size_t decode_threshold() const override { return threshold_; }
-  std::string name() const override { return name_; }
-
-  void encode(ByteView data, MutByteView out) const override {
-    stats::TimerScope scope(encode_timer_);
-    encode_systematic(generator_, data, out);
-  }
-
-  bool decode(std::span<const Share> shares,
-              MutByteView out) const override {
-    stats::TimerScope scope(decode_timer_);
-    const std::size_t k = this->k(), n = this->n();
-    LRS_CHECK(out.size() % k == 0);
-    const std::size_t len = out.size() / k;
-    // Deduplicate by index. The distinct systematic shares fill their
-    // columns; the parity shares are the solve's candidates in arrival
-    // order. An MDS generator keeps only the first k distinct shares: the
-    // parity shares among them are exactly as many as the erased columns,
-    // and every such minor is invertible. A data share already in its own
-    // slot of `out` is used in place: only the erased columns are written.
-    thread_local std::vector<const std::uint8_t*> data;
-    thread_local std::vector<ParityShare> parity;
-    thread_local std::vector<bool> seen;
-    data.assign(k, nullptr);
-    parity.clear();
-    seen.assign(n, false);
-    std::size_t picked = 0;
-    for (const auto& s : shares) {
-      LRS_CHECK(s.index < n);
-      if (seen[s.index]) continue;
-      seen[s.index] = true;
-      LRS_CHECK(s.data.size() == len);
-      if (s.index < k) {
-        data[s.index] = s.data.data();
-      } else {
-        parity.push_back({s.index, s.data.data()});
-      }
-      if (++picked == k && mds_) break;
-    }
-    if (picked < k) return false;
-    const bool solved = solve_erased_columns(generator_, data, parity, out);
-    LRS_CHECK_MSG(solved || !mds_, "MDS property violated (bug)");
-    return solved;
-  }
-
- private:
-  std::string name_;
-  MatrixGf256 generator_;
-  std::size_t threshold_;
-  bool mds_;
-  stats::Timer& encode_timer_;
-  stats::Timer& decode_timer_;
-};
-
-}  // namespace
-
-std::unique_ptr<ErasureCode> make_systematic_code(std::string name,
-                                                  MatrixGf256 generator,
-                                                  std::size_t threshold,
-                                                  bool mds) {
-  return std::make_unique<SystematicCode>(std::move(name),
-                                          std::move(generator), threshold,
-                                          mds);
 }
 
 }  // namespace lrs::erasure

@@ -1,10 +1,10 @@
 #include "erasure/gf256_kernels.h"
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-
-#include "util/log.h"
+#include <string>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define LRS_GF256_X86 1
@@ -453,16 +453,13 @@ struct ActiveKernel {
     if (env != nullptr && env[0] != '\0' && std::string(env) != "auto") {
       chosen = gf256_find_kernel(env);
       if (chosen == nullptr) {
-        LRS_LOG(kWarn) << "LRS_GF256_KERNEL=" << env
-                       << " unknown or unsupported on this CPU; "
-                          "falling back to auto selection";
+        std::fprintf(stderr,
+                     "[WARN] LRS_GF256_KERNEL=%s unknown or unsupported on "
+                     "this CPU; falling back to auto selection\n",
+                     env);
       }
     }
     if (chosen == nullptr) chosen = select_auto();
-    LRS_LOG(kInfo) << "GF(256) kernel: " << chosen->name
-                   << (env != nullptr && env[0] != '\0'
-                           ? " (LRS_GF256_KERNEL override)"
-                           : " (auto-selected)");
     ptr.store(chosen, std::memory_order_release);
   }
 };

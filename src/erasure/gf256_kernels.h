@@ -24,8 +24,8 @@
 // The active kernel is chosen once, at first use, by CPUID feature probing
 // (best available wins) and can be overridden with the environment variable
 // LRS_GF256_KERNEL=ref|table|ssse3|avx2|auto — both for A/B benchmarking and
-// for forcing the portable paths under sanitizers. The selection is logged
-// once at kInfo.
+// for forcing the portable paths under sanitizers. An unknown value prints
+// one [WARN] line to stderr and falls back to auto selection.
 #pragma once
 
 #include <cstddef>

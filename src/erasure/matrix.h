@@ -1,10 +1,10 @@
 // Dense matrices over GF(256) with Gaussian elimination.
 //
-// MatrixGf256 stores the generators of the systematic codes — RS and both
-// random linear codes (GF(2) rows as 0/1 bytes) — and of LRC, plus a
-// reference rank(); those codes invert only the e x e minor over their
-// erased columns (erased_solve.h). Rateless dissemination eliminates
-// incrementally as packets arrive (Gf256Eliminator).
+// MatrixGf256 stores the generator of every codec (code.h) — GF(2) and LT
+// rows as 0/1 bytes — plus a reference rank(); decode inverts only the
+// e x e minor over the columns the peel leaves (erased_solve.h). Rateless
+// dissemination eliminates incrementally as packets arrive
+// (Gf256Eliminator).
 #pragma once
 
 #include <cstdint>

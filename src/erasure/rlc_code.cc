@@ -6,15 +6,14 @@
 // regenerates identical packets, which is what lets LR-Seluge hash-chain
 // them. GF(2) rows are dense random 0/1 coefficients (parity is the XOR of
 // the selected blocks, an XOR-only code a mote could run); GF(256) rows are
-// random bytes (near-MDS). Both are generators of the shared systematic
-// code (erased_solve.h): a 0/1 matrix has the same rank over GF(2) as over
-// GF(256), and XOR is GF(256) addition, so one GF(256) encode and solve
-// serve both fields. Decode succeeds once the received rows reach rank k,
-// which is why the nominal threshold k' exceeds k.
+// random bytes (near-MDS). Both are generators of the shared linear code
+// (code.h): a 0/1 matrix has the same rank over GF(2) as over GF(256), and
+// XOR is GF(256) addition, so one GF(256) encode and decode serve both
+// fields. Decode succeeds once the received rows reach rank k, which is why
+// the nominal threshold k' exceeds k.
 #include <algorithm>
 
 #include "erasure/code.h"
-#include "erasure/erased_solve.h"
 #include "erasure/matrix.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -50,9 +49,10 @@ std::unique_ptr<ErasureCode> make_rlc(std::size_t k, std::size_t n,
     } while (std::all_of(row.begin(), row.end(),
                          [](std::uint8_t c) { return c == 0; }));
   }
-  return make_systematic_code(gf256 ? "rlc256" : "rlc2",
-                              std::move(generator), std::min(n, k + delta),
-                              /*mds=*/false);
+  return std::make_unique<ErasureCode>(gf256 ? "rlc256" : "rlc2",
+                                       std::move(generator),
+                                       std::min(n, k + delta),
+                                       DecodeRule::kRank);
 }
 
 }  // namespace

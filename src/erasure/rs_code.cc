@@ -6,10 +6,9 @@
 // hence invertible, which makes every k x k submatrix of G invertible:
 // expanding any selected identity rows reduces the determinant to a Cauchy
 // minor. This is the classic Cauchy-RS construction (as used in Jerasure).
-// Encode and decode are the shared systematic code (erased_solve.h), with
-// the MDS rule: decode from the first k distinct shares.
+// Encode and decode are the shared linear code (code.h), with the MDS rule:
+// decode from the first k distinct shares.
 #include "erasure/code.h"
-#include "erasure/erased_solve.h"
 #include "erasure/gf256.h"
 #include "erasure/matrix.h"
 #include "util/check.h"
@@ -28,7 +27,8 @@ std::unique_ptr<ErasureCode> make_rs_code(std::size_t k, std::size_t n) {
       generator.set(k + r, j, Gf256::inv(Gf256::add(x, y)));
     }
   }
-  return make_systematic_code("rs", std::move(generator), k, /*mds=*/true);
+  return std::make_unique<ErasureCode>("rs", std::move(generator), k,
+                                       DecodeRule::kMds);
 }
 
 }  // namespace lrs::erasure

@@ -4,7 +4,6 @@
 
 #include "sim/stats/stats.h"
 #include "util/check.h"
-#include "util/log.h"
 
 namespace lrs::proto {
 
@@ -434,9 +433,6 @@ void DissemNode::handle_snack(const Snack& snack) {
     used += std::min(needed, q);
   }
 
-  LRS_LOG(kDebug) << "node " << env().id() << " snack from " << snack.sender
-                  << " page " << snack.page << " q=" << q << " needed="
-                  << needed << " t=" << env().now();
   begin_or_merge_tx(snack);
 }
 
@@ -518,8 +514,6 @@ void DissemNode::serve_next() {
   } else {
     serve_rotation_.emplace(rot, page, next_rot);
   }
-  LRS_LOG(kDebug) << "node " << env().id() << " serves page " << page
-                  << " idx " << d.index << " t=" << env().now();
   if (page == 0) env().metrics().page0_data_sent += 1;
   static stats::Counter& served =
       stats::Registry::instance().counter("proto.data.served");
@@ -577,9 +571,6 @@ void DissemNode::handle_data(const DataPacketView& data,
       status == DataStatus::kImageComplete) {
     refresh_scheme_view();
   }
-  LRS_LOG(kTrace) << "node " << env().id() << " data page " << data.page
-                  << " idx " << data.index << " status "
-                  << static_cast<int>(status) << " t=" << env().now();
   if (auto* o = env().observer()) {
     o->on_data_packet(env().now(), env().id(), data.page, data.index,
                       static_cast<int>(status));

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/check.h"
-#include "util/log.h"
 
 namespace lrs::sim {
 
@@ -180,7 +179,6 @@ void Simulator::start_if_needed() {
       if (!is_member_.empty() && !is_member_[e.node]) continue;
       queue_.schedule_at(e.at + e.downtime, [this, node = e.node] {
         ++reboots_;
-        LRS_LOG(kDebug) << "REBOOT node " << node << " at " << queue_.now();
         nodes_[node]->on_reboot();
         if (observer_) observer_->on_reboot(queue_.now(), node);
       });
@@ -295,9 +293,6 @@ void Simulator::begin_transmission(NodeId sender) {
   }
   metrics_->node(sender).tx_airtime_us +=
       static_cast<std::uint64_t>(duration);
-  LRS_LOG(kTrace) << "TX node " << sender << " class "
-                  << packet_class_name(tx.cls) << " start " << queue_.now()
-                  << " end " << end;
   card.transmitting = 1;
 
   // Half-duplex: starting to transmit aborts any in-progress reception.

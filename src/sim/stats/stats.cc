@@ -110,7 +110,6 @@ struct Registry::Impl {
   // unique_ptr slots: stable addresses for the cached call-site references,
   // std::less<> for allocation-free string_view lookup on the warm path.
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms;
   struct TimerSlot {
     std::unique_ptr<Timer> timer = std::make_unique<Timer>();
@@ -136,17 +135,6 @@ Counter& Registry::counter(std::string_view name) {
   auto it = im.counters.find(name);
   if (it == im.counters.end()) {
     it = im.counters.emplace(std::string(name), std::make_unique<Counter>())
-             .first;
-  }
-  return *it->second;
-}
-
-Gauge& Registry::gauge(std::string_view name) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  auto it = im.gauges.find(name);
-  if (it == im.gauges.end()) {
-    it = im.gauges.emplace(std::string(name), std::make_unique<Gauge>())
              .first;
   }
   return *it->second;
@@ -181,7 +169,6 @@ void Registry::reset_values() {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
   for (auto& [name, c] : im.counters) c->reset();
-  for (auto& [name, g] : im.gauges) g->reset();
   for (auto& [name, h] : im.histograms) h->reset();
   for (auto& [name, t] : im.timers) t.timer->reset();
   take_anchor();
@@ -280,15 +267,6 @@ std::string Registry::timing_json(const std::string& indent) const {
         << ",\n";
     out << in3 << "\"deterministic\": " << (t.deterministic ? "true" : "false")
         << "\n" << in2 << "}";
-    first = false;
-  }
-  out << (first ? "" : "\n" + in1) << "},\n";
-
-  out << in1 << "\"gauges\": {";
-  first = true;
-  for (const auto& [name, g] : im.gauges) {
-    out << (first ? "\n" : ",\n")
-        << in2 << "\"" << json_escape(name) << "\": " << g->value();
     first = false;
   }
   out << (first ? "" : "\n" + in1) << "}\n" << indent << "}";

@@ -1,5 +1,5 @@
 // Process-wide metrics & profiling registry: named monotonic counters,
-// gauges, HDR-style log-bucketed histograms and TSC cycle-timer scopes,
+// HDR-style log-bucketed histograms and TSC cycle-timer scopes,
 // attributing hot-path work to subsystems (event queue, crypto, erasure,
 // protocol engine, island executor).
 //
@@ -12,7 +12,7 @@
 //   * Deterministic quantities (counters, histogram contents, timer call
 //     counts) are commutative aggregates of per-trial work, so their JSON
 //     export is byte-identical for any LRS_JOBS worker count. Timing
-//     quantities (cycle totals, gauges, wall clock) are nondeterministic
+//     quantities (cycle totals, wall clock) are nondeterministic
 //     and live in a strictly separate "timing" section of the export.
 //     A timer registered deterministic=false opts its call count out of
 //     that guarantee (its scope sits beneath a schedule-dependent cache).
@@ -76,25 +76,6 @@ class alignas(64) Counter {
 
  private:
   std::atomic<std::uint64_t> v_{0};
-};
-
-/// Last-writer-wins instantaneous value (timing section: the final value
-/// depends on worker scheduling, so it is never exported as deterministic).
-class alignas(64) Gauge {
- public:
-  void set(std::int64_t v) {
-    if (!enabled()) return;
-    v_.store(v, std::memory_order_relaxed);
-  }
-  void add(std::int64_t delta) {
-    if (!enabled()) return;
-    v_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::int64_t> v_{0};
 };
 
 /// HDR-style log-bucketed histogram over the full u64 range: values below
@@ -223,7 +204,6 @@ class Registry {
   static Registry& instance();
 
   Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
   /// `top_level` marks a scope whose time counts toward the export's
   /// attributed_ns (top-level scopes must not nest). `deterministic=false`
@@ -244,7 +224,7 @@ class Registry {
   std::string deterministic_json(const std::string& indent) const;
   /// The timing section: wall clock since the calibration anchor, derived
   /// TSC frequency, per-scope ns (attributed_ns/attributed_frac over the
-  /// top-level scopes) and gauges. Nondeterministic by nature.
+  /// top-level scopes). Nondeterministic by nature.
   std::string timing_json(const std::string& indent) const;
 
  private:
@@ -269,9 +249,6 @@ class Scope {
 
   Counter& counter(std::string_view name) const {
     return Registry::instance().counter(full(name));
-  }
-  Gauge& gauge(std::string_view name) const {
-    return Registry::instance().gauge(full(name));
   }
   Histogram& histogram(std::string_view name) const {
     return Registry::instance().histogram(full(name));

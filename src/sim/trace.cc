@@ -509,8 +509,8 @@ bool export_trace(const TraceRecorder& recorder,
   }
   if (!config.timeseries_path.empty()) {
     const auto samples = build_time_series(
-        recorder.events(), config.sample_period, node_count);
-    ok = write_time_series(samples, config.sample_period,
+        recorder.events(), kTimeSeriesPeriod, node_count);
+    ok = write_time_series(samples, kTimeSeriesPeriod,
                            config.timeseries_path) &&
          ok;
   }

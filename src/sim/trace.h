@@ -142,14 +142,16 @@ std::vector<TimeSeriesSample> build_time_series(
 bool write_time_series(const std::vector<TimeSeriesSample>& samples,
                        SimTime period, const std::string& path);
 
+/// Sampling period of the exported time series.
+inline constexpr SimTime kTimeSeriesPeriod = kSecond;
+
 /// Export destinations for one traced run; empty strings disable each
 /// output. enabled() gates recorder construction — the null-recorder fast
 /// path — so a default TraceExportConfig adds zero work to a run.
 struct TraceExportConfig {
   std::string events_path;      // JSONL event log
   std::string chrome_path;      // Chrome trace / Perfetto JSON
-  std::string timeseries_path;  // sampled progress counters
-  SimTime sample_period = kSecond;
+  std::string timeseries_path;  // progress counters every kTimeSeriesPeriod
   /// Multi-trial runners (core/run_trials) trace only the first trial of
   /// the first config by default, writing these exact paths — so a traced
   /// sweep stays byte-identical to a single traced run. Set to trace every

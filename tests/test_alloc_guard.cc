@@ -30,6 +30,7 @@
 #include <string>
 
 #include "core/experiment.h"
+#include "erasure/code.h"
 #include "sim/event_queue.h"
 #include "sim/scenario/scenario.h"
 #include "sim/stats/stats.h"
@@ -374,6 +375,37 @@ TEST(AllocGuard, Star20PaperTrialStaysUnderWholeTrialBudget) {
   // about a half.
   EXPECT_LE(per_trial, 5500.0) << "allocations per warmed star20-paper "
                                   "trial, seeds 100-119";
+}
+
+TEST(AllocGuard, WarmCodecDecodeAllocatesNothing) {
+  // code.h: a codec's per-call scratch is thread-local, so once warm a
+  // decode touches no heap. Every kind at the paper geometry decodes a
+  // fixed share set, parity first, with three data blocks missing.
+  constexpr std::size_t k = 32, n = 48, len = 64;
+  for (const auto kind :
+       {erasure::CodecKind::kReedSolomon, erasure::CodecKind::kRlcGf2,
+        erasure::CodecKind::kRlcGf256, erasure::CodecKind::kLt,
+        erasure::CodecKind::kLrc}) {
+    const auto code = erasure::make_code(kind, k, n, 8, 7);
+    Bytes data(k * len), encoded(n * len), out(k * len);
+    for (std::size_t i = 0; i < data.size(); ++i)
+      data[i] = static_cast<std::uint8_t>(i * 131 + 7);
+    code->encode(data, encoded);
+    std::vector<erasure::Share> shares;
+    for (std::size_t i = n; i-- > 0;) {
+      if (i == 1 || i == 6 || i == 11) continue;
+      shares.push_back({i, ByteView(encoded).subspan(i * len, len)});
+    }
+    ASSERT_TRUE(code->decode(shares, out)) << code->name();
+    ASSERT_TRUE(code->decode(shares, out)) << code->name();
+
+    const std::uint64_t allocs_before = alloc_count();
+    const bool ok = code->decode(shares, out);
+    const std::uint64_t allocs = alloc_count() - allocs_before;
+    EXPECT_TRUE(ok) << code->name();
+    EXPECT_EQ(out, data) << code->name();
+    EXPECT_EQ(allocs, 0u) << "warm " << code->name() << " decode allocated";
+  }
 }
 
 TEST(AllocGuard, EnabledMetricsRecordingAllocatesNothing) {

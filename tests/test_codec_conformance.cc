@@ -261,10 +261,11 @@ TEST_P(CodecConformance, BelowKDistinctAlwaysNullopt) {
 
 TEST_P(CodecConformance, RoundTripsAcrossBlockSizes) {
   // Full share set always decodes (systematic prefix guarantees rank k), so
-  // this isolates payload handling: 1-byte, word-aligned, odd, sub-word
-  // tails, and multi-KB blocks.
-  for (std::size_t len : {std::size_t{1}, std::size_t{16}, std::size_t{37},
-                          std::size_t{255}, std::size_t{1024}}) {
+  // this isolates payload handling: empty, 1-byte, word-aligned, odd,
+  // sub-word tails, and multi-KB blocks.
+  for (std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{16},
+                          std::size_t{37}, std::size_t{255},
+                          std::size_t{1024}}) {
     auto code = make(8, 16);
     const auto blocks = random_blocks(8, len, 26 + len);
     const auto encoded = encode_page(*code, blocks);

@@ -439,6 +439,82 @@ TEST(LtCode, InsufficientSharesFailSoft) {
   EXPECT_FALSE(code->decode({}).has_value());
 }
 
+/// Whether peeling alone recovers every column from `rows` of `g`: some row
+/// with exactly one unknown column in its support solves that column,
+/// repeated until none qualifies.
+bool peels_completely(const MatrixGf256& g,
+                      const std::vector<std::size_t>& rows) {
+  std::vector<bool> known(g.cols(), false);
+  std::size_t count = 0;
+  for (bool progress = true; progress;) {
+    progress = false;
+    for (auto r : rows) {
+      std::size_t unknown = 0, col = 0;
+      for (std::size_t j = 0; j < g.cols(); ++j) {
+        if (g.at(r, j) != 0 && !known[j]) {
+          ++unknown;
+          col = j;
+        }
+      }
+      if (unknown == 1) {
+        known[col] = true;
+        ++count;
+        progress = true;
+      }
+    }
+  }
+  return count == g.cols();
+}
+
+TEST(LtCode, DecodesExactlyWhenPeelingCompletes) {
+  // LT decodes by peeling alone: over random share subsets, decode must
+  // succeed exactly when a structural peel over the probed generator
+  // covers every column. The search must meet a subset whose rows have
+  // full rank yet stall the peel, which a decoder with a solve fallback
+  // would recover.
+  struct Instance {
+    std::size_t k, n, delta;
+    std::uint64_t seed;
+  };
+  std::size_t stalled_full_rank = 0;
+  for (const Instance in : {Instance{8, 16, 4, 5}, Instance{16, 32, 6, 1},
+                            Instance{16, 32, 6, 2}, Instance{32, 48, 8, 3}}) {
+    auto code = make_lt_code(in.k, in.n, in.delta, in.seed);
+    MatrixGf256 g(in.n, in.k);
+    std::vector<Bytes> unit(in.k, Bytes{0});
+    for (std::size_t j = 0; j < in.k; ++j) {
+      unit[j][0] = 1;
+      const auto enc = code->encode(unit);
+      for (std::size_t i = 0; i < in.n; ++i) g.set(i, j, enc[i][0]);
+      unit[j][0] = 0;
+    }
+    const auto blocks = random_blocks(in.k, 12, in.seed + 40);
+    const auto encoded = code->encode(blocks);
+    Rng rng(in.seed + 50);
+    for (int t = 0; t < 150; ++t) {
+      std::vector<std::size_t> idx(in.n);
+      std::iota(idx.begin(), idx.end(), 0);
+      const std::size_t take = in.k + rng.uniform(in.n - in.k + 1);
+      for (std::size_t i = 0; i < take; ++i)
+        std::swap(idx[i], idx[i + rng.uniform(in.n - i)]);
+      idx.resize(take);
+      const bool peels = peels_completely(g, idx);
+      const auto decoded = code->decode(pick_shares(encoded, idx));
+      ASSERT_EQ(decoded.has_value(), peels)
+          << "k=" << in.k << " seed=" << in.seed << " t=" << t;
+      if (decoded.has_value()) {
+        EXPECT_EQ(*decoded, blocks);
+      }
+      MatrixGf256 sub(take, in.k);
+      for (std::size_t r = 0; r < take; ++r)
+        for (std::size_t j = 0; j < in.k; ++j) sub.set(r, j, g.at(idx[r], j));
+      if (!peels && sub.rank() == in.k) ++stalled_full_rank;
+    }
+  }
+  EXPECT_GT(stalled_full_rank, 0u)
+      << "no full-rank subset that stalls the peel was met";
+}
+
 TEST(LtCode, RegistryExposesIt) {
   EXPECT_EQ(parse_codec_kind("lt"), CodecKind::kLt);
   auto code = make_code(CodecKind::kLt, 8, 24, 4, 3);
@@ -502,6 +578,24 @@ TEST(RlcCode, GoldenParityBytes) {
   EXPECT_EQ(to_hex(rlc256[5]), "5d99dac6820b7cd5");
   EXPECT_EQ(to_hex(rlc256[6]), "7583806f8cbd541e");
   EXPECT_EQ(to_hex(rlc256[7]), "17e3f5fab598a2e0");
+}
+
+TEST(LtCode, GoldenEncodedBytes) {
+  // Freezes the seeded soliton draws and the re-salting loop for (k=8,
+  // n=16, delta=4, seed=9): every encoded block is the XOR of the data
+  // blocks its row names. A change here is a wire-format break for every
+  // deployed image.
+  const auto encoded =
+      make_lt_code(8, 16, 4, 9)->encode(random_blocks(8, 8, 13));
+  const char* const kGolden[16] = {
+      "3c107268885276a2", "2de458f925d3fd7e", "d1a5928840ef313b",
+      "1c2e3c2224014764", "dd0c72750eba7939", "45133d677ea91b2b",
+      "1b74b77158e490fa", "0ffc01231240f9c8", "a173a1b91f64f65e",
+      "7870b941312ee933", "a226406743714794", "1952a0e1c324a58a",
+      "7a56aed1aaeedc43", "79034f0ff6fb6d89", "1c2e3c2224014764",
+      "90b9c5621eb64c44"};
+  for (std::size_t i = 0; i < 16; ++i)
+    EXPECT_EQ(to_hex(encoded[i]), kGolden[i]) << "encoded block " << i;
 }
 
 TEST(LrcCode, GroupCountRule) {
@@ -593,6 +687,43 @@ TEST(LrcCode, LocalRepairCountsAndResets) {
   // Failed decodes are not counted as decodes.
   EXPECT_FALSE(code->decode({}).has_value());
   EXPECT_EQ(lrc_counter("decodes").value(), 0u);
+}
+
+TEST(DecodePaths, RowsSpanningEveryColumnGoToTheSolve) {
+  // A row whose support is every column could peel only a page's last
+  // unknown column, so RS and LRC leave it to the solve: RS never peels,
+  // and LRC peels exactly its local parities.
+  stats::set_enabled(true);
+  const auto counter = [](const std::string& codec, const char* path) -> auto& {
+    return stats::Registry::instance().counter("erasure." + codec + "." + path);
+  };
+  for (const char* codec : {"rs", "lrc"}) {
+    for (const char* path : {"local_repairs", "full_solves"})
+      counter(codec, path).reset();
+  }
+  const auto blocks = pattern_blocks(8, 12);
+
+  // RS: one data block lost, one parity row received.
+  auto rs = make_rs_code(8, 16);
+  const auto rs_encoded = rs->encode(blocks);
+  std::vector<Share> shares;
+  for (std::size_t i = 0; i < 8; ++i)
+    if (i != 3) shares.push_back({i, rs_encoded[i]});
+  shares.push_back({12, rs_encoded[12]});
+  EXPECT_EQ(rs->decode(shares).value(), blocks);
+  EXPECT_EQ(counter("rs", "local_repairs").value(), 0u);
+  EXPECT_EQ(counter("rs", "full_solves").value(), 1u);
+
+  // LRC (g=4, locals at 8..11): data 3 and its local parity 9 lost; the
+  // other locals have nothing to repair, so a global row solves column 3.
+  auto lrc = make_lrc_code(8, 16);
+  const auto lrc_encoded = lrc->encode(blocks);
+  shares.clear();
+  for (std::size_t i = 0; i < 16; ++i)
+    if (i != 3 && i != 9) shares.push_back({i, lrc_encoded[i]});
+  EXPECT_EQ(lrc->decode(shares).value(), blocks);
+  EXPECT_EQ(counter("lrc", "local_repairs").value(), 0u);
+  EXPECT_EQ(counter("lrc", "full_solves").value(), 1u);
 }
 
 TEST(LrcCode, RegistryExposesIt) {
