@@ -424,13 +424,14 @@ void append_speedups(std::vector<SweepResult>& results) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bool sweep = bench::micro_sweep_wanted("micro_crypto", argc, argv);
   register_kernel_benchmarks();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
-  if (bench::bench_json_path("micro_crypto").empty()) return 0;
+  if (!sweep) return 0;
   auto results = run_sweep();
   append_speedups(results);
   bench::write_bench_json(

@@ -271,6 +271,23 @@ inline std::string bench_json_path(const std::string& name) {
   return path == "none" ? "" : path;
 }
 
+/// Whether a google-benchmark micro bench runs its self-timed sweep and
+/// writes BENCH_<name>.json: not when the JSON is off, nor when the run only
+/// lists the benchmarks (--benchmark_list_tests[=true]), so a listing never
+/// rewrites the committed artifact. Call before benchmark::Initialize,
+/// which consumes the flag.
+inline bool micro_sweep_wanted(const std::string& name, int argc,
+                               char** argv) {
+  const std::string flag = "--benchmark_list_tests";
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.compare(0, flag.size(), flag) != 0) continue;
+    const std::string value = arg.substr(flag.size());
+    if (value.empty() || value == "=true" || value == "=1") return false;
+  }
+  return !bench_json_path(name).empty();
+}
+
 /// Writes the harness result table as BENCH_<name>.json (core::bench_json:
 /// the run-provenance manifest plus harness-level `extra` facts such as
 /// repeats and sweep shape) to bench_json_path(name).

@@ -145,9 +145,7 @@ ExperimentResult run_cell(const ExperimentConfig& config, const Bytes& image,
         cfg, cluster_key));
   }
 
-  if (config.faults.any()) {
-    simulator.set_fault_model(sim::make_fault_model(config.faults));
-  }
+  simulator.set_faults(config.faults);
 
   std::unique_ptr<sim::InvariantObserver> observer;
   if (config.check_invariants) {

@@ -647,9 +647,9 @@ void DissemNode::on_progress() {
 
 void DissemNode::maybe_request_signature() {
   if (bootstrapped_ || sig_request_armed_) return;
-  // Need a bootstrapped neighbor to ask. Walk the candidates in
-  // first-heard order, but skip ahead one candidate for every
-  // kSigTargetRotate requests that have gone unanswered: the first-heard
+  // Need a bootstrapped neighbor to ask. Walk the candidates in id order
+  // (neighbors_ is sorted by id), but skip ahead one candidate for every
+  // kSigTargetRotate requests that have gone unanswered: the lowest-id
   // neighbor can sit behind a link too weak to carry the request or the
   // reply, and asking only it would strand the node (liveness, not just
   // latency — the advertisement that registered it may be the only frame

@@ -2,192 +2,83 @@
 
 #include <algorithm>
 #include <sstream>
-#include <utility>
 
 namespace lrs::sim {
 
 namespace {
 
-class CorruptionFault final : public FaultModel {
- public:
-  explicit CorruptionFault(CorruptionFaultParams p) : p_(p) {}
-
-  void apply(NodeId /*from*/, NodeId /*to*/, SimTime /*now*/, Bytes& frame,
-             FaultAction& action, Rng& rng) override {
-    if (frame.empty() || !rng.bernoulli(p_.prob)) return;
-    if (p_.burst) {
-      const std::size_t len = static_cast<std::size_t>(
-          rng.uniform_int(1, static_cast<std::int64_t>(
-                                 std::min(p_.burst_len, frame.size()))));
-      const std::size_t start = static_cast<std::size_t>(
-          rng.uniform(static_cast<std::uint64_t>(frame.size() - len + 1)));
-      for (std::size_t i = 0; i < len; ++i) {
-        // xor with 1..255 guarantees each byte in the burst changes
-        frame[start + i] ^= static_cast<std::uint8_t>(rng.uniform(255) + 1);
-      }
-    } else {
-      const std::uint64_t total_bits =
-          static_cast<std::uint64_t>(frame.size()) * 8;
-      const std::size_t flips = std::min<std::size_t>(
-          static_cast<std::size_t>(
-              rng.uniform_int(1, static_cast<std::int64_t>(
-                                     std::max<std::size_t>(1, p_.max_flips)))),
-          static_cast<std::size_t>(total_bits));
-      // Distinct bit positions: an even number of flips landing on the
-      // same bit would cancel out, silently breaking the "guaranteed to
-      // change the frame" contract (and the tampered marking with it).
-      std::vector<std::uint64_t> bits;
-      bits.reserve(flips);
-      while (bits.size() < flips) {
-        const std::uint64_t bit = rng.uniform(total_bits);
-        if (std::find(bits.begin(), bits.end(), bit) != bits.end()) continue;
-        bits.push_back(bit);
-        frame[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-      }
+// Flips 1..max_flips distinct bits, or XORs a burst of up to burst_len
+// bytes; either way the frame changes.
+void corrupt(const FaultPlan& p, Bytes& frame, Rng& rng) {
+  if (p.corrupt_burst) {
+    const std::size_t len = static_cast<std::size_t>(rng.uniform_int(
+        1, static_cast<std::int64_t>(
+               std::min(p.corrupt_burst_len, frame.size()))));
+    const std::size_t start = static_cast<std::size_t>(
+        rng.uniform(static_cast<std::uint64_t>(frame.size() - len + 1)));
+    for (std::size_t i = 0; i < len; ++i) {
+      // xor with 1..255 guarantees each byte in the burst changes
+      frame[start + i] ^= static_cast<std::uint8_t>(rng.uniform(255) + 1);
     }
-    action.tampered = true;
+    return;
   }
-
- private:
-  CorruptionFaultParams p_;
-};
-
-class TruncationFault final : public FaultModel {
- public:
-  explicit TruncationFault(TruncationFaultParams p) : p_(p) {}
-
-  void apply(NodeId /*from*/, NodeId /*to*/, SimTime /*now*/, Bytes& frame,
-             FaultAction& action, Rng& rng) override {
-    if (!frame.empty() && rng.bernoulli(p_.truncate_prob)) {
-      frame.resize(static_cast<std::size_t>(
-          rng.uniform(static_cast<std::uint64_t>(frame.size()))));
-      action.tampered = true;
-    }
-    if (p_.max_pad > 0 && rng.bernoulli(p_.pad_prob)) {
-      const std::size_t pad = static_cast<std::size_t>(
-          rng.uniform_int(1, static_cast<std::int64_t>(p_.max_pad)));
-      for (std::size_t i = 0; i < pad; ++i) {
-        frame.push_back(static_cast<std::uint8_t>(rng.uniform(256)));
-      }
-      action.tampered = true;
-    }
+  const std::uint64_t total_bits = static_cast<std::uint64_t>(frame.size()) * 8;
+  const std::size_t flips = std::min<std::size_t>(
+      static_cast<std::size_t>(rng.uniform_int(
+          1, static_cast<std::int64_t>(
+                 std::max<std::size_t>(1, p.corrupt_max_flips)))),
+      static_cast<std::size_t>(total_bits));
+  // Distinct bit positions: an even number of flips landing on the same bit
+  // would cancel out, silently breaking the "guaranteed to change the
+  // frame" contract (and the tampered marking with it).
+  std::vector<std::uint64_t> bits;
+  bits.reserve(flips);
+  while (bits.size() < flips) {
+    const std::uint64_t bit = rng.uniform(total_bits);
+    if (std::find(bits.begin(), bits.end(), bit) != bits.end()) continue;
+    bits.push_back(bit);
+    frame[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
   }
-
- private:
-  TruncationFaultParams p_;
-};
-
-class DuplicationFault final : public FaultModel {
- public:
-  explicit DuplicationFault(DuplicationFaultParams p) : p_(p) {}
-
-  void apply(NodeId /*from*/, NodeId /*to*/, SimTime /*now*/, Bytes& /*frame*/,
-             FaultAction& action, Rng& rng) override {
-    if (p_.max_copies < 2 || !rng.bernoulli(p_.prob)) return;
-    action.copies *= static_cast<std::size_t>(
-        rng.uniform_int(2, static_cast<std::int64_t>(p_.max_copies)));
-  }
-
- private:
-  DuplicationFaultParams p_;
-};
-
-class ReorderFault final : public FaultModel {
- public:
-  explicit ReorderFault(ReorderFaultParams p) : p_(p) {}
-
-  void apply(NodeId /*from*/, NodeId /*to*/, SimTime /*now*/, Bytes& /*frame*/,
-             FaultAction& action, Rng& rng) override {
-    if (p_.max_delay <= 0 || !rng.bernoulli(p_.prob)) return;
-    action.delay += static_cast<SimTime>(
-        rng.uniform_int(1, static_cast<std::int64_t>(p_.max_delay)));
-  }
-
- private:
-  ReorderFaultParams p_;
-};
-
-class CrashFault final : public FaultModel {
- public:
-  explicit CrashFault(std::vector<CrashEvent> events)
-      : events_(std::move(events)) {}
-
-  void apply(NodeId /*from*/, NodeId /*to*/, SimTime /*now*/, Bytes& /*frame*/,
-             FaultAction& /*action*/, Rng& /*rng*/) override {}
-
-  bool is_down(NodeId node, SimTime now) const override {
-    for (const auto& e : events_) {
-      if (e.node == node && now >= e.at && now < e.at + e.downtime) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  std::vector<CrashEvent> crash_events() const override { return events_; }
-
- private:
-  std::vector<CrashEvent> events_;
-};
-
-class FaultChain final : public FaultModel {
- public:
-  explicit FaultChain(std::vector<std::unique_ptr<FaultModel>> models)
-      : models_(std::move(models)) {}
-
-  void apply(NodeId from, NodeId to, SimTime now, Bytes& frame,
-             FaultAction& action, Rng& rng) override {
-    for (auto& m : models_) {
-      m->apply(from, to, now, frame, action, rng);
-      if (action.drop) return;
-    }
-  }
-
-  bool is_down(NodeId node, SimTime now) const override {
-    for (const auto& m : models_) {
-      if (m->is_down(node, now)) return true;
-    }
-    return false;
-  }
-
-  std::vector<CrashEvent> crash_events() const override {
-    std::vector<CrashEvent> all;
-    for (const auto& m : models_) {
-      auto sub = m->crash_events();
-      all.insert(all.end(), sub.begin(), sub.end());
-    }
-    return all;
-  }
-
- private:
-  std::vector<std::unique_ptr<FaultModel>> models_;
-};
+}
 
 }  // namespace
 
-std::unique_ptr<FaultModel> make_corruption_fault(CorruptionFaultParams p) {
-  return std::make_unique<CorruptionFault>(p);
+FaultAction FaultModel::apply(Bytes& frame, Rng& rng) const {
+  const FaultPlan& p = plan_;
+  FaultAction action;
+  if (!frame.empty() && rng.bernoulli(p.corrupt_prob)) {
+    corrupt(p, frame, rng);
+    action.tampered = true;
+  }
+  if (!frame.empty() && rng.bernoulli(p.truncate_prob)) {
+    frame.resize(static_cast<std::size_t>(
+        rng.uniform(static_cast<std::uint64_t>(frame.size()))));
+    action.tampered = true;
+  }
+  if (p.max_pad > 0 && rng.bernoulli(p.pad_prob)) {
+    const std::size_t pad = static_cast<std::size_t>(
+        rng.uniform_int(1, static_cast<std::int64_t>(p.max_pad)));
+    for (std::size_t i = 0; i < pad; ++i) {
+      frame.push_back(static_cast<std::uint8_t>(rng.uniform(256)));
+    }
+    action.tampered = true;
+  }
+  if (p.max_copies >= 2 && rng.bernoulli(p.duplicate_prob)) {
+    action.copies = static_cast<std::size_t>(
+        rng.uniform_int(2, static_cast<std::int64_t>(p.max_copies)));
+  }
+  if (p.reorder_max_delay > 0 && rng.bernoulli(p.reorder_prob)) {
+    action.delay = static_cast<SimTime>(
+        rng.uniform_int(1, static_cast<std::int64_t>(p.reorder_max_delay)));
+  }
+  return action;
 }
 
-std::unique_ptr<FaultModel> make_truncation_fault(TruncationFaultParams p) {
-  return std::make_unique<TruncationFault>(p);
-}
-
-std::unique_ptr<FaultModel> make_duplication_fault(DuplicationFaultParams p) {
-  return std::make_unique<DuplicationFault>(p);
-}
-
-std::unique_ptr<FaultModel> make_reorder_fault(ReorderFaultParams p) {
-  return std::make_unique<ReorderFault>(p);
-}
-
-std::unique_ptr<FaultModel> make_crash_fault(std::vector<CrashEvent> events) {
-  return std::make_unique<CrashFault>(std::move(events));
-}
-
-std::unique_ptr<FaultModel> make_fault_chain(
-    std::vector<std::unique_ptr<FaultModel>> models) {
-  return std::make_unique<FaultChain>(std::move(models));
+bool FaultModel::is_down(NodeId node, SimTime now) const {
+  for (const auto& e : plan_.crashes) {
+    if (e.node == node && now >= e.at && now < e.at + e.downtime) return true;
+  }
+  return false;
 }
 
 bool FaultPlan::any() const {
@@ -236,34 +127,6 @@ std::string FaultPlan::describe() const {
   }
   if (first) os << "none";
   return os.str();
-}
-
-std::unique_ptr<FaultModel> make_fault_model(const FaultPlan& plan) {
-  if (!plan.any()) return nullptr;
-  std::vector<std::unique_ptr<FaultModel>> models;
-  if (plan.corrupt_prob > 0) {
-    models.push_back(make_corruption_fault({plan.corrupt_prob,
-                                            plan.corrupt_max_flips,
-                                            plan.corrupt_burst,
-                                            plan.corrupt_burst_len}));
-  }
-  if (plan.truncate_prob > 0 || plan.pad_prob > 0) {
-    models.push_back(make_truncation_fault(
-        {plan.truncate_prob, plan.pad_prob, plan.max_pad}));
-  }
-  if (plan.duplicate_prob > 0) {
-    models.push_back(
-        make_duplication_fault({plan.duplicate_prob, plan.max_copies}));
-  }
-  if (plan.reorder_prob > 0) {
-    models.push_back(
-        make_reorder_fault({plan.reorder_prob, plan.reorder_max_delay}));
-  }
-  if (!plan.crashes.empty()) {
-    models.push_back(make_crash_fault(plan.crashes));
-  }
-  if (models.size() == 1) return std::move(models.front());
-  return make_fault_chain(std::move(models));
 }
 
 }  // namespace lrs::sim

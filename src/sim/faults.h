@@ -4,12 +4,12 @@
 // A FaultModel sits between the LossModel and frame delivery: every
 // reception that survived PRR, collisions and channel loss is handed to the
 // model, which may mutate the frame bytes (bit-flip or burst corruption,
-// truncation, garbage padding), drop it, duplicate it, delay it by a bounded
-// jitter (reordering it past later frames), or declare the receiving node
-// crashed so the frame vanishes entirely. Crash/reboot schedules addition-
-// ally reset the node's volatile protocol state through Node::on_reboot()
-// while its persisted page frontier survives — the sensor-node reality of a
-// watchdog reset mid-transfer.
+// truncation, garbage padding), duplicate it, delay it by a bounded jitter
+// (reordering it past later frames), or declare the receiving node crashed
+// so the frame vanishes entirely. Crash/reboot schedules additionally reset
+// the node's volatile protocol state through Node::on_reboot() while its
+// persisted page frontier survives — the sensor-node reality of a watchdog
+// reset mid-transfer.
 //
 // Every decision draws from the receiving node's deterministic Rng stream
 // (exactly like LossModel), so a (config, seed) pair replays bit-identically
@@ -18,8 +18,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/time.h"
@@ -30,7 +30,6 @@ namespace lrs::sim {
 
 /// Per-reception verdict. The frame itself is mutated in place.
 struct FaultAction {
-  bool drop = false;       // swallow this reception entirely
   bool tampered = false;   // frame bytes were altered (observer hint)
   std::size_t copies = 1;  // total deliveries, >= 1 (duplication)
   SimTime delay = 0;       // extra delivery latency (bounded reorder)
@@ -44,108 +43,64 @@ struct CrashEvent {
   SimTime downtime = 0;
 };
 
-class FaultModel {
- public:
-  virtual ~FaultModel() = default;
-
-  /// Applied once per (frame, receiver) reception that survived the channel.
-  /// May mutate `frame` in place and/or update `action`. `rng` is the
-  /// receiver's deterministic stream.
-  virtual void apply(NodeId from, NodeId to, SimTime now, Bytes& frame,
-                     FaultAction& action, Rng& rng) = 0;
-
-  /// True while `node`'s radio is off (crashed). Down nodes neither
-  /// transmit nor receive.
-  virtual bool is_down(NodeId node, SimTime now) const {
-    (void)node;
-    (void)now;
-    return false;
-  }
-
-  /// Outage windows this model imposes; the simulator arms the matching
-  /// Node::on_reboot() callbacks before the run starts.
-  virtual std::vector<CrashEvent> crash_events() const { return {}; }
-};
-
-// --- primitive models -------------------------------------------------------
-
-/// Byte corruption: with probability `prob` per reception, either flip
-/// 1..max_flips random bits anywhere in the frame, or (burst mode) XOR a
-/// contiguous run of up to `burst_len` random bytes. The mutation is
-/// guaranteed to change the frame.
-struct CorruptionFaultParams {
-  double prob = 0.1;
-  std::size_t max_flips = 4;
-  bool burst = false;
-  std::size_t burst_len = 8;
-};
-std::unique_ptr<FaultModel> make_corruption_fault(CorruptionFaultParams p);
-
-/// Truncation and/or garbage padding: with probability `truncate_prob` the
-/// frame is cut to a random shorter length (possibly zero); independently,
-/// with probability `pad_prob` up to `max_pad` random bytes are appended.
-struct TruncationFaultParams {
-  double truncate_prob = 0.05;
-  double pad_prob = 0.0;
-  std::size_t max_pad = 16;
-};
-std::unique_ptr<FaultModel> make_truncation_fault(TruncationFaultParams p);
-
-/// Duplication: with probability `prob` the frame is delivered 2..max_copies
-/// times (the duplicates carry the same bytes).
-struct DuplicationFaultParams {
-  double prob = 0.1;
-  std::size_t max_copies = 3;
-};
-std::unique_ptr<FaultModel> make_duplication_fault(DuplicationFaultParams p);
-
-/// Bounded reorder: with probability `prob` the delivery is delayed by a
-/// uniform jitter in (0, max_delay], letting later frames overtake it.
-struct ReorderFaultParams {
-  double prob = 0.2;
-  SimTime max_delay = 30 * kMillisecond;
-};
-std::unique_ptr<FaultModel> make_reorder_fault(ReorderFaultParams p);
-
-/// Crash/reboot schedule: nodes are down during their windows and reboot
-/// (Node::on_reboot) when the window ends.
-std::unique_ptr<FaultModel> make_crash_fault(std::vector<CrashEvent> events);
-
-/// Chains models: frame mutations compose left to right; drop short-
-/// circuits; copies multiply; delays add; a node is down if any link says
-/// so.
-std::unique_ptr<FaultModel> make_fault_chain(
-    std::vector<std::unique_ptr<FaultModel>> models);
-
-// --- declarative plan -------------------------------------------------------
-
-/// A flat, copyable description of a composed fault model — what the stress
-/// sweep matrices enumerate and what a replay command names. Zero
-/// probabilities (and an empty crash list) mean "no such fault".
+/// A flat, copyable description of the fault layer — what the stress sweep
+/// matrices enumerate and what a replay command names. Zero probabilities
+/// (and an empty crash list) mean "no such fault".
 struct FaultPlan {
+  // Corruption: flip 1..corrupt_max_flips distinct bits anywhere in the
+  // frame, or (burst) XOR a contiguous run of up to corrupt_burst_len bytes
+  // with nonzero garbage. Always changes the frame.
   double corrupt_prob = 0.0;
   std::size_t corrupt_max_flips = 4;
   bool corrupt_burst = false;
   std::size_t corrupt_burst_len = 8;
 
+  // Truncation to a random shorter length (possibly zero); independently,
+  // padding with 1..max_pad random bytes.
   double truncate_prob = 0.0;
   double pad_prob = 0.0;
   std::size_t max_pad = 16;
 
+  // Duplication: the frame is delivered 2..max_copies times.
   double duplicate_prob = 0.0;
   std::size_t max_copies = 3;
 
+  // Bounded reorder: the delivery is delayed by a uniform jitter in
+  // (0, reorder_max_delay], letting later frames overtake it.
   double reorder_prob = 0.0;
   SimTime reorder_max_delay = 30 * kMillisecond;
 
-  std::vector<CrashEvent> crashes;
+  // Crash/reboot schedule: nodes are down during their windows and reboot
+  // (Node::on_reboot) when the window ends. The `{}` lets a designated
+  // initializer leave it out without -Wmissing-field-initializers.
+  std::vector<CrashEvent> crashes{};
 
   bool any() const;
   /// One-line human-readable summary ("corrupt(p=0.25,flips=8) crash(n1)").
   std::string describe() const;
 };
 
-/// Builds the composed model for a plan; nullptr when plan.any() is false.
-std::unique_ptr<FaultModel> make_fault_model(const FaultPlan& plan);
+/// The fault layer a plan describes.
+class FaultModel {
+ public:
+  explicit FaultModel(FaultPlan plan) : plan_(std::move(plan)) {}
+
+  /// Applied once per (frame, receiver) reception that survived the channel:
+  /// corruption, then truncation and padding, then duplication, then
+  /// reorder. Mutates `frame` in place. `rng` is the receiver's stream; a
+  /// fault whose probability is 0 draws nothing from it.
+  FaultAction apply(Bytes& frame, Rng& rng) const;
+
+  /// True while `node`'s radio is off (crashed). Down nodes neither
+  /// transmit nor receive.
+  bool is_down(NodeId node, SimTime now) const;
+
+  /// Outage windows; the simulator arms the matching Node::on_reboot()
+  /// callbacks before the run starts.
+  const std::vector<CrashEvent>& crashes() const { return plan_.crashes; }
+
+ private:
+  FaultPlan plan_;
+};
 
 }  // namespace lrs::sim

@@ -29,6 +29,14 @@ std::string InvariantViolation::to_string() const {
   return os.str();
 }
 
+namespace {
+
+std::string as_string(ByteView frame) {
+  return {reinterpret_cast<const char*>(frame.data()), frame.size()};
+}
+
+}  // namespace
+
 InvariantObserver::InvariantObserver(InvariantConfig config)
     : cfg_(std::move(config)) {}
 
@@ -56,9 +64,12 @@ InvariantObserver::Snapshot InvariantObserver::snapshot(
 
 void InvariantObserver::on_send(SimTime now, NodeId sender, PacketClass cls,
                                 ByteView frame) {
-  if (!cfg_.check_greedy_bound || cls != PacketClass::kData) return;
+  if (cls != PacketClass::kData) return;
   if (probes_.find(sender) == probes_.end()) return;
-  if (!cfg_.parse_data) return;
+  if (cfg_.check_tamper_rejection) {
+    sent_data_.insert(as_string(frame));
+  }
+  if (!cfg_.check_greedy_bound || !cfg_.parse_data) return;
   const auto data = cfg_.parse_data(frame);
   if (!data) return;
   const auto key = std::make_pair(sender, data->page);
@@ -111,12 +122,17 @@ void InvariantObserver::after_deliver(SimTime now, NodeId /*from*/, NodeId to,
     }
   }
 
-  // Invariant 4: a tampered frame leaves the node exactly as it was.
+  // Invariant 4: a tampered frame leaves the node exactly as it was —
+  // unless the damage produced a data frame an attached node sent
+  // (corruption can turn one index of the last page, whose payloads are
+  // all-zero padding, into another): that frame is genuine and may count.
   if (cfg_.check_tamper_rejection && tampered && pre.valid) {
     ++checks_run_;
-    if (post.buffered != pre.buffered || post.pages != pre.pages ||
-        post.bootstrapped != pre.bootstrapped ||
-        post.engine_state != pre.engine_state) {
+    const bool changed = post.buffered != pre.buffered ||
+                         post.pages != pre.pages ||
+                         post.bootstrapped != pre.bootstrapped ||
+                         post.engine_state != pre.engine_state;
+    if (changed && !sent_data_.contains(as_string(frame))) {
       std::ostringstream os;
       os << "tampered " << packet_class_name(cls) << " frame changed state:"
          << " buffered " << pre.buffered << "->" << post.buffered

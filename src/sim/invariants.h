@@ -13,7 +13,9 @@
 //   3. monotone progress — a node's completed-page frontier never moves
 //                          backwards, not even across a crash/reboot;
 //   4. tamper rejection  — a corrupted/forged frame never changes a node's
-//                          buffers, page frontier or engine state;
+//                          buffers, page frontier or engine state, unless
+//                          it is byte-identical to a data frame an attached
+//                          node sent (then it is genuine);
 //   5. greedy bound      — a server never transmits more data packets for a
 //                          page than the sum of d = max(1, q + k' − n) over
 //                          the SNACKs delivered to it (§IV-C).
@@ -30,6 +32,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -146,6 +149,8 @@ class InvariantObserver final : public SimObserver {
   // Invariant 5 ledger, keyed by (server, page).
   std::map<std::pair<NodeId, std::uint32_t>, std::uint64_t> allowance_;
   std::map<std::pair<NodeId, std::uint32_t>, std::uint64_t> sent_;
+  // Every distinct data frame an attached node sent (invariant 4).
+  std::unordered_set<std::string> sent_data_;
   std::vector<InvariantViolation> violations_;
   std::uint64_t checks_run_ = 0;
 };

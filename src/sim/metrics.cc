@@ -60,24 +60,10 @@ std::uint64_t Metrics::total_sent_bytes(PacketClass c) const {
   return total;
 }
 
-std::uint64_t Metrics::total_received(PacketClass c) const {
-  std::uint64_t total = 0;
-  for (const auto& m : nodes_)
-    total += m.received[static_cast<std::size_t>(c)];
-  return total;
-}
-
 std::uint64_t Metrics::total_received_bytes() const {
   std::uint64_t total = 0;
   for (const auto& m : nodes_)
     for (auto b : m.received_bytes) total += b;
-  return total;
-}
-
-std::uint64_t Metrics::total_received_bytes(PacketClass c) const {
-  std::uint64_t total = 0;
-  for (const auto& m : nodes_)
-    total += m.received_bytes[static_cast<std::size_t>(c)];
   return total;
 }
 

@@ -79,9 +79,7 @@ class Metrics {
   std::uint64_t total_sent(PacketClass c) const;
   std::uint64_t total_sent_bytes() const;
   std::uint64_t total_sent_bytes(PacketClass c) const;
-  std::uint64_t total_received(PacketClass c) const;
   std::uint64_t total_received_bytes() const;
-  std::uint64_t total_received_bytes(PacketClass c) const;
   std::uint64_t total_auth_failures() const;
   std::uint64_t total_hash_verifications() const;
   std::uint64_t total_signature_verifications() const;

@@ -136,9 +136,13 @@ Simulator::Simulator(std::shared_ptr<const Topology> topology,
 
 Simulator::~Simulator() = default;
 
-void Simulator::set_fault_model(std::unique_ptr<FaultModel> fault) {
-  LRS_CHECK_MSG(!started_, "fault model must be installed before run()");
-  fault_ = std::move(fault);
+void Simulator::set_faults(const FaultPlan& plan) {
+  LRS_CHECK_MSG(!started_, "faults must be installed before run()");
+  if (plan.any()) {
+    fault_.emplace(plan);
+  } else {
+    fault_.reset();
+  }
 }
 
 void Simulator::add_observer(SimObserver* observer) {
@@ -174,7 +178,7 @@ void Simulator::start_if_needed() {
     queue_.schedule_at(0, [n = nodes_[id].get()] { n->on_start(); });
   }
   if (fault_) {
-    for (const auto& e : fault_->crash_events()) {
+    for (const auto& e : fault_->crashes()) {
       LRS_CHECK(e.node < nodes_.size());
       if (!is_member_.empty() && !is_member_[e.node]) continue;
       queue_.schedule_at(e.at + e.downtime, [this, node = e.node] {
@@ -388,13 +392,7 @@ void Simulator::deliver(NodeId sender, NodeId receiver, PacketClass cls,
     return;
   }
   Bytes mutated = frame;
-  FaultAction action;
-  fault_->apply(sender, receiver, queue_.now(), mutated, action,
-                rngs_[receiver]);
-  if (action.drop) {
-    ++fault_drops_;
-    return;
-  }
+  const FaultAction action = fault_->apply(mutated, rngs_[receiver]);
   if (action.tampered) ++tampered_frames_;
   LRS_CHECK(action.copies >= 1);
   LRS_CHECK(action.delay >= 0);

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "sim/channel.h"
@@ -277,11 +278,12 @@ class Simulator {
             std::uint64_t seed, std::vector<NodeId> members = {});
   ~Simulator();
 
-  /// Installs a fault layer between the loss model and delivery. Must be
-  /// set before run(); pass nullptr for none (the default). Without a fault
-  /// model the per-receiver Rng streams see exactly the same draws as
-  /// before this hook existed, so historical seeds replay unchanged.
-  void set_fault_model(std::unique_ptr<FaultModel> fault);
+  /// Installs the fault layer `plan` describes between the loss model and
+  /// delivery; a plan without faults (!plan.any(), the default) installs
+  /// none. Must be called before run(). Without a fault layer the
+  /// per-receiver Rng streams see exactly the same draws as before this
+  /// hook existed, so historical seeds replay unchanged.
+  void set_faults(const FaultPlan& plan);
 
   /// Attaches a passive observer (not owned; nullptr is ignored). Multiple
   /// observers — e.g. an invariant checker plus a trace recorder — see
@@ -329,7 +331,7 @@ class Simulator {
   std::uint64_t events_executed() const { return queue_.executed(); }
 
   /// Fault-layer accounting: frames whose bytes the fault model altered,
-  /// frames it swallowed (drops plus deliveries to crashed nodes), and
+  /// frames it swallowed (sends from and deliveries to crashed nodes), and
   /// crash/reboot events fired.
   std::uint64_t tampered_frames() const { return tampered_frames_; }
   std::uint64_t fault_drops() const { return fault_drops_; }
@@ -361,7 +363,6 @@ class Simulator {
 
   std::shared_ptr<const Topology> topology_;
   std::unique_ptr<LossModel> loss_;
-  std::unique_ptr<FaultModel> fault_;
   RadioParams radio_;
   Rng rng_;
   EventQueue queue_;
@@ -396,6 +397,9 @@ class Simulator {
   std::uint64_t tampered_frames_ = 0;
   std::uint64_t fault_drops_ = 0;
   std::uint64_t reboots_ = 0;
+  // Last: the model is large and cold, so it stays off the cache lines of
+  // the per-delivery members above.
+  std::optional<FaultModel> fault_;
 };
 
 }  // namespace lrs::sim

@@ -202,6 +202,35 @@ TEST(Invariant4, TamperedFrameLeavingStateAloneIsClean) {
   EXPECT_TRUE(obs.ok());
 }
 
+TEST(Invariant4, TamperedFrameEqualToASentDataFrameMayChangeState) {
+  // Corruption can land exactly on a genuine packet; storing it is correct.
+  // Only a data frame an attached node sent counts as genuine, and the
+  // check still runs either way.
+  FakeNode sender, n;
+  InvariantConfig cfg = strict_config({});
+  cfg.check_greedy_bound = false;
+  InvariantObserver obs(std::move(cfg));
+  obs.attach(1, make_probe(n));
+  obs.attach(2, make_probe(sender));
+  const Bytes other{0x09, 0x09};
+  obs.on_send(0, 3, PacketClass::kData, view(other));  // unattached sender
+  obs.on_send(0, 2, PacketClass::kData, view(kFrame));
+
+  const std::uint64_t before = obs.checks_run();
+  obs.before_deliver(0, 2, 1, PacketClass::kData, view(kFrame), true);
+  n.buffered = 1;
+  obs.after_deliver(0, 2, 1, PacketClass::kData, view(kFrame), true);
+  EXPECT_TRUE(obs.ok());
+  const std::uint64_t genuine_checks = obs.checks_run() - before;
+
+  obs.before_deliver(0, 3, 1, PacketClass::kData, view(other), true);
+  n.buffered = 2;
+  obs.after_deliver(0, 3, 1, PacketClass::kData, view(other), true);
+  ASSERT_FALSE(obs.ok());
+  EXPECT_EQ(obs.violations().front().invariant, 4);
+  EXPECT_EQ(obs.checks_run() - before, 2 * genuine_checks);
+}
+
 TEST(Invariant5, DataSendWithoutSnackAllowanceIsFlagged) {
   FakeNode server;
   InvariantObserver obs(strict_config({}));
