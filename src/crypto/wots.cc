@@ -77,7 +77,8 @@ class DigestMemo {
 }  // namespace
 
 void wots_walk_chains(WotsChains& chains,
-                      const std::array<unsigned, kWotsLen>& steps) {
+                      const std::array<unsigned, kWotsLen>& steps,
+                      WotsCheckpoints* record) {
   static_assert(kWotsChainBytes <= kSha256OneBlockMax);
   stats::TimerScope scope(sha256_oneshot_timer());
   // Longest walk first: the chains still walking at any step are a prefix.
@@ -114,9 +115,31 @@ void wots_walk_chains(WotsChains& chains,
     }
     for (std::size_t k = 0; k < active; ++k)
       sha256_store_digest(states + 8 * k, blocks[k]);
+    // The active chains now stand at step + 1.
+    const unsigned done = step + 1;
+    if (record != nullptr && done % kWotsCheckpointSpacing == 0 &&
+        done / kWotsCheckpointSpacing <= kWotsCheckpoints) {
+      WotsChains& at = (*record)[done / kWotsCheckpointSpacing - 1];
+      for (std::size_t k = 0; k < active; ++k)
+        std::memcpy(at[order[k]].data(), blocks[k], kWotsChainBytes);
+    }
   }
   for (std::size_t k = 0; k < kWotsLen; ++k)
     std::memcpy(chains[order[k]].data(), blocks[k], kWotsChainBytes);
+}
+
+WotsChains wots_walk_from_checkpoints(const WotsChains& secret,
+                                      const WotsCheckpoints& checkpoints,
+                                      std::array<unsigned, kWotsLen> steps) {
+  WotsChains chains;
+  for (std::size_t i = 0; i < kWotsLen; ++i) {
+    LRS_CHECK(steps[i] <= 255);
+    const unsigned j = steps[i] / kWotsCheckpointSpacing;
+    chains[i] = j == 0 ? secret[i] : checkpoints[j - 1][i];
+    steps[i] -= j * kWotsCheckpointSpacing;
+  }
+  wots_walk_chains(chains, steps);
+  return chains;
 }
 
 Bytes WotsSignature::serialize() const {
@@ -153,18 +176,30 @@ WotsKeyPair WotsKeyPair::generate(ByteView seed, std::uint64_t index) {
     std::copy_n(d.begin(), kWotsChainBytes, kp.sk_[i].begin());
     fingerprint.update(ByteView(kp.sk_[i].data(), kp.sk_[i].size()));
   }
-  // The public key is a pure function of the secret chains, and every trial
-  // and tenant re-derives the same few keys from the same seed, so the
-  // 18 x 255-step chain walk runs once per distinct key. The memo holds
-  // only public keys under one-way fingerprints of the secret chains.
-  static DigestMemo<WotsPublicKey> memo;
-  kp.pk_ = memo.get_or_compute(fingerprint.finalize(), [&] {
+  // The public key and the checkpoints are pure functions of the secret
+  // chains, and every trial and tenant re-derives the same few keys from the
+  // same seed, so the 18 x 255-step chain walk runs once per distinct key
+  // and records the checkpoints as it passes them. The memo is keyed by
+  // one-way fingerprints of the secret chains, but the checkpoints are
+  // secret material (a chain's value at step 64 signs any digit from 64 up),
+  // held only for keys whose secret chains the process holds anyway: every
+  // key seed here is a constant in the source. 3 x 18 x 32 B = 1.7 KB per
+  // key; the memo's 4,096-entry guard bounds it at ~7 MB.
+  struct Derived {
+    WotsPublicKey pk;
+    std::shared_ptr<const WotsCheckpoints> checkpoints;
+  };
+  static DigestMemo<Derived> memo;
+  const Derived derived = memo.get_or_compute(fingerprint.finalize(), [&] {
+    auto checkpoints = std::make_shared<WotsCheckpoints>();
     WotsChains tops = kp.sk_;
     std::array<unsigned, kWotsLen> steps;
     steps.fill(255);
-    wots_walk_chains(tops, steps);
-    return compress_tops(tops);
+    wots_walk_chains(tops, steps, checkpoints.get());
+    return Derived{compress_tops(tops), std::move(checkpoints)};
   });
+  kp.pk_ = derived.pk;
+  kp.checkpoints_ = derived.checkpoints;
   return kp;
 }
 
@@ -172,8 +207,8 @@ WotsSignature WotsKeyPair::sign(ByteView message) {
   LRS_CHECK_MSG(!used_, "WOTS key reuse would forfeit security");
   used_ = true;
   WotsSignature sig;
-  sig.chains = sk_;
-  wots_walk_chains(sig.chains, message_chunks(message));
+  sig.chains =
+      wots_walk_from_checkpoints(sk_, *checkpoints_, message_chunks(message));
   return sig;
 }
 

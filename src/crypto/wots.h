@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -40,13 +41,31 @@ inline constexpr std::size_t kWotsLen = kWotsLen1 + kWotsLen2;
 using WotsChains =
     std::array<std::array<std::uint8_t, kWotsChainBytes>, kWotsLen>;
 
+/// Chain values kept every 64 steps of a 255-step chain: entry j holds
+/// every chain after (j + 1) * 64 steps, i.e. at steps 64, 128 and 192.
+/// Step 0 is the secret chains themselves and is not repeated here.
+inline constexpr unsigned kWotsCheckpointSpacing = 64;
+inline constexpr std::size_t kWotsCheckpoints = 255 / kWotsCheckpointSpacing;
+using WotsCheckpoints = std::array<WotsChains, kWotsCheckpoints>;
+
 /// Applies the chaining function (SHA-256 of the 32-byte value) steps[i]
 /// times to chains[i]. The chains advance one step at a time side by side
 /// over pre-padded one-block messages, so consecutive compressions are
-/// independent and overlap in the core. Counts one `crypto.sha.oneshot`
-/// call per walk.
+/// independent and overlap in the core. With `record` set, a chain's value
+/// after each checkpoint's number of steps is copied into that checkpoint
+/// as the walk passes it (no extra compression); checkpoints a chain does
+/// not reach keep their old value. Counts one `crypto.sha.oneshot` call per
+/// walk.
 void wots_walk_chains(WotsChains& chains,
-                      const std::array<unsigned, kWotsLen>& steps);
+                      const std::array<unsigned, kWotsLen>& steps,
+                      WotsCheckpoints* record = nullptr);
+
+/// Walks chain i of `secret` (its step 0) to steps[i] <= 255, starting from
+/// the highest of `checkpoints` at or below steps[i], so no chain walks
+/// more than 63 steps. Equal to walking `secret` itself the full steps.
+WotsChains wots_walk_from_checkpoints(const WotsChains& secret,
+                                      const WotsCheckpoints& checkpoints,
+                                      std::array<unsigned, kWotsLen> steps);
 
 struct WotsSignature {
   WotsChains chains;
@@ -63,14 +82,16 @@ class WotsKeyPair {
  public:
   /// Deterministically derives a key pair from `seed` and `index`
   /// (index lets MultiKeySigner derive many independent keys). The public
-  /// key is memoized process-wide per secret key: re-deriving a key pair
-  /// costs its 18 chain HMACs, not the 18 x 255-step chain walk. Thread-safe.
+  /// key and the chain checkpoints are memoized process-wide per secret
+  /// key: re-deriving a key pair costs its 18 chain HMACs, not the
+  /// 18 x 255-step chain walk. Thread-safe.
   static WotsKeyPair generate(ByteView seed, std::uint64_t index);
 
   const WotsPublicKey& public_key() const { return pk_; }
 
-  /// Signs `message` (hashed and truncated internally). One-time: the pair
-  /// remembers use and refuses to sign twice.
+  /// Signs `message` (hashed and truncated internally), walking each chain
+  /// from its nearest checkpoint. One-time: the pair remembers use and
+  /// refuses to sign twice.
   WotsSignature sign(ByteView message);
 
   static bool verify(const WotsPublicKey& pk, ByteView message,
@@ -81,6 +102,9 @@ class WotsKeyPair {
 
   WotsChains sk_;
   WotsPublicKey pk_;
+  // Shared, immutable, and held by the memo too: copies of a key pair and
+  // every re-derivation of the same key point at one block.
+  std::shared_ptr<const WotsCheckpoints> checkpoints_;
   bool used_ = false;
 };
 

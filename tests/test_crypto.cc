@@ -4,6 +4,7 @@
 
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "crypto/hash.h"
@@ -323,6 +324,42 @@ TEST(Wots, ChainWalkMatchesStepwise) {
   }
 }
 
+TEST(Wots, CheckpointWalkMatchesSecretWalk) {
+  Rng rng(0x64c4);
+  WotsChains secret;
+  for (auto& c : secret) {
+    for (auto& b : c) b = static_cast<std::uint8_t>(rng.uniform(256));
+  }
+  // The full 255-step walk records the checkpoints and still ends at the
+  // chain tops.
+  WotsCheckpoints checkpoints{};
+  WotsChains tops = secret;
+  std::array<unsigned, kWotsLen> full;
+  full.fill(255);
+  wots_walk_chains(tops, full, &checkpoints);
+  for (std::size_t i = 0; i < kWotsLen; ++i) {
+    ASSERT_EQ(tops[i], stepwise_chain(secret[i], 255)) << "chain " << i;
+    for (std::size_t j = 0; j < kWotsCheckpoints; ++j) {
+      ASSERT_EQ(checkpoints[j][i],
+                stepwise_chain(secret[i], (j + 1) * kWotsCheckpointSpacing))
+          << "chain " << i << " checkpoint " << j;
+    }
+  }
+  // Every step count, on every chain at once and on chains whose counts
+  // straddle the checkpoints, matches the walk from the secret value.
+  for (unsigned n = 0; n <= 255; ++n) {
+    std::array<unsigned, kWotsLen> steps;
+    for (std::size_t i = 0; i < kWotsLen; ++i) {
+      steps[i] = i % 2 == 0 ? n : (n + 37 * i) % 256;
+    }
+    const WotsChains from_checkpoints =
+        wots_walk_from_checkpoints(secret, checkpoints, steps);
+    WotsChains from_secret = secret;
+    wots_walk_chains(from_secret, steps);
+    ASSERT_EQ(from_checkpoints, from_secret) << "steps " << n;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // MultiKeySigner
 // ---------------------------------------------------------------------------
@@ -359,6 +396,31 @@ TEST(MultiKeySigner, SameSeedSignersAreIndependent) {
           MultiKeySigner::verify(signer->root_public_key(), view(msg), sig));
     }
     EXPECT_THROW(signer->sign(view(Bytes{1})), std::runtime_error);
+  }
+}
+
+TEST(MultiKeySigner, MemoMissAndHitSignaturesPinned) {
+  // run_experiment's signer seed and a seed no other test uses (so its
+  // first signer misses the memo); digests of the serialized certified
+  // signature recorded from the walk that started every chain at its
+  // secret value.
+  const std::pair<Bytes, const char*> pinned[] = {
+      {Bytes{0x11, 0x22, 0x33, 0x44},
+       "8e33987bec9e1a9ff669a9df0ace10cbfe5b5e2d5cdbfeba0c3b3d44f0e78e0e"},
+      {Bytes{0x5e, 0xed, 0x31},
+       "6109f157052cbc86cda72cd5eb846a455cc3a7b7bbd12a18d8c3cabf465d0fe7"}};
+  const Bytes msg = str_bytes("lr-seluge image root");
+  for (const auto& [seed, digest] : pinned) {
+    std::vector<Bytes> raw;
+    for (int pass = 0; pass < 2; ++pass) {  // memo miss (cold), then hit
+      MultiKeySigner signer(view(seed), 2);
+      raw.push_back(signer.sign(view(msg)).serialize());
+    }
+    EXPECT_EQ(raw[0], raw[1]);
+    for (const Bytes& r : raw) {
+      const Sha256Digest d = Sha256::hash(view(r));
+      EXPECT_EQ(to_hex(ByteView(d.data(), d.size())), digest);
+    }
   }
 }
 
@@ -426,8 +488,8 @@ TEST(MultiKeySigner, TruncatedSerializationRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// WOTS public-key memo under contention: the thread hammer the TSan CI job
-// runs.
+// WOTS key memo (public keys and chain checkpoints) under contention: the
+// thread hammer the TSan CI job runs.
 // ---------------------------------------------------------------------------
 
 TEST(WotsMemo, ThreadHammer) {
@@ -436,27 +498,34 @@ TEST(WotsMemo, ThreadHammer) {
   std::vector<Bytes> seeds;
   for (std::size_t s = 0; s < kSeeds; ++s)
     seeds.push_back(Bytes{0xc3, static_cast<std::uint8_t>(s)});
-  // got[t][s * kIndices + i]: thread t's public key for (seed s, index i).
+  const Bytes msg = str_bytes("hammer");
+  // got[t][s * kIndices + i]: thread t's public key and signature for
+  // (seed s, index i).
   std::vector<std::vector<WotsPublicKey>> got(
       kThreads, std::vector<WotsPublicKey>(kSeeds * kIndices));
+  std::vector<std::vector<WotsSignature>> signed_by(
+      kThreads, std::vector<WotsSignature>(kSeeds * kIndices));
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t, &seeds, &got] {
+    threads.emplace_back([t, &seeds, &msg, &got, &signed_by] {
       for (int round = 0; round < 3; ++round) {
         for (std::size_t s = 0; s < kSeeds; ++s) {
           for (std::size_t k = 0; k < kIndices; ++k) {
             // Threads start at different indices so misses and hits on one
             // key interleave.
             const std::size_t i = (k + t) % kIndices;
-            got[t][s * kIndices + i] =
-                WotsKeyPair::generate(view(seeds[s]), i).public_key();
+            const WotsKeyPair kp = WotsKeyPair::generate(view(seeds[s]), i);
+            got[t][s * kIndices + i] = kp.public_key();
+            // A fresh copy signs from the checkpoints it shares with every
+            // other copy of this key, on every thread at once.
+            WotsKeyPair copy = kp;
+            signed_by[t][s * kIndices + i] = copy.sign(view(msg));
           }
         }
       }
     });
   }
   for (auto& th : threads) th.join();
-  const Bytes msg = str_bytes("hammer");
   for (std::size_t s = 0; s < kSeeds; ++s) {
     for (std::size_t i = 0; i < kIndices; ++i) {
       auto serial = WotsKeyPair::generate(view(seeds[s]), i);
@@ -466,6 +535,8 @@ TEST(WotsMemo, ThreadHammer) {
       ASSERT_TRUE(WotsKeyPair::verify(serial.public_key(), view(msg), sig));
       for (std::size_t t = 0; t < kThreads; ++t) {
         EXPECT_TRUE(equal(got[t][s * kIndices + i], serial.public_key()))
+            << "thread " << t << " seed " << s << " index " << i;
+        EXPECT_EQ(signed_by[t][s * kIndices + i].chains, sig.chains)
             << "thread " << t << " seed " << s << " index " << i;
       }
     }

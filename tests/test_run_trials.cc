@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.h"
 #include "core/run_trials.h"
+#include "crypto/sha256.h"
+#include "util/hex.h"
 
 namespace lrs::core {
 namespace {
@@ -108,6 +111,26 @@ TEST(RunTrials, DefaultJobsHonorsEnvOverride) {
 TEST(RunTrials, ZeroRepeatsIsRejected) {
   const auto cfg = small_config(Scheme::kLrSeluge, 0.0, 1);
   EXPECT_THROW(run_trials(cfg, 0, 2), std::logic_error);
+}
+
+// Every trial's image comes from make_test_image, so its bytes are part of
+// every deterministic result. Digests recorded from the Rng::uniform(256)
+// fill it replaced.
+TEST(MakeTestImage, BytesPinnedPerSeed) {
+  const std::pair<std::uint64_t, const char*> pinned[] = {
+      {1, "36a1ffb7ba9d7c8341d20d0c47ea598066a37fd19d591fa568ed16b55406e7b9"},
+      {2, "9b1b3286d8f425a4c761f6a9bd7685deb1d57a0e8ffeda54c5663f9d7fb36ed3"},
+      {7, "809d18031f76a3f7e78ae253a1beb7152423f6ad7f27291cd394dc0ee239fca3"},
+      {42, "59b0aa5cab978fa719da8db4534228d99395873a1eea34077a07ff5a8891f3be"},
+      {12345,
+       "fd4c7241b220ff3912c526bf7073d0b04c1ae2b9eb0a6b4f73dd97870f1e56f2"}};
+  for (const auto& [seed, digest] : pinned) {
+    const Bytes image = make_test_image(20480, seed);
+    ASSERT_EQ(image.size(), 20480u);
+    const auto d = crypto::Sha256::hash(view(image));
+    EXPECT_EQ(to_hex(ByteView(d.data(), d.size())), digest) << seed;
+  }
+  EXPECT_TRUE(make_test_image(0, 1).empty());
 }
 
 // ---------------------------------------------------------------------------
