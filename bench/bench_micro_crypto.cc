@@ -1,19 +1,18 @@
-// Microbenchmarks for the cryptographic substrate (google-benchmark):
-// SHA-256 throughput across every dispatched kernel (scalar reference,
-// unrolled, SHA-NI, multi-buffer SIMD), packet hashes, HMAC, Merkle
-// build/path/verify, WOTS keygen/sign/verify, multi-key signer set-up with
-// the public-key memo cold and warm, puzzle solve/verify. These
-// are the per-packet and per-image costs a sensor node pays (paper §III
-// cites 1.12 s for one ECDSA verification on a Tmote Sky — our WOTS
-// substitute is measured here).
+// Microbenchmarks for the cryptographic substrate: SHA-256 throughput
+// across every dispatched kernel (scalar reference, unrolled, SHA-NI,
+// multi-buffer SIMD), packet hashes, HMAC, Merkle build and path
+// verification, WOTS keygen/sign/verify, certified verification,
+// multi-key signer set-up with the public-key memo cold and warm, puzzle
+// solve/verify. These are the per-packet and per-image costs a sensor node
+// pays (paper §III cites 1.12 s for one ECDSA verification on a Tmote Sky
+// — our WOTS substitute is measured here).
 //
-// Besides the google-benchmark console table, the binary runs a self-timed
-// sweep of kernels x message sizes x batch widths and writes
-// machine-readable results to BENCH_micro_crypto.json (override the path
-// with LRS_BENCH_JSON, skip with LRS_BENCH_JSON=none) so successive PRs
-// have a perf trajectory to track.
-#include <benchmark/benchmark.h>
-
+// One self-timed sweep (bench::time_op: best of three ~150 ms windows per
+// row) covers kernels x message sizes x batch widths and the per-operation
+// rows. It prints the table and writes it to BENCH_micro_crypto.json
+// (override the path with LRS_BENCH_JSON, skip with LRS_BENCH_JSON=none) so
+// successive PRs have a perf trajectory to track. Flags: --metrics=M.json
+// and --metrics-heartbeat=S, as in every harness.
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -35,6 +34,7 @@ namespace {
 
 using namespace lrs;
 using namespace lrs::crypto;
+using bench::do_not_optimize;
 using bench::SweepResult;
 using bench::time_op;
 
@@ -43,148 +43,6 @@ Bytes random_bytes(std::size_t size, std::uint64_t seed) {
   Bytes out(size);
   for (auto& b : out) b = static_cast<std::uint8_t>(rng.uniform(256));
   return out;
-}
-
-void BM_Sha256(benchmark::State& state) {
-  const Bytes data = random_bytes(static_cast<std::size_t>(state.range(0)), 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Sha256::hash(view(data)));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(256)->Arg(1024)->Arg(16384);
-
-void BM_PacketHash(benchmark::State& state) {
-  const Bytes packet = random_bytes(77, 2);  // typical data-frame preimage
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(packet_hash(view(packet)));
-  }
-}
-BENCHMARK(BM_PacketHash);
-
-void BM_HmacSha256(benchmark::State& state) {
-  const Bytes key = random_bytes(16, 3);
-  const Bytes msg = random_bytes(32, 4);  // control packet
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hmac_sha256(view(key), view(msg)));
-  }
-}
-BENCHMARK(BM_HmacSha256);
-
-void BM_MerkleBuild(benchmark::State& state) {
-  const std::size_t leaves = static_cast<std::size_t>(state.range(0));
-  std::vector<Bytes> data;
-  for (std::size_t i = 0; i < leaves; ++i) data.push_back(random_bytes(72, i));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MerkleTree::build(data));
-  }
-}
-BENCHMARK(BM_MerkleBuild)->Arg(8)->Arg(16)->Arg(64);
-
-void BM_MerkleVerify(benchmark::State& state) {
-  std::vector<Bytes> data;
-  for (std::size_t i = 0; i < 16; ++i) data.push_back(random_bytes(72, i));
-  const auto tree = MerkleTree::build(data);
-  const auto path = tree.auth_path(5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        MerkleTree::compute_root(view(data[5]), 5, path));
-  }
-}
-BENCHMARK(BM_MerkleVerify);
-
-void BM_WotsKeygen(benchmark::State& state) {
-  const Bytes seed = random_bytes(32, 5);
-  std::uint64_t index = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(WotsKeyPair::generate(view(seed), index++));
-  }
-}
-BENCHMARK(BM_WotsKeygen);
-
-void BM_WotsSign(benchmark::State& state) {
-  const Bytes seed = random_bytes(32, 6);
-  const Bytes msg = random_bytes(40, 7);
-  std::uint64_t index = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto kp = WotsKeyPair::generate(view(seed), index++);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(kp.sign(view(msg)));
-  }
-}
-BENCHMARK(BM_WotsSign);
-
-void BM_WotsVerify(benchmark::State& state) {
-  const Bytes seed = random_bytes(32, 8);
-  const Bytes msg = random_bytes(40, 9);
-  auto kp = WotsKeyPair::generate(view(seed), 0);
-  const auto sig = kp.sign(view(msg));
-  const auto pk = kp.public_key();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(WotsKeyPair::verify(pk, view(msg), sig));
-  }
-}
-BENCHMARK(BM_WotsVerify);
-
-void BM_CertifiedVerify(benchmark::State& state) {
-  const Bytes seed = random_bytes(32, 10);
-  const Bytes msg = random_bytes(40, 11);
-  MultiKeySigner signer(view(seed), 2);
-  const auto sig = signer.sign(view(msg));
-  const auto root = signer.root_public_key();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MultiKeySigner::verify(root, view(msg), sig));
-  }
-}
-BENCHMARK(BM_CertifiedVerify);
-
-void BM_PuzzleSolve(benchmark::State& state) {
-  const auto strength = static_cast<std::uint8_t>(state.range(0));
-  std::uint64_t nonce = 0;
-  for (auto _ : state) {
-    const Bytes msg = random_bytes(48, nonce++);
-    benchmark::DoNotOptimize(solve_puzzle(view(msg), strength));
-  }
-}
-BENCHMARK(BM_PuzzleSolve)->Arg(8)->Arg(12);
-
-void BM_PuzzleVerify(benchmark::State& state) {
-  const Bytes msg = random_bytes(48, 12);
-  const auto sol = solve_puzzle(view(msg), 12);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(verify_puzzle(view(msg), sol));
-  }
-}
-BENCHMARK(BM_PuzzleVerify);
-
-void BM_Sha256Kernel(benchmark::State& state, const std::string& kernel_name,
-                     std::size_t len) {
-  if (!sha256_set_kernel(kernel_name)) {
-    state.SkipWithError("kernel unavailable on this CPU");
-    return;
-  }
-  const Bytes data = random_bytes(len, 21);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Sha256::hash(view(data)));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(len));
-  sha256_set_kernel("auto");
-}
-
-void register_kernel_benchmarks() {
-  for (const auto& name : sha256_available_kernels()) {
-    for (std::size_t len : {64u, 1024u}) {
-      const std::string bench_name =
-          "BM_Sha256Kernel/kernel=" + name + "/len=" + std::to_string(len);
-      benchmark::RegisterBenchmark(
-          bench_name.c_str(), [name, len](benchmark::State& s) {
-            BM_Sha256Kernel(s, name, len);
-          });
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -204,7 +62,7 @@ std::vector<SweepResult> run_sweep() {
       const Bytes msg = random_bytes(len, 31);
       results.push_back(time_op(
           "sha256/kernel=" + name + "/len=" + std::to_string(len), len, [&] {
-            benchmark::DoNotOptimize(Sha256::hash(view(msg)));
+            do_not_optimize(Sha256::hash(view(msg)));
           }));
     }
   }
@@ -216,7 +74,7 @@ std::vector<SweepResult> run_sweep() {
   {
     const Bytes msg = random_bytes(32, 33);
     results.push_back(time_op("sha256/oneblock/len=32", 32, [&] {
-      benchmark::DoNotOptimize(Sha256::finish_one_block(kSha256Iv, view(msg)));
+      do_not_optimize(Sha256::finish_one_block(kSha256Iv, view(msg)));
     }));
   }
 
@@ -234,7 +92,7 @@ std::vector<SweepResult> run_sweep() {
           time_op("sha256_compress/kernel=" + name + "/blocks=8", 8 * 64,
                   [&] {
                     kernel->compress(state, data.data(), 8);
-                    benchmark::DoNotOptimize(state);
+                    do_not_optimize(state);
                   }));
     }
     for (const auto& name : sha256_available_batch_kernels()) {
@@ -249,7 +107,7 @@ std::vector<SweepResult> run_sweep() {
           time_op("sha256_compress_batch/kernel=" + name + "/count=8",
                   8 * 64, [&] {
                     kernel->compress_batch(states, ptrs, 8);
-                    benchmark::DoNotOptimize(states);
+                    do_not_optimize(states);
                   }));
     }
   }
@@ -268,7 +126,7 @@ std::vector<SweepResult> run_sweep() {
         "hash_batch/width=" + std::to_string(width) + "/len=64", width * 64,
         [&] {
           hash_batch(views.data(), width, out.data());
-          benchmark::DoNotOptimize(out.data());
+          do_not_optimize(out.data());
         }));
   }
 
@@ -295,14 +153,63 @@ std::vector<SweepResult> run_sweep() {
           std::string("packet_hash_batch/width=48/mode=") + mode, 48 * 77,
           [&] {
             packet_hash_batch(views.data(), 48, out.data());
-            benchmark::DoNotOptimize(out.data());
+            do_not_optimize(out.data());
           }));
       results.push_back(time_op(
           std::string("merkle_build/leaves=64/mode=") + mode, 64 * 72, [&] {
-            benchmark::DoNotOptimize(MerkleTree::build(leaves));
+            do_not_optimize(MerkleTree::build(leaves));
           }));
     }
     sha256_set_kernel("auto");
+  }
+
+  // The per-packet operations under the auto-selected kernels: one packet
+  // hash (a data-frame preimage), one control-packet HMAC, the Merkle tree
+  // of a small page 0 and one authentication-path check.
+  {
+    const Bytes packet = random_bytes(77, 2);
+    results.push_back(time_op("packet_hash/len=77", 77, [&] {
+      do_not_optimize(packet_hash(view(packet)));
+    }));
+    const Bytes key = random_bytes(16, 3);
+    const Bytes msg = random_bytes(32, 4);
+    results.push_back(time_op("hmac_sha256/key=16/len=32", 32, [&] {
+      do_not_optimize(hmac_sha256(view(key), view(msg)));
+    }));
+    std::vector<Bytes> leaves;
+    for (std::size_t i = 0; i < 16; ++i) leaves.push_back(random_bytes(72, i));
+    for (std::size_t count : {8u, 16u}) {
+      const std::vector<Bytes> page(leaves.begin(), leaves.begin() + count);
+      results.push_back(time_op(
+          "merkle_build/leaves=" + std::to_string(count), count * 72,
+          [&] { do_not_optimize(MerkleTree::build(page)); }));
+    }
+    const auto path = MerkleTree::build(leaves).auth_path(5);
+    results.push_back(time_op("merkle_verify/leaves=16", 0, [&] {
+      do_not_optimize(MerkleTree::compute_root(view(leaves[5]), 5, path));
+    }));
+  }
+
+  // The DoS puzzle's work asymmetry: solving (the base station's 2^strength
+  // expected hashes, on a fresh 48-byte message each time, so the row
+  // averages over many draws) against verifying (one hash, paid on every
+  // received signature packet). Latency rows.
+  {
+    Bytes msg = random_bytes(48, 12);
+    for (unsigned strength : {8u, 12u}) {
+      std::uint64_t nonce = 0;
+      results.push_back(time_op(
+          "puzzle/solve/strength=" + std::to_string(strength), 0, [&] {
+            std::memcpy(msg.data(), &nonce, sizeof(nonce));
+            ++nonce;
+            do_not_optimize(
+                solve_puzzle(view(msg), static_cast<std::uint8_t>(strength)));
+          }));
+    }
+    const auto solution = solve_puzzle(view(msg), 12);
+    results.push_back(time_op("puzzle/verify/strength=12", 0, [&] {
+      do_not_optimize(verify_puzzle(view(msg), solution));
+    }));
   }
 
   // Signer construction, the per-trial set-up cost of every experiment:
@@ -315,26 +222,53 @@ std::vector<SweepResult> run_sweep() {
       Writer seed;
       seed.u64(fresh++);
       MultiKeySigner signer(view(seed.data()), 2);
-      benchmark::DoNotOptimize(signer.root_public_key());
+      do_not_optimize(signer.root_public_key());
     }));
     const Bytes seed = random_bytes(32, 81);
     results.push_back(time_op("multikey_signer/h=2/memo=hit", 0, [&] {
       MultiKeySigner signer(view(seed), 2);
-      benchmark::DoNotOptimize(signer.root_public_key());
+      do_not_optimize(signer.root_public_key());
     }));
   }
 
   // One WOTS signature: the 18 chains walked side by side, each from the
   // highest memoized checkpoint (step 0, 64, 128 or 192) at or below its
   // digit, about 560 chain steps for a typical message. Each iteration
-  // signs with a fresh copy of one unused key pair. Latency row.
+  // signs with a fresh copy of one unused key pair. Latency rows, as are
+  // the key generation and verification rows after it.
   {
     const Bytes seed = random_bytes(32, 91);
     const Bytes msg = random_bytes(20, 92);  // a signed-message-sized input
     const WotsKeyPair unused = WotsKeyPair::generate(view(seed), 0);
     results.push_back(time_op("wots/sign", 0, [&] {
       WotsKeyPair kp = unused;
-      benchmark::DoNotOptimize(kp.sign(view(msg)));
+      do_not_optimize(kp.sign(view(msg)));
+    }));
+    // Key generation on a memo miss (a new key index per iteration: 18
+    // chain HMACs plus the 18 x 255-step walk), and one verification (each
+    // chain walked from its signature value up to the public key).
+    std::uint64_t index = 1;
+    results.push_back(time_op("wots/keygen/memo=miss", 0, [&] {
+      do_not_optimize(WotsKeyPair::generate(view(seed), index++));
+    }));
+    WotsKeyPair kp = unused;
+    const WotsSignature sig = kp.sign(view(msg));
+    results.push_back(time_op("wots/verify", 0, [&] {
+      do_not_optimize(WotsKeyPair::verify(unused.public_key(), view(msg), sig));
+    }));
+  }
+
+  // The once-per-image check a receiver runs: a WOTS verification plus the
+  // key's Merkle certificate against the preloaded root. Uncached (the
+  // memo in verify_certified_cached would answer after the first call).
+  {
+    const Bytes seed = random_bytes(32, 10);
+    const Bytes msg = random_bytes(40, 11);
+    MultiKeySigner signer(view(seed), 2);
+    const CertifiedSignature sig = signer.sign(view(msg));
+    results.push_back(time_op("multikey_signer/h=2/verify", 0, [&] {
+      do_not_optimize(
+          MultiKeySigner::verify(signer.root_public_key(), view(msg), sig));
     }));
   }
   return results;
@@ -425,18 +359,15 @@ void append_speedups(std::vector<SweepResult>& results) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool sweep = bench::micro_sweep_wanted("micro_crypto", argc, argv);
-  register_kernel_benchmarks();
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
-  if (!sweep) return 0;
+  Args args(argc, argv);
+  bench::finish_flags(args, false, argv[0],
+                      "[--metrics=M.json] [--metrics-heartbeat=S]");
   auto results = run_sweep();
   append_speedups(results);
+  const Table table = bench::sweep_table(results);
+  bench::print_table("micro_crypto sweep", table);
   bench::write_bench_json(
-      "micro_crypto", bench::sweep_table(results),
+      "micro_crypto", table,
       {{"batch_kernels",
         core::json_string_array(sha256_available_batch_kernels())}});
   return 0;

@@ -1,15 +1,20 @@
 // Microbenchmarks for the erasure-coding substrate: GF(256) inner loops
 // across every dispatched kernel and full-page encode/decode for the paper's
 // geometry (k=32, n=48, 64-byte blocks) — the per-page computational price
-// of loss resilience.
+// of loss resilience — plus the TX schedulers that pick which of a page's
+// packets to send.
 //
-// Besides the google-benchmark console table, the binary runs a self-timed
-// sweep of kernels x (k, n, payload) and writes machine-readable results to
-// BENCH_micro_erasure.json (override the path with LRS_BENCH_JSON, skip with
-// LRS_BENCH_JSON=none) so successive PRs have a perf trajectory to track.
-// The sweep also covers the LRC backend: encode/decode per geometry, the
-// local-repair fast path, RS/LRC decode against the number of erased data
-// blocks, and Monte Carlo local-repair hit rates at the Fig. 6 loss points.
+// One self-timed sweep (bench::time_op: best of three ~150 ms windows per
+// row) covers kernels x (k, n, payload). It prints the table and writes it
+// to BENCH_micro_erasure.json (override the path with LRS_BENCH_JSON, skip
+// with LRS_BENCH_JSON=none) so successive PRs have a perf trajectory to
+// track. Flags: --metrics=M.json and --metrics-heartbeat=S, as in every
+// harness. The sweep also covers the LRC backend: encode/decode per
+// geometry, the local-repair fast path, RS/LRC decode against the number of
+// erased data blocks, and Monte Carlo local-repair hit rates at the Fig. 6
+// loss points; the seeded random linear codes; codec construction with and
+// without the codec cache; and the scheduler/ rows, one whole SNACK-and-drain
+// session per greedy or union scheduler.
 // The star20/ rows pin the paper cell's hot calls under the active kernel:
 // contiguous RS encode, decode with 3 and 8 erasures — from detached shares
 // and with the data shares already in their own slot of the output page, as
@@ -17,8 +22,6 @@
 // loop it replaced. Every codec row encodes and decodes through
 // the contiguous caller-owned buffer API into buffers allocated once,
 // outside the timing.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
@@ -28,16 +31,20 @@
 #include <vector>
 
 #include "bench/common.h"
+#include "core/greedy_scheduler.h"
 #include "erasure/code.h"
 #include "erasure/gf256.h"
 #include "erasure/gf256_kernels.h"
+#include "proto/scheduler.h"
 #include "sim/stats/stats.h"
+#include "util/bitvec.h"
 #include "util/rng.h"
 
 namespace {
 
 using namespace lrs;
 using namespace lrs::erasure;
+using bench::do_not_optimize;
 using bench::SweepResult;
 using bench::time_op;
 
@@ -82,127 +89,6 @@ struct Page {
 };
 
 // ---------------------------------------------------------------------------
-// google-benchmark table: per-kernel addmul plus codec-level encode/decode.
-// ---------------------------------------------------------------------------
-
-void BM_Gf256Addmul(benchmark::State& state, const std::string& kernel_name,
-                    std::size_t len) {
-  const Gf256Kernel* kernel = gf256_find_kernel(kernel_name);
-  if (kernel == nullptr) {
-    state.SkipWithError("kernel unavailable on this CPU");
-    return;
-  }
-  Bytes dst(len, 3), src(len, 7);
-  for (auto _ : state) {
-    kernel->addmul(dst.data(), src.data(), len, 0x8e);
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(len));
-}
-
-void encode_bench(benchmark::State& state, CodecKind kind,
-                  std::size_t delta) {
-  auto code = make_code(kind, 32, 48, delta, 42);
-  Page page(*code, 64, 2);
-  for (auto _ : state) {
-    code->encode(view(page.data), page.encoded);
-    benchmark::DoNotOptimize(page.encoded.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          32 * 64);
-}
-
-void decode_bench(benchmark::State& state, CodecKind kind,
-                  std::size_t delta) {
-  auto code = make_code(kind, 32, 48, delta, 42);
-  Page page(*code, 64, 3);
-  // Worst-ish case: all parity-heavy tail shares.
-  std::vector<Share> shares;
-  const std::size_t take = code->decode_threshold() + 2;
-  for (std::size_t i = 0; i < take; ++i)
-    shares.push_back(page.share(48 - 1 - i));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(code->decode(shares, page.decoded));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          32 * 64);
-}
-
-void BM_RsEncode(benchmark::State& s) { encode_bench(s, CodecKind::kReedSolomon, 0); }
-void BM_RsDecode(benchmark::State& s) { decode_bench(s, CodecKind::kReedSolomon, 0); }
-void BM_Rlc2Encode(benchmark::State& s) { encode_bench(s, CodecKind::kRlcGf2, 2); }
-void BM_Rlc2Decode(benchmark::State& s) { decode_bench(s, CodecKind::kRlcGf2, 2); }
-void BM_Rlc256Encode(benchmark::State& s) { encode_bench(s, CodecKind::kRlcGf256, 1); }
-void BM_Rlc256Decode(benchmark::State& s) { decode_bench(s, CodecKind::kRlcGf256, 1); }
-void BM_LrcEncode(benchmark::State& s) { encode_bench(s, CodecKind::kLrc, 0); }
-void BM_LrcDecode(benchmark::State& s) { decode_bench(s, CodecKind::kLrc, 0); }
-
-BENCHMARK(BM_RsEncode);
-BENCHMARK(BM_RsDecode);
-BENCHMARK(BM_Rlc2Encode);
-BENCHMARK(BM_Rlc2Decode);
-BENCHMARK(BM_Rlc256Encode);
-BENCHMARK(BM_Rlc256Decode);
-BENCHMARK(BM_LrcEncode);
-BENCHMARK(BM_LrcDecode);
-
-void BM_LrcLocalRepairDecode(benchmark::State& state) {
-  // The cheap path the LRC exists for: one data block missing, its group's
-  // local parity present — repair touches 5 blocks instead of a 32-wide
-  // solve.
-  auto code = make_lrc_code(32, 48);
-  Page page(*code, 64, 5);
-  std::vector<Share> shares;
-  for (std::size_t i = 0; i < 32; ++i)
-    if (i != 6) shares.push_back(page.share(i));
-  shares.push_back(page.share(32 + 1));  // local parity of group 1
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(code->decode(shares, page.decoded));
-  }
-}
-BENCHMARK(BM_LrcLocalRepairDecode);
-
-void BM_SystematicFastPathDecode(benchmark::State& state) {
-  auto code = make_rs_code(32, 48);
-  Page page(*code, 64, 4);
-  std::vector<Share> shares;
-  for (std::size_t i = 0; i < 32; ++i) shares.push_back(page.share(i));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(code->decode(shares, page.decoded));
-  }
-}
-BENCHMARK(BM_SystematicFastPathDecode);
-
-void BM_CodecCacheHit(benchmark::State& state) {
-  make_code_cached(CodecKind::kReedSolomon, 32, 48, 0, 0);  // warm
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        make_code_cached(CodecKind::kReedSolomon, 32, 48, 0, 0));
-  }
-}
-BENCHMARK(BM_CodecCacheHit);
-
-void BM_CodecConstructUncached(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(make_rs_code(32, 48));
-  }
-}
-BENCHMARK(BM_CodecConstructUncached);
-
-void register_kernel_benchmarks() {
-  for (const auto& name : gf256_available_kernels()) {
-    for (std::size_t len : {64u, 1024u}) {
-      const std::string bench_name =
-          "BM_Gf256Addmul/kernel=" + name + "/len=" + std::to_string(len);
-      benchmark::RegisterBenchmark(
-          bench_name.c_str(),
-          [name, len](benchmark::State& s) { BM_Gf256Addmul(s, name, len); });
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Self-timed JSON sweep: kernels x (k, n, payload) -> BENCH_micro_erasure.json
 // ---------------------------------------------------------------------------
 
@@ -210,84 +96,81 @@ struct SweepConfig {
   std::size_t k, n, payload;
 };
 
+const SweepConfig kConfigs[] = {
+    {32, 48, 64},    // the paper's page geometry
+    {16, 24, 32},    // small pages / page-0-like
+    {64, 128, 256},  // scaled-up workload
+};
+
+/// "/k=<k>/n=<n>/len=<payload>", the row-name suffix of a geometry.
+std::string geometry(const SweepConfig& cfg) {
+  return "/k=" + std::to_string(cfg.k) + "/n=" + std::to_string(cfg.n) +
+         "/len=" + std::to_string(cfg.payload);
+}
+
+/// `codec`_encode`suffix` and `codec`_decode`suffix` rows: one page
+/// encoded, and decoded from its last decode_threshold() + `spare` shares
+/// (parity heavy), which must give the page back.
+void append_encode_decode(std::vector<SweepResult>& results,
+                          const std::string& codec, const std::string& suffix,
+                          const ErasureCode& code, std::size_t len,
+                          std::size_t spare = 0) {
+  Page page(code, len, 2);
+  const std::size_t page_bytes = code.k() * len;
+  results.push_back(time_op(codec + "_encode" + suffix, page_bytes, [&] {
+    code.encode(view(page.data), page.encoded);
+    do_not_optimize(page.encoded.data());
+  }));
+  std::vector<Share> shares;
+  for (std::size_t i = 0; i < code.decode_threshold() + spare; ++i)
+    shares.push_back(page.share(code.n() - 1 - i));
+  if (!code.decode(shares, page.decoded) || !page.decoded_ok()) {
+    std::cerr << codec << "_decode" << suffix << " failed\n";
+    std::exit(1);
+  }
+  results.push_back(time_op(codec + "_decode" + suffix, page_bytes, [&] {
+    do_not_optimize(code.decode(shares, page.decoded));
+  }));
+}
+
 std::vector<SweepResult> run_sweep() {
   std::vector<SweepResult> results;
-  const SweepConfig configs[] = {
-      {32, 48, 64},    // the paper's page geometry
-      {16, 24, 32},    // small pages / page-0-like
-      {64, 128, 256},  // scaled-up workload
-  };
   const std::string active = gf256_kernel().name;
   for (const auto& name : gf256_available_kernels()) {
     if (!gf256_set_kernel(name)) continue;
     const Gf256Kernel* kernel = gf256_find_kernel(name);
 
     // Raw addmul at a few buffer sizes.
-    for (std::size_t len : {64u, 256u, 4096u}) {
+    for (std::size_t len : {64u, 256u, 1024u, 4096u}) {
       Bytes dst(len, 3), src(len, 7);
       results.push_back(time_op(
           "gf256_addmul/kernel=" + name + "/len=" + std::to_string(len), len,
           [&] {
             kernel->addmul(dst.data(), src.data(), len, 0x8e);
-            benchmark::DoNotOptimize(dst.data());
+            do_not_optimize(dst.data());
           }));
     }
 
     // Full RS encode + parity-heavy decode per geometry.
-    for (const auto& cfg : configs) {
-      const std::string suffix = "/kernel=" + name +
-                                 "/k=" + std::to_string(cfg.k) +
-                                 "/n=" + std::to_string(cfg.n) +
-                                 "/len=" + std::to_string(cfg.payload);
-      auto code = make_rs_code(cfg.k, cfg.n);
-      Page page(*code, cfg.payload, 2);
-      const std::size_t page_bytes = cfg.k * cfg.payload;
-      results.push_back(time_op("rs_encode" + suffix, page_bytes, [&] {
-        code->encode(view(page.data), page.encoded);
-        benchmark::DoNotOptimize(page.encoded.data());
-      }));
-
-      std::vector<Share> shares;
-      for (std::size_t i = 0; i < cfg.k; ++i)
-        shares.push_back(page.share(cfg.n - 1 - i));
-      results.push_back(time_op("rs_decode" + suffix, page_bytes, [&] {
-        benchmark::DoNotOptimize(code->decode(shares, page.decoded));
-      }));
+    for (const auto& cfg : kConfigs) {
+      append_encode_decode(results, "rs", "/kernel=" + name + geometry(cfg),
+                           *make_rs_code(cfg.k, cfg.n), cfg.payload);
     }
   }
   gf256_set_kernel(active);
   return results;
 }
 
-/// LRC rows: encode/decode per geometry under the active kernel and the
-/// local-repair fast path. These run once (not per kernel): LRC's hot loops
-/// go through the same dispatched kernels as RS, which the kernel sweep
-/// already covers.
+/// Codec rows under the active kernel: LRC encode/decode per geometry, the
+/// LRC local-repair fast path, and the seeded random linear codes at the
+/// paper geometry, decoded from two shares past their threshold (their
+/// rank is probabilistic). These run once (not per kernel): their hot
+/// loops go through the same dispatched kernels as RS, which the kernel
+/// sweep already covers.
 void append_codec_sweep(std::vector<SweepResult>& results) {
-  const SweepConfig configs[] = {
-      {32, 48, 64},
-      {16, 24, 32},
-      {64, 128, 256},
-  };
-  for (const auto& cfg : configs) {
-    const std::string suffix = "/k=" + std::to_string(cfg.k) +
-                               "/n=" + std::to_string(cfg.n) +
-                               "/len=" + std::to_string(cfg.payload);
-    auto code = make_lrc_code(cfg.k, cfg.n);
-    Page page(*code, cfg.payload, 2);
-    const std::size_t page_bytes = cfg.k * cfg.payload;
-    results.push_back(time_op("lrc_encode" + suffix, page_bytes, [&] {
-      code->encode(view(page.data), page.encoded);
-      benchmark::DoNotOptimize(page.encoded.data());
-    }));
-
-    // Parity-heavy decode at the codec's own threshold.
-    std::vector<Share> shares;
-    for (std::size_t i = 0; i < code->decode_threshold(); ++i)
-      shares.push_back(page.share(cfg.n - 1 - i));
-    results.push_back(time_op("lrc_decode" + suffix, page_bytes, [&] {
-      benchmark::DoNotOptimize(code->decode(shares, page.decoded));
-    }));
+  for (const auto& cfg : kConfigs) {
+    append_encode_decode(results, "lrc", geometry(cfg),
+                         *make_lrc_code(cfg.k, cfg.n), cfg.payload);
   }
 
   // LRC local-repair fast path at the paper geometry: one erased data block
@@ -301,9 +184,14 @@ void append_codec_sweep(std::vector<SweepResult>& results) {
     shares.push_back(page.share(32 + 1));
     results.push_back(
         time_op("lrc_decode_local_repair/k=32/n=48/len=64", 32 * 64, [&] {
-          benchmark::DoNotOptimize(code->decode(shares, page.decoded));
+          do_not_optimize(code->decode(shares, page.decoded));
         }));
   }
+
+  append_encode_decode(results, "rlc2", geometry(kConfigs[0]),
+                       *make_code(CodecKind::kRlcGf2, 32, 48, 2, 42), 64, 2);
+  append_encode_decode(results, "rlc256", geometry(kConfigs[0]),
+                       *make_code(CodecKind::kRlcGf256, 32, 48, 1, 42), 64, 2);
 }
 
 /// Decode cost against the number of erased data blocks E at the paper
@@ -311,7 +199,8 @@ void append_codec_sweep(std::vector<SweepResult>& results) {
 /// permutation (so each pattern contains the smaller ones); RS holds the
 /// other data blocks plus the last E parity blocks (exactly k shares), LRC
 /// the other data blocks plus every parity block. Decode work grows with E
-/// (erased-column solve; LRC first repairs lone group erasures locally).
+/// (erased-column solve; LRC first repairs lone group erasures locally);
+/// E = 0 is the systematic fast path, every data block present.
 /// E = 16 is past LRC's guaranteed threshold k' = 39: permutation seed 1 is
 /// one whose 16 columns LRC can still solve (not every 16-column set is).
 void append_erased_sweep(std::vector<SweepResult>& results) {
@@ -331,7 +220,7 @@ void append_erased_sweep(std::vector<SweepResult>& results) {
   for (const auto& c : codecs) {
     auto code = make_code(c.kind, k, n, 0, 0);
     Page page(*code, len, 7);
-    for (std::size_t erased : {1u, 3u, 8u, 16u}) {
+    for (std::size_t erased : {0u, 1u, 3u, 8u, 16u}) {
       std::vector<bool> lost(k, false);
       for (std::size_t i = 0; i < erased; ++i) lost[perm[i]] = true;
       std::vector<Share> shares;
@@ -348,7 +237,7 @@ void append_erased_sweep(std::vector<SweepResult>& results) {
       const std::string name = std::string(c.name) + "_decode/erased=" +
                                std::to_string(erased) + "/k=32/n=48/len=64";
       results.push_back(time_op(name, k * len, [&] {
-        benchmark::DoNotOptimize(code->decode(shares, page.decoded));
+        do_not_optimize(code->decode(shares, page.decoded));
       }));
     }
   }
@@ -381,7 +270,7 @@ void append_local_repair_rates(std::vector<SweepResult>& results) {
           continue;
         shares.push_back(page.share(i));
       }
-      benchmark::DoNotOptimize(code->decode(shares, page.decoded));
+      do_not_optimize(code->decode(shares, page.decoded));
     }
     const double rate =
         decodes.value() == 0
@@ -409,7 +298,7 @@ void append_star20_rows(std::vector<SweepResult>& results) {
   results.push_back(time_op(
       "star20/rs_encode_contiguous/k=32/n=48/len=64", k * len, [&] {
         code->encode(view(page.data), page.encoded);
-        benchmark::DoNotOptimize(page.encoded.data());
+        do_not_optimize(page.encoded.data());
       }));
 
   for (std::size_t erased : {3u, 8u}) {
@@ -435,11 +324,11 @@ void append_star20_rows(std::vector<SweepResult>& results) {
         "/erased=" + std::to_string(erased) + "/k=32/n=48/len=64";
     results.push_back(
         time_op("star20/rs_decode_contiguous" + geometry, k * len, [&] {
-          benchmark::DoNotOptimize(code->decode(detached, page.decoded));
+          do_not_optimize(code->decode(detached, page.decoded));
         }));
     results.push_back(
         time_op("star20/rs_decode_in_place" + geometry, k * len, [&] {
-          benchmark::DoNotOptimize(code->decode(in_place, slots));
+          do_not_optimize(code->decode(in_place, slots));
         }));
   }
 
@@ -455,7 +344,7 @@ void append_star20_rows(std::vector<SweepResult>& results) {
       "star20/gf256_dot/kernel=" + kernel + "/sources=32/len=64", k * len,
       [&] {
         kern.dot(dst.data(), srcs.data(), coeffs.data(), k, len);
-        benchmark::DoNotOptimize(dst.data());
+        do_not_optimize(dst.data());
       });
   const SweepResult loop = time_op(
       "star20/gf256_addmul_loop/kernel=" + kernel + "/sources=32/len=64",
@@ -463,12 +352,71 @@ void append_star20_rows(std::vector<SweepResult>& results) {
         std::memset(dst.data(), 0, len);
         for (std::size_t s = 0; s < k; ++s)
           kern.addmul(dst.data(), srcs[s], len, coeffs[s]);
-        benchmark::DoNotOptimize(dst.data());
+        do_not_optimize(dst.data());
       });
   results.push_back(dot);
   results.push_back(loop);
   results.push_back({"star20/gf256_dot/speedup/dot_vs_addmul_loop",
                      dot.mb_per_s / loop.mb_per_s, 0.0});
+}
+
+/// Codec construction at the paper geometry: a hit in the process-wide
+/// codec cache against building the RS code from scratch.
+void append_construction_rows(std::vector<SweepResult>& results) {
+  make_code_cached(CodecKind::kReedSolomon, 32, 48, 0, 0);  // warm
+  results.push_back(time_op("codec_cache_hit/rs/k=32/n=48", 0, [] {
+    do_not_optimize(make_code_cached(CodecKind::kReedSolomon, 32, 48, 0, 0));
+  }));
+  results.push_back(time_op("codec_construct/rs/k=32/n=48", 0, [] {
+    do_not_optimize(make_rs_code(32, 48));
+  }));
+}
+
+/// The TX schedulers' CPU cost per page (paper §IV-D.3), one whole session
+/// per call: every receiver's SNACK merged into a fresh scheduler, then
+/// drained to the last packet. Each receiver requests q of the 48 packets
+/// (each with probability 0.6) and needs q + k' - 48 of them (at least 1),
+/// k' = 32. The greedy round-robin tracking table against the union of
+/// requests at 4, 20 and 100 receivers, plus one SNACK merged into a warm
+/// greedy table.
+void append_scheduler_rows(std::vector<SweepResult>& results) {
+  const std::size_t n = 48, kprime = 32;
+  const auto fill = [&](proto::TxScheduler& s, std::size_t receivers,
+                        Rng& rng) {
+    for (NodeId v = 0; v < receivers; ++v) {
+      BitVec bits(n);
+      for (std::size_t j = 0; j < n; ++j) bits.set(j, rng.bernoulli(0.6));
+      if (bits.none()) bits.set(0);
+      const std::size_t q = bits.count();
+      s.on_snack(v, bits, q + kprime > n ? q + kprime - n : 1);
+    }
+  };
+  for (std::size_t receivers : {4u, 20u, 100u}) {
+    const std::string suffix =
+        "/receivers=" + std::to_string(receivers) + "/n=48";
+    Rng greedy_rng(1);
+    results.push_back(time_op("scheduler/greedy_drain" + suffix, 0, [&] {
+      core::GreedyRoundRobinScheduler s(n);
+      fill(s, receivers, greedy_rng);
+      while (s.next_packet()) {
+      }
+    }));
+    Rng union_rng(2);
+    results.push_back(time_op("scheduler/union_drain" + suffix, 0, [&] {
+      const auto s = proto::make_union_scheduler(n);
+      fill(*s, receivers, union_rng);
+      while (s->next_packet()) {
+      }
+    }));
+  }
+
+  Rng rng(3);
+  core::GreedyRoundRobinScheduler s(n);
+  BitVec bits(n);
+  for (std::size_t j = 0; j < n; ++j) bits.set(j, rng.bernoulli(0.5));
+  NodeId v = 0;
+  results.push_back(time_op("scheduler/greedy_snack_merge/n=48", 0,
+                            [&] { s.on_snack(v++ % 64, bits, 16); }));
 }
 
 /// Speedup rows: the fastest available kernel vs the reference oracle for
@@ -510,20 +458,21 @@ void append_speedups(std::vector<SweepResult>& results) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool sweep = bench::micro_sweep_wanted("micro_erasure", argc, argv);
-  register_kernel_benchmarks();
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
-  if (!sweep) return 0;
+  Args args(argc, argv);
+  bench::finish_flags(args, false, argv[0],
+                      "[--metrics=M.json] [--metrics-heartbeat=S]");
   auto results = run_sweep();
   append_codec_sweep(results);
   append_erased_sweep(results);
+  append_construction_rows(results);
+  append_scheduler_rows(results);
+  // Turns the metrics registry on, so the codec timers run in every row
+  // after it.
   append_local_repair_rates(results);
   append_star20_rows(results);
   append_speedups(results);
-  bench::write_bench_json("micro_erasure", bench::sweep_table(results));
+  const Table table = bench::sweep_table(results);
+  bench::print_table("micro_erasure sweep", table);
+  bench::write_bench_json("micro_erasure", table);
   return 0;
 }

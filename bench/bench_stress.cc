@@ -18,7 +18,7 @@
 // see docs/observability.md). Writes BENCH_stress.json stamped with the
 // run-provenance manifest (override with LRS_BENCH_JSON, skip with
 // LRS_BENCH_JSON=none).
-#include <cstdlib>
+#include <charconv>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -155,10 +155,13 @@ std::string diagnose(const ExperimentResult& r) {
   return "ok";
 }
 
-std::optional<Scheme> parse_scheme(const std::string& name) {
-  if (name == "deluge") return Scheme::kDeluge;
-  if (name == "seluge") return Scheme::kSeluge;
-  if (name == "lr-seluge") return Scheme::kLrSeluge;
+/// The schemes the matrix sweeps, by core::scheme_name: Deluge, Seluge
+/// and LR-Seluge.
+std::optional<Scheme> stress_scheme(const std::string& name) {
+  const auto scheme = core::scheme_from_name(name);
+  if (scheme == Scheme::kDeluge || scheme == Scheme::kSeluge ||
+      scheme == Scheme::kLrSeluge)
+    return scheme;
   return std::nullopt;
 }
 
@@ -174,19 +177,26 @@ struct CellResult {
 };
 
 int replay(const std::string& spec, const sim::TraceExportConfig& trace) {
-  // --replay=<scheme>:<plan>:<seed>
+  // --replay=<scheme>:<plan>:<seed>, the seed a whole decimal >= 1 (the
+  // sweep's seeds start at 1).
   const auto c1 = spec.find(':');
   const auto c2 = c1 == std::string::npos ? c1 : spec.find(':', c1 + 1);
-  if (c2 == std::string::npos) {
+  std::uint64_t seed = 0;
+  if (c2 != std::string::npos) {
+    const char* first = spec.data() + c2 + 1;
+    const char* last = spec.data() + spec.size();
+    const auto [end, ec] = std::from_chars(first, last, seed);
+    if (ec != std::errc() || end != last) seed = 0;
+  }
+  if (seed == 0) {
     std::cerr << "bad replay spec '" << spec
-              << "' (want <scheme>:<plan>:<seed>)\n";
+              << "' (want <scheme>:<plan>:<seed>, seed >= 1)\n";
     return 2;
   }
   const std::string scheme_name = spec.substr(0, c1);
   const std::string plan_name = spec.substr(c1 + 1, c2 - c1 - 1);
-  const std::uint64_t seed = std::strtoull(spec.c_str() + c2 + 1, nullptr, 10);
 
-  const auto scheme = parse_scheme(scheme_name);
+  const auto scheme = stress_scheme(scheme_name);
   if (!scheme) {
     std::cerr << "unknown scheme '" << scheme_name << "'\n";
     return 2;
@@ -231,7 +241,7 @@ int run_sweep(int argc, char** argv) {
   const sim::TraceExportConfig trace =
       bench::trace_config(args.get("trace", ""), args.get("timeseries", ""));
   bool bad = seeds_flag < 1 || jobs_flag < 0;
-  if (!only_scheme.empty() && !parse_scheme(only_scheme)) {
+  if (!only_scheme.empty() && !stress_scheme(only_scheme)) {
     std::cerr << "error: unknown scheme '" << only_scheme << "'\n";
     bad = true;
   }
@@ -247,7 +257,7 @@ int run_sweep(int argc, char** argv) {
 
   std::vector<Scheme> schemes;
   if (!only_scheme.empty()) {
-    schemes.push_back(*parse_scheme(only_scheme));
+    schemes.push_back(*stress_scheme(only_scheme));
   } else if (quick) {
     schemes = {Scheme::kLrSeluge};
   } else {
@@ -303,12 +313,10 @@ int run_sweep(int argc, char** argv) {
     }
   }
 
-  std::cout << "\n== stress sweep: " << combos << " seed x fault combos, "
-            << failures << " failures ==\n";
-  table.print(std::cout);
-  std::cout << "\n-- CSV --\n";
-  table.print_csv(std::cout);
-  std::cout.flush();
+  bench::print_table("stress sweep: " + std::to_string(combos) +
+                         " seed x fault combos, " + std::to_string(failures) +
+                         " failures",
+                     table);
 
   bench::write_bench_json("stress", table,
                           {{"quick", quick ? "true" : "false"}});

@@ -271,23 +271,6 @@ inline std::string bench_json_path(const std::string& name) {
   return path == "none" ? "" : path;
 }
 
-/// Whether a google-benchmark micro bench runs its self-timed sweep and
-/// writes BENCH_<name>.json: not when the JSON is off, nor when the run only
-/// lists the benchmarks (--benchmark_list_tests[=true]), so a listing never
-/// rewrites the committed artifact. Call before benchmark::Initialize,
-/// which consumes the flag.
-inline bool micro_sweep_wanted(const std::string& name, int argc,
-                               char** argv) {
-  const std::string flag = "--benchmark_list_tests";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.compare(0, flag.size(), flag) != 0) continue;
-    const std::string value = arg.substr(flag.size());
-    if (value.empty() || value == "=true" || value == "=1") return false;
-  }
-  return !bench_json_path(name).empty();
-}
-
 /// Writes the harness result table as BENCH_<name>.json (core::bench_json:
 /// the run-provenance manifest plus harness-level `extra` facts such as
 /// repeats and sweep shape) to bench_json_path(name).
@@ -344,6 +327,13 @@ inline double peak_rss_mb() {
 // ---------------------------------------------------------------------------
 // Self-timed micro-benchmark sweeps (bench_micro_crypto, bench_micro_erasure)
 // ---------------------------------------------------------------------------
+
+/// Keeps `value`, and the work that computed it, from being optimized away:
+/// the empty asm statement takes its address and may read any memory.
+template <typename T>
+inline void do_not_optimize(const T& value) {
+  asm volatile("" : : "r"(&value) : "memory");
+}
 
 /// One timed operation. Speedup rows ("/speedup/" in the name) carry the
 /// ratio in mb_per_s; Monte Carlo rate rows ("_rate/") carry the rate in

@@ -43,7 +43,7 @@ long Args::get_int(const std::string& name, long def) {
   if (it == values_.end()) return def;
   char* end = nullptr;
   const long v = std::strtol(it->second.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
+  if (it->second.empty() || *end != '\0') {
     errors_.push_back("--" + name + " expects an integer, got '" +
                       it->second + "'");
     return def;
@@ -57,7 +57,7 @@ double Args::get_double(const std::string& name, double def) {
   if (it == values_.end()) return def;
   char* end = nullptr;
   const double v = std::strtod(it->second.c_str(), &end);
-  if (end == nullptr || *end != '\0') {
+  if (it->second.empty() || *end != '\0') {
     errors_.push_back("--" + name + " expects a number, got '" + it->second +
                       "'");
     return def;
@@ -65,11 +65,16 @@ double Args::get_double(const std::string& name, double def) {
   return v;
 }
 
-bool Args::get_bool(const std::string& name, bool def) const {
+bool Args::get_bool(const std::string& name, bool def) {
   queried_[name] = true;
   auto it = values_.find(name);
   if (it == values_.end()) return def;
-  return it->second != "false" && it->second != "0" && it->second != "no";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  errors_.push_back("--" + name + " expects true/false/1/0/yes/no, got '" +
+                    v + "'");
+  return def;
 }
 
 std::vector<std::string> Args::unknown() const {

@@ -3,7 +3,10 @@
 // Accepts "--name=value", "--name value" and bare "--flag" booleans;
 // anything not starting with "--" is a positional argument. Typed getters
 // fall back to defaults and record errors instead of throwing, so tools
-// can print one consolidated usage message.
+// can print one consolidated usage message. A boolean takes only
+// true/false/1/0/yes/no, so "--quick file.scn" is an error rather than a
+// flag that swallowed its positional; an empty number ("--jobs=") is an
+// error too.
 #pragma once
 
 #include <map>
@@ -21,7 +24,7 @@ class Args {
   std::string get(const std::string& name, const std::string& def) const;
   long get_int(const std::string& name, long def);
   double get_double(const std::string& name, double def);
-  bool get_bool(const std::string& name, bool def) const;
+  bool get_bool(const std::string& name, bool def);
 
   const std::vector<std::string>& positional() const { return positional_; }
 

@@ -38,6 +38,35 @@ TEST(Args, BooleanNegations) {
   EXPECT_FALSE(a.get_bool("z", true));
 }
 
+TEST(Args, BooleanAffirmatives) {
+  auto a = make({"--x=true", "--y=1", "--z=yes"});
+  EXPECT_TRUE(a.get_bool("x", false));
+  EXPECT_TRUE(a.get_bool("y", false));
+  EXPECT_TRUE(a.get_bool("z", false));
+  EXPECT_TRUE(a.errors().empty());
+}
+
+// "--list file.scn" reads as --list=file.scn: the boolean must reject the
+// value instead of reading it as true and losing the positional.
+TEST(Args, BooleanRejectsOtherValues) {
+  auto a = make({"--list", "scenarios/churn.scn", "--quick=maybe"});
+  EXPECT_FALSE(a.get_bool("list", false));
+  EXPECT_FALSE(a.get_bool("quick", false));
+  ASSERT_EQ(a.errors().size(), 2u);
+  EXPECT_NE(a.errors()[0].find("--list"), std::string::npos);
+  EXPECT_NE(a.errors()[0].find("scenarios/churn.scn"), std::string::npos);
+  EXPECT_NE(a.errors()[1].find("--quick"), std::string::npos);
+}
+
+TEST(Args, EmptyNumberRecordsError) {
+  auto a = make({"--jobs=", "--loss="});
+  EXPECT_EQ(a.get_int("jobs", 3), 3);
+  EXPECT_DOUBLE_EQ(a.get_double("loss", 0.5), 0.5);
+  ASSERT_EQ(a.errors().size(), 2u);
+  EXPECT_NE(a.errors()[0].find("--jobs"), std::string::npos);
+  EXPECT_NE(a.errors()[1].find("--loss"), std::string::npos);
+}
+
 TEST(Args, DefaultsWhenAbsent) {
   auto a = make({});
   EXPECT_EQ(a.get_int("k", 32), 32);
